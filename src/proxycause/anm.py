@@ -17,9 +17,9 @@ import numpy as np
 from .core import Direction, ScatterSample, SeedSpec, Verdict
 from .independence import (
     KernelSpec,
-    _center,
+    _check_permutations,
+    _permutation_pvalue,
     _permutation_schedule,
-    _pvalue_from_schedule,
     gram_matrix,
     median_heuristic,
 )
@@ -36,8 +36,7 @@ class AnmConfig:
     def __post_init__(self):
         if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
             raise ValueError("ridge_lambda must be positive")
-        if self.num_permutations < 99:
-            raise ValueError("use at least 99 permutations")
+        _check_permutations(self.num_permutations)
         if not 0.0 < self.fit_fraction < 1.0:
             raise ValueError("fit_fraction must lie in (0, 1)")
 
@@ -107,11 +106,7 @@ def _directional_pvalue(x_fit, y_fit, x_test, y_test, cfg, perms) -> float:
     r = residuals(reg, x_test, y_test)
     ku = KernelSpec(median_heuristic(x_test))
     kv = KernelSpec(median_heuristic(r))
-    n = x_test.size
-    Kc = _center(gram_matrix(x_test, ku))
-    Lc = _center(gram_matrix(r, kv))
-    observed = float(np.sum(Kc * Lc)) / (n * n)
-    return _pvalue_from_schedule(Kc, Lc, observed, perms)
+    return _permutation_pvalue(x_test, r, ku, kv, perms)
 
 
 def anm_direction(sample: ScatterSample, cfg: AnmConfig = AnmConfig(), seed: SeedSpec | int = 0) -> Direction:

@@ -16,6 +16,10 @@ def test_anm_config_validation():
         AnmConfig(ridge_lambda=0.0)
     with pytest.raises(ValueError):
         AnmConfig(num_permutations=10)
+    for bad in (120.5, 199.0, "199", True):
+        with pytest.raises(ValueError, match="integer"):
+            AnmConfig(num_permutations=bad)
+    AnmConfig(num_permutations=np.int64(199))
     with pytest.raises(ValueError):
         AnmConfig(fit_fraction=1.0)
 

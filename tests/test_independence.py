@@ -6,6 +6,9 @@ import pytest
 from proxycause.core import SeedSpec
 from proxycause.independence import (
     KernelSpec,
+    _center,
+    _permutation_pvalue,
+    _permutation_schedule,
     gram_matrix,
     hsic_pvalue,
     hsic_statistic,
@@ -128,6 +131,10 @@ def test_hsic_pvalue_validation():
     u = np.arange(10.0)
     with pytest.raises(ValueError, match="99"):
         hsic_pvalue(u, u, num_permutations=50)
+    for bad in (150.5, 199.0, "199", True):
+        with pytest.raises(ValueError, match="integer"):
+            hsic_pvalue(u, u, num_permutations=bad)
+    assert 1 / 100 <= hsic_pvalue(u, u[::-1], num_permutations=np.int64(99)) <= 1.0
     with pytest.raises(ValueError, match="mismatch"):
         hsic_pvalue(u, u[:5])
     with pytest.raises(ValueError):
@@ -154,3 +161,57 @@ def test_permutation_pvalue_matches_direct_recomputation():
     got = hsic_pvalue(u, v, num_permutations=B, seed=spec, ku=ku, kv=kv)
     # ties at the observed value can straddle the 1e-15 guard; allow one count
     assert abs(got - direct) <= 1.01 / (1 + B)
+
+
+def direct_loop_exceed(u, v, ku, kv, perms):
+    """Reference count: every permuted statistic summed from the full Grams."""
+    n = u.size
+    Kc = _center(gram_matrix(u, ku))
+    Lc = _center(gram_matrix(v, kv))
+    observed = float(np.sum(Kc * Lc)) / (n * n)
+    exceed = 0
+    for p in perms:
+        stat = float(np.sum(Kc * Lc[np.ix_(p, p)])) / (n * n)
+        if stat >= observed:
+            exceed += 1
+    return exceed
+
+
+def assert_same_count_as_direct_loop(u, v, perms):
+    ku = KernelSpec(median_heuristic(u))
+    kv = KernelSpec(median_heuristic(v))
+    exceed = direct_loop_exceed(u, v, ku, kv, perms)
+    assert _permutation_pvalue(u, v, ku, kv, perms) == (1 + exceed) / (1 + len(perms))
+    return exceed
+
+
+@pytest.mark.parametrize("n", [20, 50, 128, 250])
+@pytest.mark.parametrize("strength", [0.0, 0.3, 1.0])
+def test_permutation_pvalue_equals_direct_loop(n, strength):
+    rng = np.random.default_rng(1000 + n)
+    u = rng.normal(size=n)
+    v = strength * np.sin(2 * u) + rng.normal(size=n)
+    perms = _permutation_schedule(rng, n, 299)
+    assert_same_count_as_direct_loop(u, v, perms)
+
+
+@pytest.mark.parametrize("n", [20, 50, 128, 250])
+def test_permutation_pvalue_counts_exact_ties(n):
+    """v on 3 levels makes Lc exactly rank-deficient; identity and
+    level-preserving permutations then reproduce the observed statistic bit
+    for bit, and each such tie counts as an exceedance."""
+    rng = np.random.default_rng(2000 + n)
+    u = rng.normal(size=n)
+    v = np.digitize(u + rng.normal(size=n), [-0.5, 0.5]).astype(float)
+    levels = [np.flatnonzero(v == level) for level in (0.0, 1.0, 2.0)]
+    ties = []
+    for _ in range(20):
+        p = np.arange(n)
+        for idx in levels:
+            p[idx] = rng.permutation(idx)
+        ties.append(p)
+    ties += [np.arange(n)] * 5
+    perms = np.concatenate([_permutation_schedule(rng, n, 150), ties, _permutation_schedule(rng, n, 124)])
+    assert np.linalg.matrix_rank(_center(gram_matrix(v, KernelSpec(median_heuristic(v))))) <= 2
+    exceed = assert_same_count_as_direct_loop(u, v, perms)
+    assert exceed >= len(ties)
