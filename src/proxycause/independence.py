@@ -50,9 +50,12 @@ def median_heuristic(values) -> float:
     if v.size > _MEDIAN_SUBSAMPLE:
         idx = np.linspace(0, v.size - 1, _MEDIAN_SUBSAMPLE).round().astype(int)
         v = v[idx]
-    diffs = np.abs(v[:, None] - v[None, :])
-    gaps = diffs[np.triu_indices(v.size, k=1)]
-    med = float(np.median(gaps))
+    # On sorted values the gaps at lag k are v[k:] - v[:-k]: the same
+    # multiset as |v_i - v_j| over i < j, without the n x n matrix.
+    v = np.sort(v)
+    gaps = np.concatenate([v[k:] - v[:-k] for k in range(1, v.size)])
+    # The gaps are a scratch array, so the median may reorder them in place.
+    med = float(np.median(gaps, overwrite_input=True))
     if med > 0:
         return med
     positive = gaps[gaps > 0]

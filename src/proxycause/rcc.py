@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,61 +124,91 @@ def featurize_scatter(sample: ScatterSample, spec: RFFSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The parallel node arrays of one tree, and their dtypes.
+TREE_FIELDS = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64, "vote": np.float64}
+
+
 @dataclass(frozen=True)
 class Forest:
     """Bagged CART trees in flat-array form.
 
     Each tree is a dict of parallel arrays (feature, threshold, left,
     right, vote); feature -1 marks a leaf and vote holds its class-1
-    fraction.  Prediction is the majority vote across trees; the vote
-    fraction doubles as a confidence score.
+    fraction.  Children are numbered after their parent, which is what
+    makes every root-to-leaf walk terminate.  Prediction is the majority
+    vote across trees; the vote fraction doubles as a confidence score.
     """
 
     num_trees: int
     trees: tuple
-    tree_seeds: tuple
     num_features: int
 
     def __post_init__(self):
+        if self.num_trees < 1:
+            raise ValueError("a forest needs at least one tree")
         if self.num_trees != len(self.trees):
             raise ValueError("num_trees must match the tree list")
+        for t, tree in enumerate(self.trees):
+            size = tree["feature"].size
+            if size == 0 or any(tree[name].shape != (size,) for name in TREE_FIELDS):
+                raise ValueError(f"tree {t}: node arrays must be 1-D, non-empty and of equal length")
+            parents = np.flatnonzero(tree["feature"] >= 0)
+            for side in ("left", "right"):
+                children = tree[side][parents]
+                if np.any(children <= parents) or np.any(children >= size):
+                    raise ValueError(f"tree {t}: {side} child out of range or not after its parent")
+            if np.any(tree["feature"] >= self.num_features):
+                raise ValueError(f"tree {t}: split feature beyond the {self.num_features} inputs")
+
+    @cached_property
+    def _packed(self):
+        """All trees as one node table: child indices offset into it, one
+        root per tree, and each node's class-1 vote as a bool."""
+        sizes = [tree["feature"].size for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+
+        def cat(name):
+            return np.concatenate([tree[name] for tree in self.trees])
+
+        return roots, cat("feature"), cat("threshold"), cat("left") + offset, cat("right") + offset, cat("vote") >= 0.5
 
 
-def _gini_best_split(X, y, feat_ids, min_leaf):
-    """Best (score, feature, threshold) over candidate features, or None."""
+def _gini_best_split(Xf, y, feat_ids, min_leaf):
+    """Best (score, feature, threshold) over candidate features, or None.
+
+    Column j of the (n, f) block ``Xf`` holds feature ``feat_ids[j]``.  All
+    columns are scored at once; ties go to the lowest split position within
+    a column, then to the earliest column in ``feat_ids`` order.
+    """
     n = y.size
     total_ones = int(y.sum())
-    best_score = np.inf
-    best = None
-    for f in feat_ids:
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ones_prefix = np.cumsum(y[order])[:-1]
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        valid = xs_sorted[1:] != xs_sorted[:-1]
-        valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        left_ones = ones_prefix
-        right_ones = total_ones - left_ones
-        with np.errstate(invalid="ignore"):
-            gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
-            gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
-        score = (n_left * gini_left + n_right * gini_right) / n
-        score[~valid] = np.inf
-        j = int(np.argmin(score))
-        if score[j] < best_score:
-            best_score = float(score[j])
-            threshold = 0.5 * (xs_sorted[j] + xs_sorted[j + 1])
-            # The midpoint of two adjacent floats rounds up to the larger
-            # one, which would send every row left under the <= rule; fall
-            # back to the left value, which still partitions correctly.
-            if threshold >= xs_sorted[j + 1]:
-                threshold = float(xs_sorted[j])
-            best = (best_score, int(f), float(threshold))
-    return best
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs_sorted = np.take_along_axis(Xf, order, axis=0)
+    left_ones = np.cumsum(y[order], axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    valid = xs_sorted[1:] != xs_sorted[:-1]
+    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    right_ones = total_ones - left_ones
+    gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
+    gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
+    score = (n_left * gini_left + n_right * gini_right) / n
+    score[~valid] = np.inf
+    rows = np.argmin(score, axis=0)
+    col_best = score[rows, np.arange(score.shape[1])]
+    c = int(np.argmin(col_best))
+    if not col_best[c] < np.inf:
+        return None
+    j = rows[c]
+    lo, hi = xs_sorted[j, c], xs_sorted[j + 1, c]
+    threshold = 0.5 * (lo + hi)
+    # The midpoint of two adjacent floats rounds up to the larger one,
+    # which would send every row left under the <= rule; fall back to the
+    # left value, which still partitions correctly.
+    if threshold >= hi:
+        threshold = lo
+    return float(col_best[c]), int(feat_ids[c]), float(threshold)
 
 
 def _grow_tree(X, y, rng, max_features, min_leaf):
@@ -199,7 +230,7 @@ def _grow_tree(X, y, rng, max_features, min_leaf):
         if ones == 0 or ones == idx.size or idx.size < 2 * min_leaf:
             return node
         feat_ids = rng.choice(X.shape[1], size=max_features, replace=False)
-        split = _gini_best_split(X[idx], ys, feat_ids, min_leaf)
+        split = _gini_best_split(X[np.ix_(idx, feat_ids)], ys, feat_ids, min_leaf)
         if split is None:
             return node
         _, f, thr = split
@@ -222,20 +253,6 @@ def _grow_tree(X, y, rng, max_features, min_leaf):
     }
 
 
-def _tree_votes(tree, X) -> np.ndarray:
-    """Class-1 votes of one tree for each row of X, vectorized level-wise."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    feature = tree["feature"]
-    active = feature[node] >= 0
-    while active.any():
-        idx = np.flatnonzero(active)
-        f = feature[node[idx]]
-        go_left = X[idx, f] <= tree["threshold"][node[idx]]
-        node[idx] = np.where(go_left, tree["left"][node[idx]], tree["right"][node[idx]])
-        active = feature[node] >= 0
-    return tree["vote"][node] >= 0.5
-
-
 def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 0, min_leaf: int = 2) -> Forest:
     """Train a bagged CART forest: sqrt(width) features per split, Gini,
     grown to purity or min-leaf, deterministic given the seed."""
@@ -253,31 +270,34 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
     max_features = max(1, int(round(np.sqrt(X.shape[1]))))
     trees = []
-    tree_seeds = []
     for t in range(num_trees):
-        tseed = spec.seed(f"forest.tree.{t}")
-        tree_seeds.append(tseed)
-        rng = np.random.default_rng(tseed)
+        rng = np.random.default_rng(spec.seed(f"forest.tree.{t}"))
         boot = rng.integers(0, X.shape[0], X.shape[0])
         trees.append(_grow_tree(X[boot], y01[boot], rng, max_features, min_leaf))
-    return Forest(
-        num_trees=num_trees,
-        trees=tuple(trees),
-        tree_seeds=tuple(tree_seeds),
-        num_features=X.shape[1],
-    )
+    return Forest(num_trees=num_trees, trees=tuple(trees), num_features=X.shape[1])
 
 
 def forest_predict(forest: Forest, features) -> np.ndarray:
-    """Fraction of trees voting class +1 for each row of ``features``."""
+    """Fraction of trees voting class +1 for each row of ``features``.
+
+    Every (row, tree) walk advances one level per step through the packed
+    node table, until all of them stand on a leaf.
+    """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != forest.num_features:
         raise ValueError(f"expected {forest.num_features} features, got {X.shape[1]}")
-    votes = np.zeros(X.shape[0])
-    for tree in forest.trees:
-        votes += _tree_votes(tree, X)
+    roots, feature, threshold, left, right, class1 = forest._packed
+    node = np.tile(roots, X.shape[0])
+    row = np.repeat(np.arange(X.shape[0]), roots.size)
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = X[row[active], feature[at]] <= threshold[at]
+        node[active] = np.where(go_left, left[at], right[at])
+        active = active[feature[node[active]] >= 0]
+    votes = class1[node].reshape(X.shape[0], roots.size).sum(axis=1)
     return votes / forest.num_trees
 
 
@@ -357,17 +377,7 @@ def save_model(model: RCCModel, path) -> None:
         "forest": {
             "num_trees": model.forest.num_trees,
             "num_features": model.forest.num_features,
-            "tree_seeds": list(model.forest.tree_seeds),
-            "trees": [
-                {
-                    "feature": t["feature"].tolist(),
-                    "threshold": t["threshold"].tolist(),
-                    "left": t["left"].tolist(),
-                    "right": t["right"].tolist(),
-                    "vote": t["vote"].tolist(),
-                }
-                for t in model.forest.trees
-            ],
+            "trees": [{name: t[name].tolist() for name in TREE_FIELDS} for t in model.forest.trees],
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -375,31 +385,32 @@ def save_model(model: RCCModel, path) -> None:
 
 
 def load_model(path) -> RCCModel:
+    """Read a model file; a malformed one raises ValueError.
+
+    Files that still carry the per-tree seeds older versions wrote load
+    unchanged: the seeds were never used for prediction.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
-    rff = RFFSpec(
-        seed=doc["rff"]["seed"],
-        num_features=doc["rff"]["num_features"],
-        bandwidth=doc["rff"]["bandwidth"],
-    )
-    trees = tuple(
-        {
-            "feature": np.array(t["feature"], dtype=np.int64),
-            "threshold": np.array(t["threshold"], dtype=np.float64),
-            "left": np.array(t["left"], dtype=np.int64),
-            "right": np.array(t["right"], dtype=np.int64),
-            "vote": np.array(t["vote"], dtype=np.float64),
-        }
-        for t in doc["forest"]["trees"]
-    )
-    forest = Forest(
-        num_trees=doc["forest"]["num_trees"],
-        trees=trees,
-        tree_seeds=tuple(doc["forest"]["tree_seeds"]),
-        num_features=doc["forest"]["num_features"],
-    )
+    try:
+        rff = RFFSpec(
+            seed=doc["rff"]["seed"],
+            num_features=doc["rff"]["num_features"],
+            bandwidth=doc["rff"]["bandwidth"],
+        )
+        trees = tuple(
+            {name: np.array(t[name], dtype=dtype) for name, dtype in TREE_FIELDS.items()}
+            for t in doc["forest"]["trees"]
+        )
+        forest = Forest(
+            num_trees=doc["forest"]["num_trees"],
+            trees=trees,
+            num_features=doc["forest"]["num_features"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {MODEL_FORMAT} file {path}: {exc!r}") from None
     return RCCModel(rff=rff, forest=forest)

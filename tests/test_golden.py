@@ -1,16 +1,22 @@
 """Pinned outputs that must hold byte-for-byte across implementations.
 
-The values were recorded with the direct permutation loop (every permuted
-HSIC statistic summed from the full Gram matrices).  A faster or smaller
-implementation has to reproduce them exactly: a single permutation count
-that moves changes a p-value, and with it a score's repr.
+The ANM values were recorded with the direct permutation loop (every
+permuted HSIC statistic summed from the full Gram matrices).  A faster or
+smaller implementation has to reproduce them exactly: a single permutation
+count that moves changes a p-value, and with it a score's repr.  The forest
+values were recorded with the per-feature split loop and the per-tree
+prediction walk.
 """
+
+import hashlib
 
 import numpy as np
 
 from proxycause import proxy_image
 from proxycause.anm import AnmConfig, anm_direction
+from proxycause.core import LabeledScatterDataset
 from proxycause.experiments import synth_anm_pair, synth_diffusion_frames
+from proxycause.rcc import rcc_predict, rcc_train
 
 MECHANISMS = ("cubic", "tanh", "piecewise", "linear")
 
@@ -112,3 +118,64 @@ def test_frames_order_outputs_are_pinned(monkeypatch):
     assert result.matrix.tolist() == FRAME_MATRIX
     assert result.order == FRAME_ORDER
     assert result.cyclic is False
+
+
+# rcc_train on 40 scatters (n=120, MECHANISMS[i % 4], noise alternating
+# gaussian/uniform, data seed 900 + i) with m=30, 12 trees, seed 31: the
+# bandwidth repr, then per tree the SHA-256 of its feature, threshold,
+# left, right and vote arrays in that order.
+RCC_BANDWIDTH = "0.9551337244114555"
+RCC_TREES = [
+    "dff27dec98a21f156fdc3e8182a9651127dacb2c07b9144f1f038938a9e0492d",
+    "c410f3b9d40f17224f02656e82cf46c85b51ff0089ffc3e766585a288356edad",
+    "b0a20a55d93b03042e2f10ab9b0cb91f3cef1495d0b5c5e9a853a4e80acc9c20",
+    "0a3ea955b7e069757f6941577c85463c359322b156321e81720bd8261150407c",
+    "9eea821968b3e750e6b34654d04806886d99d3c30fbd60f13738c195e88b5316",
+    "c95f3ef1f1d2f251a1da51a3cec3453d32a05e30b74ddae94c06263893deb098",
+    "fe3ffcb2023b227e10e895bde6917cfddb890f2945fb1a7d655724f0f921a856",
+    "10a983eca244d5be521593a3870917f2be8e2c1a4367c4fa7ff739739e581a1b",
+    "1b74a0a0ec0d8bdf91438ae460e67523525a0b51447015b54ff68715fc892882",
+    "563b9783d3d9f1ace9724eabd4a85c1234e1441ba8d2662f4e1d860818c74444",
+    "c6fba88c5e60bf9d91313c04e6660d9afec35cdbf26684928d7077e69a6ba9cc",
+    "229d5e915af344e56cb2dcc0077afb4cd3eb0f8865c05902e5e8cfb6c16e0db9",
+]
+
+# (repr(verdict), repr(score)) of rcc_predict with that model on probe i:
+# n=120, MECHANISMS[i % 4], noise alternating uniform/gaussian, seed 950 + i.
+RCC_PROBES = [
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.16666666666666663"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.33333333333333337"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.8333333333333334"),
+    ("<Verdict.X_TO_Y: 'x->y'>", "0.5"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.6666666666666667"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.33333333333333337"),
+    ("<Verdict.X_TO_Y: 'x->y'>", "0.5"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.16666666666666663"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.8333333333333334"),
+    ("<Verdict.Y_TO_X: 'y->x'>", "0.5"),
+]
+
+
+def _tree_digest(tree):
+    h = hashlib.sha256()
+    for name in ("feature", "threshold", "left", "right", "vote"):
+        h.update(np.ascontiguousarray(tree[name]).tobytes())
+    return h.hexdigest()
+
+
+def test_rcc_forest_and_verdicts_are_pinned():
+    items = tuple(
+        synth_anm_pair(120, mechanism=MECHANISMS[i % 4], noise=("gaussian", "uniform")[i % 2], seed=900 + i)
+        for i in range(40)
+    )
+    model = rcc_train(LabeledScatterDataset(items), num_features=30, num_trees=12, seed=31)
+    assert repr(model.rff.bandwidth) == RCC_BANDWIDTH
+    assert [_tree_digest(t) for t in model.forest.trees] == RCC_TREES
+    got = []
+    for i in range(10):
+        sample, _ = synth_anm_pair(
+            120, mechanism=MECHANISMS[i % 4], noise=("uniform", "gaussian")[i % 2], seed=950 + i
+        )
+        d = rcc_predict(model, sample)
+        got.append((repr(d.verdict), repr(d.score)))
+    assert got == RCC_PROBES

@@ -87,6 +87,46 @@ def test_median_heuristic_long_input_is_deterministic():
     assert median_heuristic(v) == median_heuristic(v)
 
 
+def full_matrix_median_heuristic(values):
+    """The n x n formula: the median of |v_i - v_j| over the upper triangle,
+    after the same thinning, falling back to the positive gaps."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size > 1000:
+        v = v[np.linspace(0, v.size - 1, 1000).round().astype(int)]
+    gaps = np.abs(v[:, None] - v[None, :])[np.triu_indices(v.size, k=1)]
+    med = float(np.median(gaps))
+    if med > 0:
+        return med
+    positive = gaps[gaps > 0]
+    if positive.size == 0:
+        raise ValueError("degenerate sample: all values identical")
+    return float(np.median(positive))
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 384, 1000, 1001, 5000])
+def test_median_heuristic_equals_full_matrix_formula(n):
+    rng = np.random.default_rng(n)
+    inputs = [
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),  # heavy ties
+        rng.integers(0, 2, n) * 3.0 + (np.arange(n) == 0),  # mostly zero gaps
+        np.exp(rng.normal(scale=4.0, size=n)),  # wide dynamic range
+    ]
+    for v in inputs:
+        try:
+            want = full_matrix_median_heuristic(v)
+        except ValueError:
+            with pytest.raises(ValueError, match="identical"):
+                median_heuristic(v)
+            continue
+        assert median_heuristic(v) == want
+    for v in (np.full(n, 2.5), np.full(max(n, 1500), -1.0)):
+        with pytest.raises(ValueError, match="identical"):
+            full_matrix_median_heuristic(v)
+        with pytest.raises(ValueError, match="identical"):
+            median_heuristic(v)
+
+
 def test_gram_matrix_values():
     g = gram_matrix([0.0, 2.0], KernelSpec(1.0))
     assert g[0, 0] == 1.0

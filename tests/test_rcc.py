@@ -1,12 +1,17 @@
 """Scatterplot embedding, forest classifier, and the trained engine."""
 
+import json
+
 import numpy as np
 import pytest
 
 from proxycause.core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict
 from proxycause.experiments import synth_anm_pair
 from proxycause.rcc import (
+    TREE_FIELDS,
+    Forest,
     RFFSpec,
+    _gini_best_split,
     featurize_scatter,
     forest_predict,
     forest_train,
@@ -150,9 +155,27 @@ def test_model_serialization_round_trip(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.rff == model.rff
-    assert back.forest.tree_seeds == model.forest.tree_seeds
+    assert back.forest.num_trees == model.forest.num_trees
+    for a, b in zip(back.forest.trees, model.forest.trees):
+        assert all(np.array_equal(a[name], b[name]) for name in TREE_FIELDS)
     probes = make_dataset(8, seed0=7000)
     for sample, _ in probes:
+        assert rcc_predict(back, sample) == rcc_predict(model, sample)
+
+
+def test_load_model_accepts_files_with_tree_seeds(tmp_path):
+    """Earlier version-1 files also stored one seed per tree; they still
+    load, and the seeds play no part in prediction."""
+    items = make_dataset(16, seed0=6000)
+    model = rcc_train(LabeledScatterDataset(tuple(items)), num_features=20, num_trees=20, seed=SeedSpec(7))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert "tree_seeds" not in doc["forest"]
+    doc["forest"]["tree_seeds"] = [SeedSpec(7).child("rcc.forest").seed(f"forest.tree.{t}") for t in range(20)]
+    path.write_text(json.dumps(doc))
+    back = load_model(path)
+    for sample, _ in make_dataset(8, seed0=7000):
         assert rcc_predict(back, sample) == rcc_predict(model, sample)
 
 
@@ -179,3 +202,204 @@ def test_forest_split_on_adjacent_floats():
     fractions = forest_predict(forest, X)
     assert np.all(fractions[:3] < 0.5)
     assert np.all(fractions[3:] > 0.5)
+
+
+def saved_model_doc(tmp_path):
+    items = make_dataset(16, seed0=6000)
+    model = rcc_train(LabeledScatterDataset(tuple(items)), num_features=10, num_trees=5, seed=SeedSpec(8))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return path, json.loads(path.read_text())
+
+
+def first_split(tree):
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def break_missing_forest_key(doc):
+    del doc["forest"]["num_features"]
+
+
+def break_missing_tree_key(doc):
+    del doc["forest"]["trees"][2]["vote"]
+
+
+def break_unequal_lengths(doc):
+    doc["forest"]["trees"][1]["threshold"].append(0.0)
+
+
+def break_child_out_of_range(doc):
+    tree = doc["forest"]["trees"][0]
+    tree["right"][first_split(tree)] = len(tree["feature"])
+
+
+def break_child_is_itself(doc):
+    tree = doc["forest"]["trees"][0]
+    node = first_split(tree)
+    tree["left"][node] = node
+
+
+def break_child_before_parent(doc):
+    tree = doc["forest"]["trees"][3]
+    node = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["right"][node] = node - 1 if node > 0 else -1
+
+
+def break_feature_beyond_width(doc):
+    tree = doc["forest"]["trees"][4]
+    tree["feature"][first_split(tree)] = doc["forest"]["num_features"]
+
+
+def break_num_trees(doc):
+    doc["forest"]["num_trees"] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (break_missing_forest_key, "malformed"),
+        (break_missing_tree_key, "malformed"),
+        (break_unequal_lengths, "equal length"),
+        (break_child_out_of_range, "out of range"),
+        (break_child_is_itself, "not after its parent"),
+        (break_child_before_parent, "not after its parent"),
+        (break_feature_beyond_width, "beyond"),
+        (break_num_trees, "num_trees"),
+    ],
+)
+def test_load_model_rejects_malformed_forest(tmp_path, corrupt, message):
+    path, doc = saved_model_doc(tmp_path)
+    load_model(path)
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def loop_best_split(X, y, feat_ids, min_leaf):
+    """One feature at a time, keeping a later feature only on a strictly
+    lower score: the reference the all-feature search must reproduce."""
+    n = y.size
+    total_ones = int(y.sum())
+    best_score = np.inf
+    best = None
+    for f in feat_ids:
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        left_ones = np.cumsum(y[order])[:-1]
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (xs_sorted[1:] != xs_sorted[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        right_ones = total_ones - left_ones
+        gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
+        gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
+        score = (n_left * gini_left + n_right * gini_right) / n
+        score[~valid] = np.inf
+        j = int(np.argmin(score))
+        if score[j] < best_score:
+            best_score = float(score[j])
+            threshold = 0.5 * (xs_sorted[j] + xs_sorted[j + 1])
+            if threshold >= xs_sorted[j + 1]:
+                threshold = float(xs_sorted[j])
+            best = (best_score, int(f), float(threshold))
+    return best
+
+
+def assert_split_matches_loop(X, y, feat_ids, min_leaf):
+    feat_ids = np.asarray(feat_ids)
+    want = loop_best_split(X, y, feat_ids, min_leaf)
+    got = _gini_best_split(X[:, feat_ids], y, feat_ids, min_leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (repr(got[0]), got[1], repr(got[2])) == (repr(want[0]), want[1], repr(want[2]))
+    return got
+
+
+def test_split_search_equals_per_feature_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(2, 60))
+        X = rng.normal(size=(n, 12))
+        if trial % 3 == 0:
+            X = np.round(X, 1)  # many tied values within a column
+        y = rng.integers(0, 2, n)
+        feat_ids = rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
+        assert_split_matches_loop(X, y, feat_ids, int(rng.integers(1, 4)))
+
+
+def test_split_search_edge_cases():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(30, 4))
+    y = (X[:, 2] > 0).astype(np.int64)
+    # Duplicate columns tie exactly: the first in feat_ids order wins.
+    dup = np.column_stack([X, X[:, 2]])
+    assert assert_split_matches_loop(dup, y, [4, 0, 2], 1)[1] == 4
+    assert assert_split_matches_loop(dup, y, [2, 1, 4], 1)[1] == 2
+    # Constant columns offer no split.
+    const = np.column_stack([np.full(30, 0.5), np.full(30, -2.0)])
+    assert assert_split_matches_loop(const, y, [0, 1], 1) is None
+    assert assert_split_matches_loop(np.column_stack([const, X]), y, [0, 1, 4], 1)[1] == 4
+    # min_leaf at the boundary: 2 * min_leaf == n leaves one position.
+    X4 = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y4 = np.array([0, 1, 0, 1])
+    assert assert_split_matches_loop(X4, y4, [0], 2)[2] == 1.5
+    assert assert_split_matches_loop(X4, y4, [0], 3) is None
+    assert assert_split_matches_loop(X4[:3], y4[:3], [0], 2) is None
+    # Adjacent floats: the threshold falls back to the left value.
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    Xa = np.array([[a, 0.0], [a, 1.0], [b, 0.0], [b, 1.0]])
+    ya = np.array([0, 0, 1, 1])
+    assert assert_split_matches_loop(Xa, ya, [1, 0], 1)[1:] == (0, a)
+
+
+def per_tree_votes(forest, X):
+    """Class-1 vote fractions from walking each tree on its own."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    votes = np.zeros(X.shape[0])
+    for tree in forest.trees:
+        for r in range(X.shape[0]):
+            node = 0
+            while tree["feature"][node] >= 0:
+                go_left = X[r, tree["feature"][node]] <= tree["threshold"][node]
+                node = tree["left"][node] if go_left else tree["right"][node]
+            votes[r] += tree["vote"][node] >= 0.5
+    return votes / forest.num_trees
+
+
+def test_packed_prediction_equals_per_tree_walk():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(120, 9))
+    y = np.where(X[:, 1] + 0.5 * X[:, 4] ** 2 + 0.3 * rng.normal(size=120) > 0.4, 1, -1)
+    forest = forest_train(X, y, num_trees=40, seed=SeedSpec(2))
+    probes = np.vstack([X[:7], rng.normal(size=(30, 9)), np.round(rng.normal(size=(5, 9)), 1)])
+    want = per_tree_votes(forest, probes)
+    assert np.array_equal(forest_predict(forest, probes), want)
+    assert np.array_equal(forest_predict(forest, probes[3]), want[3:4])
+    assert forest_predict(forest, np.empty((0, 9))).shape == (0,)
+    # A forest of single-leaf trees walks no level at all.
+    stumps = Forest(
+        num_trees=2,
+        trees=tuple(
+            {"feature": np.array([-1]), "threshold": np.array([0.0]), "left": np.array([-1]),
+             "right": np.array([-1]), "vote": np.array([v])}
+            for v in (0.25, 0.5)
+        ),
+        num_features=9,
+    )
+    assert np.array_equal(forest_predict(stumps, probes[:4]), np.full(4, 0.5))
+
+
+def test_forest_rejects_empty_tree_list():
+    with pytest.raises(ValueError, match="at least one tree"):
+        Forest(num_trees=0, trees=(), num_features=3)
+    X = np.random.default_rng(14).normal(size=(20, 3))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    for num_trees in (0, -4):
+        with pytest.raises(ValueError, match="at least one tree"):
+            forest_train(X, y, num_trees=num_trees)
