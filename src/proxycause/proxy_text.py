@@ -10,6 +10,7 @@ give the scatter sample the direction engines consume.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -244,13 +245,21 @@ class EmbeddingModel:
         return self.output_matrix[self._row(word)]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sentence_plan(sent: np.ndarray, window: int, negatives: int):
+    """(centers, contexts, bounds) of one sentence, or None for a one-word
+    sentence: every word id as a center, the context ids of all centers
+    concatenated (left of the center, then right), and where each center's
+    block of rows (one per context word, each followed by its negatives)
+    starts and ends."""
+    length = sent.size
+    reach = min(window, length - 1)
+    if reach == 0:
+        return None
+    offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
+    pos = np.arange(length)[:, None] + offsets
+    inside = (pos >= 0) & (pos < length)
+    bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))]) * (negatives + 1)
+    return sent.tolist(), sent[pos[inside]], bounds.tolist()
 
 
 def sgns_train(
@@ -269,8 +278,18 @@ def sgns_train(
     once per center position, batched over its context words; negatives
     are drawn from the unigram token distribution raised to 0.75.
     """
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (d, epochs, window, negatives)):
+        raise ValueError("d, epochs, window and negatives must be integers")
     if d < 2:
         raise ValueError("embedding dimension must be at least 2")
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if negatives < 0:
+        raise ValueError("negatives must be non-negative")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning rate must be finite and positive")
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
     vocabulary = {}
@@ -301,28 +320,33 @@ def sgns_train(
     rng_init = spec.rng("sgns.init")
     vi = (rng_init.random((num_words, d)) - 0.5) / d
     vo = np.zeros((num_words, d))
+    vo_flat = vo.reshape(-1)
     rng_neg = spec.rng("sgns.negatives")
 
+    # Drawing one sentence's negatives at once consumes the stream exactly
+    # as per-position draws would, and the flat scatter-add applies
+    # duplicate rows in order, so the tables match a per-position loop bit
+    # for bit.  The sigmoid takes exp of -|z| only, so it cannot overflow.
+    plans = [p for p in (_sentence_plan(s, window, negatives) for s in sentences) if p is not None]
+    labels = np.zeros((min(2 * window, max(s.size for s in sentences) - 1), negatives + 1))
+    labels[:, 0] = 1.0
+    labels = labels.ravel()
+    columns = np.arange(d)
+
     for _ in range(epochs):
-        for sent in sentences:
-            length = sent.size
-            for t in range(length):
-                lo = max(0, t - window)
-                hi = min(length, t + window + 1)
-                ctx = np.concatenate([sent[lo:t], sent[t + 1 : hi]])
-                if ctx.size == 0:
-                    continue
-                center = sent[t]
-                negs = np.searchsorted(noise_cdf, rng_neg.random((ctx.size, negatives)))
-                rows = np.concatenate([ctx[:, None], negs], axis=1).ravel()
-                labels = np.zeros((ctx.size, negatives + 1))
-                labels[:, 0] = 1.0
-                labels = labels.ravel()
-                out = vo[rows]
-                grad = learning_rate * (labels - _sigmoid(out @ vi[center]))
+        for centers, contexts, bounds in plans:
+            negs = np.searchsorted(noise_cdf, rng_neg.random((contexts.size, negatives)))
+            rows = np.concatenate([contexts[:, None], negs], axis=1).ravel()
+            flat = (rows[:, None] * d + columns).ravel()
+            for center, lo, hi in zip(centers, bounds, bounds[1:]):
+                v = vi[center]
+                out = vo.take(rows[lo:hi], axis=0)
+                z = out @ v
+                e = np.exp(-np.abs(z))
+                grad = learning_rate * (labels[: hi - lo] - np.where(z >= 0, 1.0, e) / (1.0 + e))
                 grad_center = grad @ out
-                np.add.at(vo, rows, grad[:, None] * vi[center][None, :])
-                vi[center] += grad_center
+                np.add.at(vo_flat, flat[lo * d : hi * d], np.multiply.outer(grad, v).ravel())
+                v += grad_center
 
     words = tuple(sorted(vocabulary, key=vocabulary.get))
     return EmbeddingModel(
@@ -346,15 +370,21 @@ def _read_table(path):
         if len(header) != 2:
             raise ValueError(f"bad embedding header in {path}")
         count, dim = int(header[0]), int(header[1])
+        if count < 0 or dim < 1:
+            raise ValueError(f"bad embedding header in {path}")
         words = []
-        rows = np.empty((count, dim))
+        rows = []
         for i in range(count):
             parts = fh.readline().split()
             if len(parts) != dim + 1:
                 raise ValueError(f"bad embedding row {i + 2} in {path}")
             words.append(parts[0])
-            rows[i] = [float(v) for v in parts[1:]]
-    return words, rows
+            rows.append([float(v) for v in parts[1:]])
+        if fh.read().strip():
+            raise ValueError(f"more rows than the header's {count} in {path}")
+    if len(set(words)) != count:
+        raise ValueError(f"duplicate words in {path}")
+    return words, np.array(rows, dtype=np.float64).reshape(count, dim)
 
 
 def save_embeddings(emb: EmbeddingModel, input_path, output_path) -> None:

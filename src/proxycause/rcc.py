@@ -159,6 +159,10 @@ class Forest:
                     raise ValueError(f"tree {t}: {side} child out of range or not after its parent")
             if np.any(tree["feature"] >= self.num_features):
                 raise ValueError(f"tree {t}: split feature beyond the {self.num_features} inputs")
+            if not np.all(np.isfinite(tree["threshold"])):
+                raise ValueError(f"tree {t}: thresholds must be finite")
+            if not np.all((tree["vote"] >= 0.0) & (tree["vote"] <= 1.0)):
+                raise ValueError(f"tree {t}: votes must lie in [0, 1]")
 
     @cached_property
     def _packed(self):
@@ -384,6 +388,15 @@ def save_model(model: RCCModel, path) -> None:
         json.dump(doc, fh)
 
 
+def _node_array(values, name, dtype) -> np.ndarray:
+    """One node array from its JSON list; integer fields take JSON integers
+    only, so a fractional entry is an error and not a silent truncation."""
+    allowed, kind = ((int,), "integers") if dtype is np.int64 else ((int, float), "numbers")
+    if not isinstance(values, list) or not all(type(v) in allowed for v in values):
+        raise ValueError(f"{name} entries must be {kind}")
+    return np.array(values, dtype=dtype)
+
+
 def load_model(path) -> RCCModel:
     """Read a model file; a malformed one raises ValueError.
 
@@ -403,7 +416,7 @@ def load_model(path) -> RCCModel:
             bandwidth=doc["rff"]["bandwidth"],
         )
         trees = tuple(
-            {name: np.array(t[name], dtype=dtype) for name, dtype in TREE_FIELDS.items()}
+            {name: _node_array(t[name], name, dtype) for name, dtype in TREE_FIELDS.items()}
             for t in doc["forest"]["trees"]
         )
         forest = Forest(
@@ -411,6 +424,6 @@ def load_model(path) -> RCCModel:
             trees=trees,
             num_features=doc["forest"]["num_features"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} file {path}: {exc!r}") from None
     return RCCModel(rff=rff, forest=forest)

@@ -5,7 +5,7 @@ permuted HSIC statistic summed from the full Gram matrices).  A faster or
 smaller implementation has to reproduce them exactly: a single permutation
 count that moves changes a p-value, and with it a score's repr.  The forest
 values were recorded with the per-feature split loop and the per-tree
-prediction walk.
+prediction walk, and the embedding tables with the per-position SGNS loop.
 """
 
 import hashlib
@@ -15,7 +15,8 @@ import numpy as np
 from proxycause import proxy_image
 from proxycause.anm import AnmConfig, anm_direction
 from proxycause.core import LabeledScatterDataset
-from proxycause.experiments import synth_anm_pair, synth_diffusion_frames
+from proxycause.experiments import bundled_data_path, synth_anm_pair, synth_diffusion_frames
+from proxycause.proxy_text import sgns_train
 from proxycause.rcc import rcc_predict, rcc_train
 
 MECHANISMS = ("cubic", "tanh", "piecewise", "linear")
@@ -179,3 +180,15 @@ def test_rcc_forest_and_verdicts_are_pinned():
         d = rcc_predict(model, sample)
         got.append((repr(d.verdict), repr(d.score)))
     assert got == RCC_PROBES
+
+
+# SHA-256 of input_matrix.tobytes() + output_matrix.tobytes() for
+# sgns_train on the bundled corpus with d=16, 1 epoch, window 3, 3
+# negatives and seed 7.
+SGNS_TABLES = "c47c7eced0c9fdae6a31cb6c11be97573245620f23d9e14ae1ee2d2595928a6f"
+
+
+def test_sgns_tables_are_pinned():
+    emb = sgns_train(bundled_data_path("mini_corpus.txt"), d=16, epochs=1, window=3, negatives=3, seed=7)
+    digest = hashlib.sha256(emb.input_matrix.tobytes() + emb.output_matrix.tobytes()).hexdigest()
+    assert digest == SGNS_TABLES

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxycause.core import SeedSpec
 from proxycause.proxy_text import (
@@ -11,6 +13,7 @@ from proxycause.proxy_text import (
     baseline_scores,
     build_index,
     load_embeddings,
+    _read_table,
     load_index,
     projection_value,
     projection_vector,
@@ -207,6 +210,100 @@ def test_sgns_learns_cooccurrence_structure(tmp_path):
     assert together > apart
 
 
+def per_position_sgns(corpus_path, d, epochs, window, negatives, learning_rate, seed):
+    """The original SGNS loop, one update per center position with its own
+    negative draw and a 2-D np.add.at: the oracle the trainer must match
+    bit for bit."""
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    vocabulary = {}
+    token_counts = []
+    sentences = []
+    with open(corpus_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            tokens = tokenize(line)
+            if not tokens:
+                continue
+            ids = np.empty(len(tokens), dtype=np.int64)
+            for pos, tok in enumerate(tokens):
+                if tok not in vocabulary:
+                    vocabulary[tok] = len(vocabulary)
+                    token_counts.append(0)
+                token_counts[vocabulary[tok]] += 1
+                ids[pos] = vocabulary[tok]
+            sentences.append(ids)
+    noise = np.array(token_counts, dtype=np.float64) ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    spec = SeedSpec(seed)
+    vi = (spec.rng("sgns.init").random((len(vocabulary), d)) - 0.5) / d
+    vo = np.zeros((len(vocabulary), d))
+    rng_neg = spec.rng("sgns.negatives")
+    for _ in range(epochs):
+        for sent in sentences:
+            for t in range(sent.size):
+                lo = max(0, t - window)
+                hi = min(sent.size, t + window + 1)
+                ctx = np.concatenate([sent[lo:t], sent[t + 1 : hi]])
+                if ctx.size == 0:
+                    continue
+                center = sent[t]
+                negs = np.searchsorted(noise_cdf, rng_neg.random((ctx.size, negatives)))
+                rows = np.concatenate([ctx[:, None], negs], axis=1).ravel()
+                labels = np.zeros((ctx.size, negatives + 1))
+                labels[:, 0] = 1.0
+                labels = labels.ravel()
+                out = vo[rows]
+                grad = learning_rate * (labels - sigmoid(out @ vi[center]))
+                grad_center = grad @ out
+                np.add.at(vo, rows, grad[:, None] * vi[center][None, :])
+                vi[center] += grad_center
+    return vi, vo
+
+
+# One-token sentences, lines with no tokens, sentences shorter than the
+# window, and words repeated inside one window (duplicate scatter rows).
+EQUIVALENCE_CORPUS = """\
+solo
+the cat saw the cat and the dog saw the cat
+---
+rain rain rain rain rain
+a b
+heat
+wet street wet street everywhere wet
+dog
+the rain made the street wet and the dog ran down the wet street again
+"""
+
+
+@pytest.mark.parametrize(
+    "d, epochs, window, negatives, learning_rate, seed",
+    [
+        (8, 2, 2, 3, 0.025, 0),
+        (8, 2, 2, 3, 0.025, 1),
+        (5, 3, 5, 5, 0.025, 2),
+        (6, 2, 1, 0, 0.025, 3),
+        (4, 2, 12, 2, 0.5, 4),
+        (3, 1, 3, 1, 0.1, 5),
+    ],
+)
+def test_sgns_equals_per_position_loop(tmp_path, d, epochs, window, negatives, learning_rate, seed):
+    path = tmp_path / "c.txt"
+    path.write_text(EQUIVALENCE_CORPUS)
+    emb = sgns_train(
+        path, d=d, epochs=epochs, window=window, negatives=negatives, learning_rate=learning_rate, seed=seed
+    )
+    vi, vo = per_position_sgns(path, d, epochs, window, negatives, learning_rate, seed)
+    assert np.array_equal(emb.input_matrix, vi)
+    assert np.array_equal(emb.output_matrix, vo)
+
+
 def test_sgns_validation(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\n")
@@ -216,6 +313,25 @@ def test_sgns_validation(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty corpus"):
         sgns_train(empty, d=4)
+    # Each of these used to return a model: window=0 and epochs=0 an
+    # untrained one, window=-2 one trained on contexts sliced from the end.
+    for kwargs, message in [
+        ({"window": 0}, "window"),
+        ({"window": -2}, "window"),
+        ({"epochs": 0}, "epochs"),
+        ({"epochs": -1}, "epochs"),
+        ({"negatives": -1}, "negatives"),
+        ({"learning_rate": 0.0}, "learning rate"),
+        ({"learning_rate": -0.025}, "learning rate"),
+        ({"learning_rate": float("nan")}, "learning rate"),
+        ({"learning_rate": float("inf")}, "learning rate"),
+        ({"window": 2.5}, "integers"),
+        ({"epochs": 1.0}, "integers"),
+        ({"negatives": True}, "integers"),
+        ({"d": "4"}, "integers"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            sgns_train(path, **{"d": 4, **kwargs})
 
 
 def test_embeddings_file_round_trip(tmp_path):
@@ -242,6 +358,75 @@ def test_load_embeddings_rejects_mismatched_vocabularies(tmp_path):
     save_embeddings(other, tmp_path / "vi2.txt", tmp_path / "vo2.txt")
     with pytest.raises(ValueError, match="different vocabularies"):
         load_embeddings(tmp_path / "vi.txt", tmp_path / "vo2.txt")
+
+
+def test_load_embeddings_rejects_duplicate_words(tmp_path):
+    (tmp_path / "vi.txt").write_text("2 2\na 1.0 2.0\na 3.0 4.0\n")
+    (tmp_path / "vo.txt").write_text("2 2\na 5.0 6.0\na 7.0 8.0\n")
+    with pytest.raises(ValueError, match="duplicate words"):
+        load_embeddings(tmp_path / "vi.txt", tmp_path / "vo.txt")
+
+
+def test_load_embeddings_rejects_rows_past_the_header_count(tmp_path):
+    emb = crafted_embedding()
+    save_embeddings(emb, tmp_path / "vi.txt", tmp_path / "vo.txt")
+    with open(tmp_path / "vo.txt", "a", encoding="utf-8") as fh:
+        fh.write("c 9.0 10.0\n")
+    with pytest.raises(ValueError, match="more rows than the header's 2"):
+        load_embeddings(tmp_path / "vi.txt", tmp_path / "vo.txt")
+    # Trailing blank lines are not rows.
+    save_embeddings(emb, tmp_path / "vi.txt", tmp_path / "vo.txt")
+    with open(tmp_path / "vo.txt", "a", encoding="utf-8") as fh:
+        fh.write("\n  \n")
+    assert load_embeddings(tmp_path / "vi.txt", tmp_path / "vo.txt").words == emb.words
+
+
+@st.composite
+def table_texts(draw):
+    """Embedding-table text: either arbitrary characters, or a header and
+    rows that are well formed except where the draw breaks them (row
+    count, row width, duplicate words, non-finite or unparsable values)."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
+
+    def mostly(good, *bad):
+        return draw(st.sampled_from((good,) * 6 + bad))
+
+    count = mostly(draw(st.integers(0, 3)), -1)
+    dim = mostly(draw(st.integers(1, 3)), 0, -1)
+    lines = [mostly(f"{count} {dim}", f"{count}", f"{count} {dim} 1", "x 2")]
+    for _ in range(mostly(max(count, 0), max(count, 0) + 1, max(count - 1, 0))):
+        word = draw(st.sampled_from(["a", "b", "c", "é"]))
+        width = mostly(dim, dim - 1, dim + 1)
+        values = [mostly(repr(draw(st.floats())), "1e999", "x", "0x1p3") for _ in range(max(width, 0))]
+        lines.append(" ".join([word] + values))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=table_texts(), second=table_texts())
+def test_embedding_loaders_give_a_model_or_value_error(fuzz_dir, first, second):
+    vi_path, vo_path = fuzz_dir / "vi.txt", fuzz_dir / "vo.txt"
+    vi_path.write_text(first, encoding="utf-8")
+    vo_path.write_text(second, encoding="utf-8")
+    try:
+        words, rows = _read_table(vi_path)
+    except ValueError:
+        pass
+    else:
+        assert rows.shape[0] == len(words) == len(set(words))
+    try:
+        emb = load_embeddings(vi_path, vo_path)
+    except ValueError:
+        return
+    assert len(set(emb.words)) == len(emb.words) == emb.input_matrix.shape[0]
+    assert emb.input_matrix.shape == emb.output_matrix.shape
+    assert np.all(np.isfinite(emb.input_matrix)) and np.all(np.isfinite(emb.output_matrix))
 
 
 def test_trained_round_trip_preserves_vectors(tmp_path):

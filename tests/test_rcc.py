@@ -254,6 +254,53 @@ def break_num_trees(doc):
     doc["forest"]["num_trees"] += 1
 
 
+def break_fractional_feature(doc):
+    tree = doc["forest"]["trees"][0]
+    tree["feature"][first_split(tree)] += 0.7
+
+
+def break_fractional_child(doc):
+    tree = doc["forest"]["trees"][1]
+    tree["left"][first_split(tree)] += 0.5
+
+
+def break_fractional_right_child(doc):
+    tree = doc["forest"]["trees"][1]
+    tree["right"][first_split(tree)] = float(tree["right"][first_split(tree)]) + 0.25
+
+
+def break_string_feature(doc):
+    tree = doc["forest"]["trees"][2]
+    tree["feature"][first_split(tree)] = str(tree["feature"][first_split(tree)])
+
+
+def break_boolean_child(doc):
+    doc["forest"]["trees"][2]["left"][0] = True
+
+
+def break_feature_beyond_int64(doc):
+    tree = doc["forest"]["trees"][0]
+    tree["feature"][first_split(tree)] = 2**70
+
+
+def break_vote_above_one(doc):
+    doc["forest"]["trees"][0]["vote"][-1] = 7.5
+
+
+def break_negative_vote(doc):
+    doc["forest"]["trees"][3]["vote"][0] = -0.25
+
+
+def break_null_threshold(doc):
+    tree = doc["forest"]["trees"][4]
+    tree["threshold"][first_split(tree)] = None
+
+
+def break_infinite_threshold(doc):
+    tree = doc["forest"]["trees"][4]
+    tree["threshold"][first_split(tree)] = 1e999  # json.dumps writes Infinity
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -265,6 +312,16 @@ def break_num_trees(doc):
         (break_child_before_parent, "not after its parent"),
         (break_feature_beyond_width, "beyond"),
         (break_num_trees, "num_trees"),
+        (break_fractional_feature, "feature entries must be integers"),
+        (break_fractional_child, "left entries must be integers"),
+        (break_fractional_right_child, "right entries must be integers"),
+        (break_string_feature, "feature entries must be integers"),
+        (break_boolean_child, "left entries must be integers"),
+        (break_feature_beyond_int64, "malformed"),
+        (break_vote_above_one, r"votes must lie in \[0, 1\]"),
+        (break_negative_vote, r"votes must lie in \[0, 1\]"),
+        (break_null_threshold, "threshold entries must be numbers"),
+        (break_infinite_threshold, "thresholds must be finite"),
     ],
 )
 def test_load_model_rejects_malformed_forest(tmp_path, corrupt, message):
