@@ -148,7 +148,10 @@ def _check_permutations(num_permutations) -> None:
 
 
 def _permutation_schedule(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    return np.stack([rng.permutation(n) for _ in range(count)])
+    """``count`` permutations of ``range(n)``, one per row: the same rows,
+    and the same generator state after, as ``count`` calls of
+    ``rng.permutation(n)``, drawn in one call."""
+    return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
 
 # Permutations scored per batched product.  Larger blocks were no faster at

@@ -151,19 +151,57 @@ def save_index(index: CorpusIndex, path) -> None:
         json.dump(doc, fh, sort_keys=True)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _pair_counts(entries, name, path) -> dict:
+    """{(w, x): count} from a list of distinct [w, x, count] entries."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{name} must be a list in {path}")
+    table = {}
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+            and _is_count(entry[2])
+        ):
+            raise ValueError(f"malformed {name} entry {entry!r} in {path}")
+        table[entry[0], entry[1]] = entry[2]
+    if len(table) != len(entries):
+        raise ValueError(f"duplicate {name} pairs in {path}")
+    return table
+
+
 def load_index(path) -> CorpusIndex:
+    """Read an index file; a malformed one raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != INDEX_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file: {path}")
     if doc.get("version") != INDEX_VERSION:
         raise ValueError(f"unsupported index version {doc.get('version')}")
+    missing = sorted({"vocabulary", "sentence_count", "unigram", "cooc", "prec"} - doc.keys())
+    if missing:
+        raise ValueError(f"malformed {INDEX_FORMAT} file {path}: missing {', '.join(missing)}")
+    vocabulary = doc["vocabulary"]
+    if not (isinstance(vocabulary, list) and all(isinstance(w, str) for w in vocabulary)):
+        raise ValueError(f"vocabulary must be a list of words in {path}")
+    if len(set(vocabulary)) != len(vocabulary):
+        raise ValueError(f"duplicate vocabulary words in {path}")
+    if not _is_count(doc["sentence_count"]) or doc["sentence_count"] == 0:
+        raise ValueError(f"sentence_count must be a positive integer in {path}")
+    unigram = doc["unigram"]
+    if not (isinstance(unigram, dict) and all(_is_count(c) for c in unigram.values())):
+        raise ValueError(f"unigram must map words to counts in {path}")
     return CorpusIndex(
-        vocabulary={w: i for i, w in enumerate(doc["vocabulary"])},
+        vocabulary={w: i for i, w in enumerate(vocabulary)},
         sentence_count=doc["sentence_count"],
-        unigram=doc["unigram"],
-        cooc_counts={(w, x): c for w, x, c in doc["cooc"]},
-        prec_counts={(w, x): c for w, x, c in doc["prec"]},
+        unigram=unigram,
+        cooc_counts=_pair_counts(doc["cooc"], "cooc", path),
+        prec_counts=_pair_counts(doc["prec"], "prec", path),
     )
 
 

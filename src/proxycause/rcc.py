@@ -178,92 +178,156 @@ class Forest:
         return roots, cat("feature"), cat("threshold"), cat("left") + offset, cat("right") + offset, cat("vote") >= 0.5
 
 
-def _gini_best_split(Xf, y, feat_ids, min_leaf):
-    """Best (score, feature, threshold) over candidate features, or None.
+# Trees grown in lock step per block: enough segments per split search to
+# amortize its fixed numpy cost, few enough to keep the packed key arrays
+# small.  On a 400 x 300 training set, time was flat from 16 to 128 trees
+# per block (20% slower at 8), while peak memory went 51 -> 58 -> 73 MB
+# from 16 to 32 to 64.
+_TREE_BLOCK = 32
 
-    Column j of the (n, f) block ``Xf`` holds feature ``feat_ids[j]``.  All
-    columns are scored at once; ties go to the lowest split position within
-    a column, then to the earliest column in ``feat_ids`` order.
+
+def _column_ranks(X):
+    """Dense ranks of each column of ``X`` and the table of its distinct
+    values, both one row per column.
+
+    ``ranks[f, i]`` is the position of ``X[i, f]`` among the distinct values
+    of column f, and ``values[f, r]`` is that r-th distinct value (entries
+    past a column's distinct count are unused).
     """
-    n = y.size
-    total_ones = int(y.sum())
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs_sorted = np.take_along_axis(Xf, order, axis=0)
-    left_ones = np.cumsum(y[order], axis=0)[:-1]
-    n_left = np.arange(1, n)[:, None]
-    n_right = n - n_left
-    valid = xs_sorted[1:] != xs_sorted[:-1]
-    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
-    right_ones = total_ones - left_ones
-    gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
-    gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
-    score = (n_left * gini_left + n_right * gini_right) / n
+    cols = np.ascontiguousarray(X.T)
+    order = np.argsort(cols, axis=1)
+    xs = np.take_along_axis(cols, order, axis=1)
+    dense = np.zeros(cols.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    values = np.zeros_like(cols)
+    np.put_along_axis(values, dense, xs, axis=1)
+    return ranks, values
+
+
+def _best_splits(ranks, values, rows, y, sizes, feats, min_leaf):
+    """Best Gini split of every segment in one search.
+
+    Segment s holds the next ``sizes[s]`` (at least two) entries of
+    ``rows`` (indices into the ranked features) and of their 0/1 labels
+    ``y``, and searches the columns ``feats[s]``.  Returns arrays (found,
+    score, feature, threshold), one entry per segment.  Ties go to the
+    earliest column in ``feats[s]`` order, then to the lowest split
+    position within it.
+    """
+    n_all = ranks.shape[1]
+    num = sizes.size
+    total = rows.size
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(num), sizes)
+    # One sort per candidate column of (segment, rank, label) keys: rows of
+    # a segment stay together, ordered by value; the order among tied
+    # values cannot move a split, since no split falls inside a tie.
+    keys = ranks.take(feats.T.take(seg, axis=1) * n_all + rows)
+    keys <<= 1
+    keys += seg * (2 * n_all) + y
+    keys.sort(axis=1)
+    ranked = keys >> 1
+    seg_ones = np.add.reduceat(y, starts)
+    left_ones = np.cumsum(keys & 1, axis=1)
+    left_ones -= (np.cumsum(seg_ones) - seg_ones)[seg]
+    n_left = np.arange(1, total + 1) - starts[seg]
+    n_right = sizes[seg] - n_left
+    lowest = max(min_leaf, 1)
+    valid = np.zeros(keys.shape, dtype=bool)
+    valid[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
+    valid &= (n_left >= lowest) & (n_right >= lowest)
+    # The counts go to float64, which holds each one exactly, so the Gini
+    # arithmetic gives the bits it gives on integer counts.  The last
+    # position of a segment (n_right == 0) divides by zero; it is never
+    # valid.
+    left_ones = left_ones.astype(np.float64)
+    right_ones = seg_ones[seg] - left_ones
+    n_left, n_right, n = n_left.astype(np.float64), n_right.astype(np.float64), sizes[seg].astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
+        gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
+        score = (n_left * gini_left + n_right * gini_right) / n
     score[~valid] = np.inf
-    rows = np.argmin(score, axis=0)
-    col_best = score[rows, np.arange(score.shape[1])]
-    c = int(np.argmin(col_best))
-    if not col_best[c] < np.inf:
-        return None
-    j = rows[c]
-    lo, hi = xs_sorted[j, c], xs_sorted[j + 1, c]
+    col_best = np.minimum.reduceat(score, starts, axis=1)
+    best = col_best.min(axis=0)
+    c = np.argmax(col_best == best, axis=0)
+    at = np.arange(total)
+    hit = score[c[seg], at] == best[seg]
+    j = np.minimum.reduceat(np.where(hit, at, total), starts)
+    feature = feats[np.arange(num), c]
+    lo = values[feature, ranked[c, j] - seg[j] * n_all]
+    hi = values[feature, ranked[c, j + 1] - seg[j] * n_all]
     threshold = 0.5 * (lo + hi)
     # The midpoint of two adjacent floats rounds up to the larger one,
     # which would send every row left under the <= rule; fall back to the
     # left value, which still partitions correctly.
-    if threshold >= hi:
-        threshold = lo
-    return float(col_best[c]), int(feat_ids[c]), float(threshold)
+    threshold = np.where(threshold >= hi, lo, threshold)
+    return best < np.inf, best, feature, threshold
 
 
-def _grow_tree(X, y, rng, max_features, min_leaf):
-    feature, threshold, left, right, vote = [], [], [], [], []
+def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
+    """Grow one tree per generator, all in lock step.
 
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        vote.append(0.0)
-        return len(feature) - 1
-
-    def build(idx):
-        node = new_node()
-        ys = y[idx]
-        ones = int(ys.sum())
-        vote[node] = ones / idx.size
-        if ones == 0 or ones == idx.size or idx.size < 2 * min_leaf:
-            return node
-        feat_ids = rng.choice(X.shape[1], size=max_features, replace=False)
-        split = _gini_best_split(X[np.ix_(idx, feat_ids)], ys, feat_ids, min_leaf)
-        if split is None:
-            return node
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        if mask.all() or not mask.any():
-            return node
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = build(idx[mask])
-        right[node] = build(idx[~mask])
-        return node
-
-    build(np.arange(X.shape[0]))
-    return {
-        "feature": np.array(feature, dtype=np.int64),
-        "threshold": np.array(threshold, dtype=np.float64),
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "vote": np.array(vote, dtype=np.float64),
-    }
+    Each tree draws its bootstrap, then takes its nodes in pre-order from
+    an explicit stack (right child pushed first).  Every step takes one
+    node per tree, so each generator makes the draws of a depth-first
+    recursion in the same order and nodes are numbered in pre-order.  The
+    nodes of a step that need a split share one segmented search.
+    """
+    n, width = X.shape
+    trees = [{name: [] for name in TREE_FIELDS} for _ in rngs]
+    # Per tree: its node arrays as lists, its stack and its generator.  A
+    # stack entry is the rows reaching a node (indices into X) and the
+    # parent's child field that gets the node's number.
+    live = [(tree, [(rng.integers(0, n, n), None, None)], rng) for tree, rng in zip(trees, rngs)]
+    while live:
+        splits = []
+        for tree, stack, rng in live:
+            rows, parent, side = stack.pop()
+            node = len(tree["vote"])
+            if parent is not None:
+                tree[side][parent] = node
+            ones = int(y[rows].sum())
+            for name, value in zip(TREE_FIELDS, (-1, 0.0, -1, -1, ones / rows.size)):
+                tree[name].append(value)
+            if ones == 0 or ones == rows.size or rows.size < 2 * min_leaf:
+                continue
+            splits.append((tree, stack, node, rows, rng.choice(width, size=max_features, replace=False)))
+        if splits:
+            parts = [rows for _, _, _, rows, _ in splits]
+            stacked = np.concatenate(parts)
+            sizes = np.array([rows.size for rows in parts])
+            feats = np.stack([feat_ids for *_, feat_ids in splits])
+            found, _, feature, threshold = _best_splits(ranks, values, stacked, y[stacked], sizes, feats, min_leaf)
+            for (tree, stack, node, rows, _), ok, f, thr in zip(splits, found, feature.tolist(), threshold.tolist()):
+                if not ok:
+                    continue
+                mask = X[rows, f] <= thr
+                if mask.all() or not mask.any():
+                    continue
+                tree["feature"][node] = f
+                tree["threshold"][node] = thr
+                stack.append((rows[~mask], node, "right"))
+                stack.append((rows[mask], node, "left"))
+        live = [entry for entry in live if entry[1]]
+    return [{name: np.array(tree[name], dtype=dtype) for name, dtype in TREE_FIELDS.items()} for tree in trees]
 
 
 def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 0, min_leaf: int = 2) -> Forest:
     """Train a bagged CART forest: sqrt(width) features per split, Gini,
-    grown to purity or min-leaf, deterministic given the seed."""
+    grown to purity or min-leaf, deterministic given the seed.
+
+    Trees grow in blocks of ``_TREE_BLOCK``, in lock step within a block;
+    each comes out as depth-first recursion on its own generator grows it.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("features must be (n_examples, width) matching labels")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
     if not set(np.unique(y)) <= {-1, 1}:
         raise ValueError("labels must be +1 or -1")
     if np.unique(y).size < 2:
@@ -273,11 +337,12 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     y01 = (y == 1).astype(np.int64)
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
     max_features = max(1, int(round(np.sqrt(X.shape[1]))))
+    ranks, values = _column_ranks(X)
     trees = []
-    for t in range(num_trees):
-        rng = np.random.default_rng(spec.seed(f"forest.tree.{t}"))
-        boot = rng.integers(0, X.shape[0], X.shape[0])
-        trees.append(_grow_tree(X[boot], y01[boot], rng, max_features, min_leaf))
+    for start in range(0, num_trees, _TREE_BLOCK):
+        block = range(start, min(start + _TREE_BLOCK, num_trees))
+        rngs = [np.random.default_rng(spec.seed(f"forest.tree.{t}")) for t in block]
+        trees.extend(_grow_block(X, y01, ranks, values, rngs, max_features, min_leaf))
     return Forest(num_trees=num_trees, trees=tuple(trees), num_features=X.shape[1])
 
 

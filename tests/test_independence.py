@@ -225,6 +225,24 @@ def assert_same_count_as_direct_loop(u, v, perms):
     return exceed
 
 
+def loop_schedule(rng, n, count):
+    """One ``rng.permutation`` call per row: the draw the one-call schedule
+    must reproduce."""
+    return np.stack([rng.permutation(n) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 128, 250, 384, 1000, 65539])
+def test_permutation_schedule_equals_per_row_draws(n):
+    for count in (c for c in (1, 2, 3, 5, 99, 4999) if n * c <= 2_000_000):
+        spec = SeedSpec(n * 10_000 + count)
+        rng, ref = spec.rng("schedule"), spec.rng("schedule")
+        got = _permutation_schedule(rng, n, count)
+        want = loop_schedule(ref, n, count)
+        assert got.dtype == want.dtype and got.shape == (count, n)
+        assert np.array_equal(got, want)
+        assert rng.random() == ref.random()  # the generator is left in the same state
+
+
 @pytest.mark.parametrize("n", [20, 50, 128, 250])
 @pytest.mark.parametrize("strength", [0.0, 0.3, 1.0])
 def test_permutation_pvalue_equals_direct_loop(n, strength):

@@ -1,5 +1,7 @@
 """Corpus statistics, embeddings, projections, and count baselines."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,128 @@ def test_index_round_trip(tiny_index, tmp_path):
     path.write_text('{"format": "other"}')
     with pytest.raises(ValueError, match="not a"):
         load_index(path)
+
+
+def index_doc(index):
+    return {
+        "format": "corpus-index",
+        "version": 1,
+        "sentence_count": index.sentence_count,
+        "vocabulary": sorted(index.vocabulary, key=index.vocabulary.get),
+        "unigram": dict(index.unigram),
+        "cooc": [[w, x, c] for (w, x), c in sorted(index.cooc_counts.items())],
+        "prec": [[w, x, c] for (w, x), c in sorted(index.prec_counts.items())],
+    }
+
+
+def drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def put(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def put_entry(key, entry):
+    return lambda doc: {**doc, key: [entry] + doc[key][1:]}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda doc: [doc], "not a corpus-index"),
+        (drop("vocabulary"), "missing vocabulary"),
+        (drop("cooc"), "missing cooc"),
+        (put("vocabulary", "rain street"), "vocabulary must be a list of words"),
+        (put("vocabulary", ["rain", 3]), "vocabulary must be a list of words"),
+        (put("vocabulary", ["rain", "rain"]), "duplicate vocabulary"),
+        (put("sentence_count", 0), "sentence_count"),
+        (put("sentence_count", "4"), "sentence_count"),
+        (put("sentence_count", True), "sentence_count"),
+        (put("unigram", [["rain", 2]]), "unigram must map"),
+        (put("unigram", {"rain": 2.5}), "unigram must map"),
+        (put("cooc", {"rain": 1}), "cooc must be a list"),
+        (put_entry("cooc", ["rain"]), "malformed cooc entry"),
+        (put_entry("cooc", ["rain", "wet", 1, 2]), "malformed cooc entry"),
+        (put_entry("cooc", ["rain", 7, 1]), "malformed cooc entry"),
+        (put_entry("prec", ["rain", "wet", 1.0]), "malformed prec entry"),
+        (put_entry("prec", ["rain", "wet", -1]), "malformed prec entry"),
+        (put_entry("prec", "rain wet 1"), "malformed prec entry"),
+        (lambda doc: {**doc, "cooc": doc["cooc"] + doc["cooc"][:1]}, "duplicate cooc pairs"),
+    ],
+)
+def test_load_index_rejects_malformed_files(tiny_index, tmp_path, corrupt, message):
+    doc = index_doc(tiny_index)
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(doc))
+    assert load_index(path).cooc_counts == tiny_index.cooc_counts
+    path.write_text(json.dumps(corrupt(doc)))
+    with pytest.raises(ValueError, match=message):
+        load_index(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def index_texts(draw):
+    """Index-file text: arbitrary characters, arbitrary JSON, or an index
+    that is well formed except where the draw breaks it (a key dropped or
+    replaced, a word or count of the wrong type, a short or long entry)."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
+    if kind == 1:
+        return json.dumps(draw(json_values))
+
+    def mostly(good, *bad):
+        return draw(st.sampled_from((good,) * 6 + bad))
+
+    words = draw(st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=4))
+    count = st.integers(0, 5)
+    entry = st.builds(lambda w, x, c: [w, x, c], st.sampled_from(words or ["a"]), st.sampled_from(words or ["b"]), count)
+    doc = {
+        "format": mostly("corpus-index", "other"),
+        "version": mostly(1, 2, "1"),
+        "sentence_count": mostly(draw(st.integers(1, 9)), 0, -1, 2.0, "3", None),
+        "vocabulary": mostly(words, words + words[:1], "a b", [1]),
+        "unigram": mostly({w: draw(count) for w in words}, [["a", 1]], {"a": 1.5}, {"a": -2}),
+    }
+    for key in ("cooc", "prec"):
+        entries = draw(st.lists(entry, max_size=4))
+        for e in entries:
+            broken = mostly(None, e[:1], e + [0], [e[0], 3, e[2]], [e[0], e[1], float(e[2])], [e[0], e[1], True])
+            if broken is not None:
+                e[:] = broken
+        doc[key] = mostly(entries, {}, "x", None)
+    for key in list(doc):
+        action = mostly("keep", "drop", "junk")
+        if action == "drop":
+            del doc[key]
+        elif action == "junk":
+            doc[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=index_texts())
+def test_index_loader_gives_an_index_or_value_error(fuzz_dir, text):
+    path = fuzz_dir / "index.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        index = load_index(path)
+    except ValueError:
+        return
+    assert index.sentence_count >= 1
+    assert sorted(index.vocabulary.values()) == list(range(len(index.vocabulary)))
+    assert all(type(c) is int and c >= 0 for c in index.unigram.values())
+    for table in (index.cooc_counts, index.prec_counts):
+        for (w, x), c in table.items():
+            assert isinstance(w, str) and isinstance(x, str) and type(c) is int and c >= 0
 
 
 def test_vocab_sample_top_ranks_by_count_then_word(tiny_index):

@@ -11,7 +11,8 @@ from proxycause.rcc import (
     TREE_FIELDS,
     Forest,
     RFFSpec,
-    _gini_best_split,
+    _best_splits,
+    _column_ranks,
     featurize_scatter,
     forest_predict,
     forest_train,
@@ -365,20 +366,131 @@ def loop_best_split(X, y, feat_ids, min_leaf):
     return best
 
 
-def assert_split_matches_loop(X, y, feat_ids, min_leaf):
-    feat_ids = np.asarray(feat_ids)
-    want = loop_best_split(X, y, feat_ids, min_leaf)
-    got = _gini_best_split(X[:, feat_ids], y, feat_ids, min_leaf)
+def _gini_best_split(Xf, y, feat_ids, min_leaf):
+    """Best (score, feature, threshold) over the columns of ``Xf``, or None:
+    the one-node search the recursive grower used, kept as the oracle."""
+    n = y.size
+    total_ones = int(y.sum())
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs_sorted = np.take_along_axis(Xf, order, axis=0)
+    left_ones = np.cumsum(y[order], axis=0)[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    valid = xs_sorted[1:] != xs_sorted[:-1]
+    valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+    right_ones = total_ones - left_ones
+    gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
+    gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
+    score = (n_left * gini_left + n_right * gini_right) / n
+    score[~valid] = np.inf
+    rows = np.argmin(score, axis=0)
+    col_best = score[rows, np.arange(score.shape[1])]
+    c = int(np.argmin(col_best))
+    if not col_best[c] < np.inf:
+        return None
+    j = rows[c]
+    lo, hi = xs_sorted[j, c], xs_sorted[j + 1, c]
+    threshold = 0.5 * (lo + hi)
+    if threshold >= hi:
+        threshold = lo
+    return float(col_best[c]), int(feat_ids[c]), float(threshold)
+
+
+def _grow_tree(X, y, rng, max_features, min_leaf):
+    """One tree grown by depth-first recursion, one search per node: the
+    reference the lock-step grower must reproduce bit for bit."""
+    feature, threshold, left, right, vote = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        vote.append(0.0)
+        return len(feature) - 1
+
+    def build(idx):
+        node = new_node()
+        ys = y[idx]
+        ones = int(ys.sum())
+        vote[node] = ones / idx.size
+        if ones == 0 or ones == idx.size or idx.size < 2 * min_leaf:
+            return node
+        feat_ids = rng.choice(X.shape[1], size=max_features, replace=False)
+        split = _gini_best_split(X[np.ix_(idx, feat_ids)], ys, feat_ids, min_leaf)
+        if split is None:
+            return node
+        _, f, thr = split
+        mask = X[idx, f] <= thr
+        if mask.all() or not mask.any():
+            return node
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = build(idx[mask])
+        right[node] = build(idx[~mask])
+        return node
+
+    build(np.arange(X.shape[0]))
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "vote": np.array(vote, dtype=np.float64),
+    }
+
+
+def recursive_forest_trees(X, y, num_trees, seed, min_leaf):
+    """The trees of forest_train, grown one at a time by recursion."""
+    y01 = (y == 1).astype(np.int64)
+    spec = SeedSpec(seed)
+    max_features = max(1, int(round(np.sqrt(X.shape[1]))))
+    trees = []
+    for t in range(num_trees):
+        rng = np.random.default_rng(spec.seed(f"forest.tree.{t}"))
+        boot = rng.integers(0, X.shape[0], X.shape[0])
+        trees.append(_grow_tree(X[boot], y01[boot], rng, max_features, min_leaf))
+    return trees
+
+
+def segmented_splits(X, y, segments, min_leaf):
+    """One segmented search over [(rows, feat_ids)], as (score, feature,
+    threshold) or None per segment."""
+    ranks, values = _column_ranks(X)
+    rows = np.concatenate([np.asarray(r) for r, _ in segments])
+    sizes = np.array([len(r) for r, _ in segments])
+    feats = np.array([f for _, f in segments])
+    found, score, feature, threshold = _best_splits(ranks, values, rows, y[rows], sizes, feats, min_leaf)
+    return [
+        (float(score[s]), int(feature[s]), float(threshold[s])) if found[s] else None
+        for s in range(len(segments))
+    ]
+
+
+def assert_same_split(got, want):
     if want is None:
         assert got is None
     else:
         assert got is not None
         assert (repr(got[0]), got[1], repr(got[2])) == (repr(want[0]), want[1], repr(want[2]))
-    return got
+
+
+def assert_split_matches_loop(X, y, segments, min_leaf):
+    """Each (rows, feat_ids) segment searched alone and all of them in one
+    call give the per-feature loop's split; so does the one-node oracle."""
+    segments = [(np.asarray(rows), np.asarray(feat_ids)) for rows, feat_ids in segments]
+    together = segmented_splits(X, y, segments, min_leaf)
+    for (rows, feat_ids), got in zip(segments, together):
+        want = loop_best_split(X[rows], y[rows], feat_ids, min_leaf)
+        assert_same_split(got, want)
+        assert_same_split(segmented_splits(X, y, [(rows, feat_ids)], min_leaf)[0], want)
+        assert_same_split(_gini_best_split(X[np.ix_(rows, feat_ids)], y[rows], feat_ids, min_leaf), want)
+    return together
 
 
 def test_split_search_equals_per_feature_loop():
     rng = np.random.default_rng(11)
+    problems = {}
     for trial in range(200):
         n = int(rng.integers(2, 60))
         X = rng.normal(size=(n, 12))
@@ -386,33 +498,107 @@ def test_split_search_equals_per_feature_loop():
             X = np.round(X, 1)  # many tied values within a column
         y = rng.integers(0, 2, n)
         feat_ids = rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
-        assert_split_matches_loop(X, y, feat_ids, int(rng.integers(1, 4)))
+        min_leaf = int(rng.integers(1, 4))
+        problems.setdefault((feat_ids.size, min_leaf), []).append((X, y, feat_ids))
+    # Every problem with the same width of search and min_leaf shares one
+    # call: its rows stacked into one matrix, one segment each.
+    for (_, min_leaf), group in problems.items():
+        X = np.vstack([X for X, _, _ in group])
+        y = np.concatenate([y for _, y, _ in group])
+        ends = np.cumsum([y.size for _, y, _ in group])
+        segments = [(np.arange(end - y.size, end), f) for (_, y, f), end in zip(group, ends)]
+        assert_split_matches_loop(X, y, segments, min_leaf)
 
 
 def test_split_search_edge_cases():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 4))
     y = (X[:, 2] > 0).astype(np.int64)
+    every = np.arange(30)
     # Duplicate columns tie exactly: the first in feat_ids order wins.
     dup = np.column_stack([X, X[:, 2]])
-    assert assert_split_matches_loop(dup, y, [4, 0, 2], 1)[1] == 4
-    assert assert_split_matches_loop(dup, y, [2, 1, 4], 1)[1] == 2
+    got = assert_split_matches_loop(dup, y, [(every, [4, 0, 2]), (every, [2, 1, 4]), (every[::-1], [0, 4, 2])], 1)
+    assert [split[1] for split in got] == [4, 2, 4]
     # Constant columns offer no split.
     const = np.column_stack([np.full(30, 0.5), np.full(30, -2.0)])
-    assert assert_split_matches_loop(const, y, [0, 1], 1) is None
-    assert assert_split_matches_loop(np.column_stack([const, X]), y, [0, 1, 4], 1)[1] == 4
+    assert assert_split_matches_loop(const, y, [(every, [0, 1])], 1) == [None]
+    got = assert_split_matches_loop(np.column_stack([const, X]), y, [(every, [0, 1, 4]), (every[:12], [1, 0, 4])], 1)
+    assert [split[1] for split in got] == [4, 4]
     # min_leaf at the boundary: 2 * min_leaf == n leaves one position.
     X4 = np.array([[0.0], [1.0], [2.0], [3.0]])
     y4 = np.array([0, 1, 0, 1])
-    assert assert_split_matches_loop(X4, y4, [0], 2)[2] == 1.5
-    assert assert_split_matches_loop(X4, y4, [0], 3) is None
-    assert assert_split_matches_loop(X4[:3], y4[:3], [0], 2) is None
+    got = assert_split_matches_loop(X4, y4, [(np.arange(4), [0]), (np.arange(3), [0]), ([3, 2, 1, 0], [0])], 2)
+    assert got[0][2] == got[2][2] == 1.5 and got[1] is None
+    assert assert_split_matches_loop(X4, y4, [(np.arange(4), [0])], 3) == [None]
     # Adjacent floats: the threshold falls back to the left value.
     a = np.nextafter(1.0, 2.0)
     b = np.nextafter(a, 2.0)
     Xa = np.array([[a, 0.0], [a, 1.0], [b, 0.0], [b, 1.0]])
     ya = np.array([0, 0, 1, 1])
-    assert assert_split_matches_loop(Xa, ya, [1, 0], 1)[1:] == (0, a)
+    got = assert_split_matches_loop(Xa, ya, [(np.arange(4), [1, 0]), ([3, 1, 2, 0], [0, 1])], 1)
+    assert [split[1:] for split in got] == [(0, a), (0, a)]
+    # Signed zeros are one value: a split never falls between them.
+    Xz = np.array([[-0.0], [0.0], [0.0], [-0.0], [1.0], [-1.0]])
+    yz = np.array([1, 0, 1, 0, 1, 0])
+    assert_split_matches_loop(Xz, yz, [(np.arange(6), [0]), (np.arange(4), [0]), ([5, 3, 0, 4], [0])], 1)
+
+
+def test_column_ranks_are_dense_and_give_back_the_values():
+    rng = np.random.default_rng(15)
+    X = np.column_stack([np.round(rng.normal(size=50), 1), rng.normal(size=50), np.full(50, 2.0),
+                         np.where(rng.random(50) < 0.5, -0.0, 0.0)])
+    ranks, values = _column_ranks(X)
+    for f in range(X.shape[1]):
+        distinct = np.unique(X[:, f])
+        assert np.array_equal(ranks[f], np.searchsorted(distinct, X[:, f]))
+        assert np.array_equal(values[f, ranks[f]], X[:, f])
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name, dtype in TREE_FIELDS.items():
+            assert a[name].dtype == b[name].dtype == dtype
+            assert np.array_equal(a[name], b[name])
+            assert a[name].tobytes() == b[name].tobytes()  # signed zeros too
+
+
+def forest_fixture(kind, rng):
+    X = rng.normal(size=(int(rng.integers(30, 70)), 9))
+    if kind == "ties":
+        X = np.round(X, 1)
+    elif kind == "signed zeros":
+        X[:, :3] = np.where(X[:, :3] > 0, 0.0, -0.0)
+        X[:, 3] = np.where(rng.random(X.shape[0]) < 0.3, -0.0, X[:, 3])
+    elif kind == "constant columns":
+        X[:, 1:6] = 0.25
+    elif kind == "width 1":
+        X = np.round(X[:, :1], 1)
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=X.shape[0]) > 0, 1, -1)
+    y[:2], y[2:4] = 1, -1
+    return X, y
+
+
+@pytest.mark.parametrize("kind", ["plain", "ties", "signed zeros", "constant columns", "width 1"])
+@pytest.mark.parametrize("min_leaf", [1, 2, 3])
+def test_forest_equals_recursive_oracle(kind, min_leaf):
+    rng = np.random.default_rng([16, min_leaf, len(kind)])
+    X, y = forest_fixture(kind, rng)
+    for num_trees in (1, 31, 32, 33, 70):
+        seed = int(rng.integers(1 << 30))
+        forest = forest_train(X, y, num_trees=num_trees, seed=seed, min_leaf=min_leaf)
+        assert forest.num_trees == num_trees
+        assert_same_trees(forest.trees, recursive_forest_trees(X, y, num_trees, seed, min_leaf))
+
+
+def test_forest_rejects_non_finite_features():
+    X = np.random.default_rng(17).normal(size=(20, 3))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    for bad in (np.nan, np.inf, -np.inf):
+        Xb = X.copy()
+        Xb[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            forest_train(Xb, y, num_trees=3)
 
 
 def per_tree_votes(forest, X):
