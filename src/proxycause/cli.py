@@ -18,7 +18,6 @@ import glob
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import experiments as xp
 from .anm import AnmConfig, anm_direction
@@ -26,6 +25,7 @@ from .core import (
     SeedSpec,
     load_dataset,
     load_scatter,
+    parallel_map,
     save_scatter,
 )
 from .proxy_image import (
@@ -89,6 +89,14 @@ def _seed(args, config) -> int:
     if env is not None:
         return int(env)
     return 0
+
+
+def _jobs(args, config) -> int:
+    """--jobs, checked before any work starts."""
+    jobs = _opt(args, config, "jobs", int, 1)
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def _emit(result) -> None:
@@ -254,7 +262,7 @@ def cmd_nlp_eval(args, config):
     m = _opt(args, config, "m", int, 100)
     split = _opt(args, config, "split", float, 0.75)
     repeats = _opt(args, config, "repeats", int, 10)
-    jobs = _opt(args, config, "jobs", int, 1)
+    jobs = _jobs(args, config)
     curve_kind = _opt(args, config, "curve-kind", str, "w2voi").replace("-", "_")
 
     pairs, min_votes, total = _filtered_pairs(args, config)
@@ -273,65 +281,77 @@ def cmd_nlp_eval(args, config):
         "total_votes": total,
         "seed": seed,
     }
+    # Every evaluation is an independent task with its own seed, so one
+    # pool runs them all and the bytes do not depend on --jobs.
+    tasks = []
+    if "distribution" in methods:
+        tasks += [("distribution", kind) for kind in kinds]
+    if "feature" in methods:
+        tasks += [("feature", kind) for kind in kinds]
+    if "curve" in methods:
+        tasks.append(("curve", curve_kind))
+    if "baselines" in methods:
+        tasks += [("baselines", bkind) for bkind in BASELINE_KINDS]
 
-    def dist_eval(kind):
+    def run(task):
+        method, kind = task
+        if method == "baselines":
+            return _score_baseline(kind, pairs, index, vocab)
+        if method == "feature":
+            return xp.evaluate_feature_method(
+                pairs, kind, vocab, index, emb,
+                num_trees=trees, split=split, repeats=repeats,
+                seed=SeedSpec(seed).child(f"nlp.feat.{kind}"),
+            )
+        tag = "dist" if method == "distribution" else "curve"
         return xp.evaluate_distribution_method(
             pairs, kind, vocab, index, emb,
             split=split, repeats=repeats, num_features=m, num_trees=trees,
-            seed=SeedSpec(seed).child(f"nlp.dist.{kind}"),
+            seed=SeedSpec(seed).child(f"nlp.{tag}.{kind}"),
         )
 
-    def feat_eval(kind):
-        return xp.evaluate_feature_method(
-            pairs, kind, vocab, index, emb,
-            num_trees=trees, split=split, repeats=repeats,
-            seed=SeedSpec(seed).child(f"nlp.feat.{kind}"),
-        )
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        if "distribution" in methods:
-            reports = list(pool.map(dist_eval, kinds))
-            result["distribution"] = {k: _report_doc(r) for k, r in zip(kinds, reports)}
-        if "feature" in methods:
-            reports = list(pool.map(feat_eval, kinds))
-            result["feature"] = {k: _report_doc(r) for k, r in zip(kinds, reports)}
-
-    if "baselines" in methods:
-        baselines = {}
-        for bkind in BASELINE_KINDS:
-            correct = 0
-            ties = 0
-            for record, label in pairs:
-                scores = baseline_scores(bkind, record.x, record.y, index, vocab)
-                ties += scores.tie
-                predicted = 1 if scores.direction().verdict.value == "x->y" else -1
-                correct += predicted == label
-            baselines[bkind] = {
-                "accuracy": correct / len(pairs),
-                "ties": ties,
-                "count": len(pairs),
-            }
-        result["baselines"] = baselines
-
-    if "curve" in methods:
-        report = xp.evaluate_distribution_method(
-            pairs, curve_kind, vocab, index, emb,
-            split=split, repeats=repeats, num_features=m, num_trees=trees,
-            seed=SeedSpec(seed).child(f"nlp.curve.{curve_kind}"),
-        )
-        by_name = {f"{r.x},{r.y}": r for r, _ in pairs}
-        pooled_records = []
-        pooled_correct = []
-        for repeat in report.predictions:
-            for name, _, _, ok in repeat:
-                pooled_records.append(by_name[name])
-                pooled_correct.append(ok)
-        curve = xp.confidence_curve(pooled_records, pooled_correct)
-        result["confidence_curve"] = [
-            {"threshold": t, "accuracy": acc, "count": count} for t, acc, count in curve
-        ]
-        result["curve_kind"] = curve_kind
+    for (method, kind), out in zip(tasks, parallel_map(run, tasks, jobs)):
+        if method == "baselines":
+            block = {"accuracy": out["accuracy"], "ties": out["ties"], "count": len(pairs)}
+            result.setdefault("baselines", {})[kind] = block
+        elif method == "curve":
+            result["confidence_curve"] = _curve_doc(out, pairs)
+            result["curve_kind"] = kind
+        else:
+            result.setdefault(method, {})[kind] = _report_doc(out)
     return result
+
+
+def _curve_doc(report, pairs) -> list:
+    by_name = {f"{r.x},{r.y}": r for r, _ in pairs}
+    pooled_records = []
+    pooled_correct = []
+    for repeat in report.predictions:
+        for name, _, _, ok in repeat:
+            pooled_records.append(by_name[name])
+            pooled_correct.append(ok)
+    curve = xp.confidence_curve(pooled_records, pooled_correct)
+    return [{"threshold": t, "accuracy": acc, "count": count} for t, acc, count in curve]
+
+
+def _score_baseline(bkind, pairs, index, vocab) -> dict:
+    """Accuracy, tie count and per-pair scores of one count baseline."""
+    per_pair = []
+    correct = 0
+    ties = 0
+    for record, label in pairs:
+        scores = baseline_scores(bkind, record.x, record.y, index, vocab)
+        predicted = 1 if scores.direction().verdict.value == "x->y" else -1
+        ok = predicted == label
+        correct += ok
+        ties += scores.tie
+        per_pair.append({
+            "pair": f"{record.x},{record.y}",
+            "s_xy": scores.s_xy,
+            "s_yx": scores.s_yx,
+            "correct": bool(ok),
+        })
+    return {"accuracy": correct / len(pairs), "ties": ties, "pairs": per_pair}
 
 
 def cmd_baselines(args, config):
@@ -341,31 +361,11 @@ def cmd_baselines(args, config):
         raise ValueError("no pairs pass the consensus filter")
     kinds_arg = _opt(args, config, "kinds", str, "all")
     kinds = list(BASELINE_KINDS) if kinds_arg == "all" else [k.replace("-", "_") for k in kinds_arg.split(",")]
-    _log(f"baselines config: kinds={kinds} min_votes={min_votes}/{total} seed={seed}")
+    jobs = _jobs(args, config)
+    _log(f"baselines config: kinds={kinds} min_votes={min_votes}/{total} seed={seed} jobs={jobs}")
     index, vocab, _ = _corpus_artifacts(args, config, [], seed)
-    result = {"filtered_pairs": len(pairs), "baselines": {}}
-    for bkind in kinds:
-        per_pair = []
-        correct = 0
-        ties = 0
-        for record, label in pairs:
-            scores = baseline_scores(bkind, record.x, record.y, index, vocab)
-            predicted = 1 if scores.direction().verdict.value == "x->y" else -1
-            ok = predicted == label
-            correct += ok
-            ties += scores.tie
-            per_pair.append({
-                "pair": f"{record.x},{record.y}",
-                "s_xy": scores.s_xy,
-                "s_yx": scores.s_yx,
-                "correct": bool(ok),
-            })
-        result["baselines"][bkind] = {
-            "accuracy": correct / len(pairs),
-            "ties": ties,
-            "pairs": per_pair,
-        }
-    return result
+    blocks = parallel_map(lambda bkind: _score_baseline(bkind, pairs, index, vocab), kinds, jobs)
+    return {"filtered_pairs": len(pairs), "baselines": dict(zip(kinds, blocks))}
 
 
 def cmd_image_pair(args, config):
@@ -391,7 +391,7 @@ def cmd_frames_order(args, config):
     pattern = _opt(args, config, "pattern", str, "frame_*.pgm")
     n = _opt(args, config, "n", int, 1024)
     k = _opt(args, config, "k", int, 10)
-    jobs = _opt(args, config, "jobs", int, 1)
+    jobs = _jobs(args, config)
     seed = _seed(args, config)
     paths = sorted(glob.glob(os.path.join(directory, pattern)))
     if len(paths) < 2:
@@ -530,7 +530,10 @@ def cmd_model(args, config):
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="master seed (env PROXYCAUSE_SEED)")
     sub.add_argument("--config", type=str, default=None, help="key=value config file")
-    sub.add_argument("--jobs", type=int, default=None, help="worker bound; output is identical for any value")
+    sub.add_argument("--jobs", type=int, default=None, help=(
+        "processes for independent tasks: the caller plus forked workers, at most the usable "
+        "CPUs, BLAS on one thread each while mapping; output is identical for any value"
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:

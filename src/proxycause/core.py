@@ -8,10 +8,14 @@ reproducible under any execution order or worker count.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import hashlib
 import json
 import math
+import numbers
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,6 +36,7 @@ __all__ = [
     "dataset_loads",
     "save_dataset",
     "load_dataset",
+    "parallel_map",
 ]
 
 
@@ -193,13 +198,21 @@ def scatter_loads(text: str) -> ScatterSample:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            points.append((float(rec["a"]), float(rec["b"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            points.append(_json_point(json.loads(line)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed scatter record at line {lineno}: {exc}") from None
     if not points:
         raise ValueError("empty sample")
     return ScatterSample(np.array(points, dtype=np.float64))
+
+
+def _json_point(rec) -> tuple:
+    """(a, b) of one point record; both must be JSON numbers, not strings
+    or booleans.  An integer too large for a float raises OverflowError."""
+    a, b = rec["a"], rec["b"]
+    if type(a) not in (int, float) or type(b) not in (int, float):
+        raise ValueError(f"coordinates must be JSON numbers, got {type(a).__name__} and {type(b).__name__}")
+    return float(a), float(b)
 
 
 def save_scatter(sample: ScatterSample, path) -> None:
@@ -230,9 +243,12 @@ def dataset_loads(text: str) -> LabeledScatterDataset:
             continue
         try:
             rec = json.loads(line)
-            pts = np.array([(float(p["a"]), float(p["b"])) for p in rec["points"]])
-            items.append((ScatterSample(pts), int(rec["label"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            label = rec["label"]
+            if type(label) is not int or label not in (1, -1):
+                raise ValueError(f"label must be the JSON integer 1 or -1, got {label!r}")
+            pts = np.array([_json_point(p) for p in rec["points"]])
+            items.append((ScatterSample(pts), label))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed dataset record at line {lineno}: {exc}") from None
     if not items:
         raise ValueError("empty dataset")
@@ -247,3 +263,120 @@ def save_dataset(dataset: LabeledScatterDataset, path) -> None:
 def load_dataset(path) -> LabeledScatterDataset:
     with open(path, "r", encoding="utf-8") as fh:
         return dataset_loads(fh.read())
+
+
+# ---------------------------------------------------------------------------
+# Parallel map.  The one pool of the library: pipelines hand it independent
+# tasks whose results depend only on their own seeds, so any split of the
+# tasks over processes gives the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def parallel_map(fn, items, jobs: int = 1) -> list:
+    """``[fn(item) for item in items]``, split over up to ``jobs`` processes.
+
+    With w = min(jobs, len(items), usable CPUs) above 1 and the ``fork``
+    start method available, the caller runs the items i with i % w == 0 and
+    w - 1 forked workers run the other residues.  ``fn`` and ``items`` reach
+    the workers through the fork, so closures need no pickling; only results
+    and exceptions travel back.  Results come in item order and the
+    lowest-index failure is raised, as in the serial loop.  While mapping,
+    BLAS runs on one thread in the caller and in every worker.  Otherwise,
+    and inside a worker, this is the serial loop.
+    """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    items = list(items)
+    workers = min(int(jobs), len(items), _usable_cpus())
+    if workers > 1 and _worker_task is None:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _forked_map(fn, items, workers, multiprocessing.get_context("fork"))
+    return [fn(item) for item in items]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_map(fn, items, workers, context) -> list:
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The workers fork after BLAS is down to one thread, so they start on one.
+    with _one_blas_thread(), ProcessPoolExecutor(
+        workers - 1, mp_context=context, initializer=_start_worker, initargs=(fn, items, workers)
+    ) as pool:
+        futures = [pool.submit(_worker_share, start) for start in range(1, workers)]
+        shares = [_share(fn, items, 0, workers)] + [f.result() for f in futures]
+    out = []
+    for i in range(len(items)):
+        results, error = shares[i % workers]
+        if i // workers == len(results):
+            raise error
+        out.append(results[i // workers])
+    return out
+
+
+def _share(fn, items, start, step):
+    """fn over items[start::step] up to the first failure: (results, error)."""
+    results = []
+    for item in items[start::step]:
+        try:
+            results.append(fn(item))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+_worker_task = None
+
+
+def _start_worker(fn, items, step):
+    global _worker_task
+    _worker_task = (fn, items, step)
+
+
+def _worker_share(start):
+    fn, items, step = _worker_task
+    return _share(fn, items, start, step)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    import glob
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS on one thread for the block, then back to the count before it.
+
+    Workers each doing BLAS on several threads would oversubscribe the CPUs
+    that the pool already fills."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

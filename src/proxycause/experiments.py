@@ -96,30 +96,32 @@ _WORD_PAIR_FIELDS = ["x", "y", "votes_xy", "votes_yx", "votes_none"]
 
 def load_word_pairs(path) -> list:
     """CSV with header x,y,votes_xy,votes_yx,votes_none; duplicates rejected."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV: {exc}") from None
+    if not rows or rows[0] != _WORD_PAIR_FIELDS:
+        header = rows[0] if rows else None
+        raise ValueError(f"bad header {header!r}, want {','.join(_WORD_PAIR_FIELDS)}")
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _WORD_PAIR_FIELDS:
-            raise ValueError(f"bad header {header!r}, want {','.join(_WORD_PAIR_FIELDS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            x, y = row[0], row[1]
-            try:
-                votes = [int(v) for v in row[2:]]
-            except ValueError:
-                raise ValueError(f"line {lineno}: vote counts must be integers") from None
-            if (x, y) in seen:
-                raise ValueError(f"line {lineno}: duplicate pair ({x}, {y})")
-            seen.add((x, y))
-            try:
-                records.append(WordPairRecord(x, y, *votes))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
+        x, y = row[0], row[1]
+        if not all(v.isascii() and v.isdigit() for v in row[2:]):
+            raise ValueError(f"line {lineno}: vote counts must be integers written in ASCII digits")
+        votes = [int(v) for v in row[2:]]
+        if (x, y) in seen:
+            raise ValueError(f"line {lineno}: duplicate pair ({x}, {y})")
+        seen.add((x, y))
+        try:
+            records.append(WordPairRecord(x, y, *votes))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 

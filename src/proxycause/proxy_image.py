@@ -10,13 +10,12 @@ topologically sorted into a temporal order.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anm import AnmConfig, anm_direction
-from .core import Direction, ScatterSample, SeedSpec, Verdict
+from .core import Direction, ScatterSample, SeedSpec, Verdict, parallel_map
 from .rcc import RCCModel, rcc_predict
 
 __all__ = [
@@ -274,8 +273,9 @@ def frames_order(
     """Order frames by pairwise direction calls plus topological sort.
 
     Each unordered pair (i, j) is judged once under a seed derived from
-    (master seed, i, j), so evaluating pairs concurrently (jobs > 1) or
-    in any order gives the same matrix.
+    (master seed, i, j), so the pairs can be judged in any order and on any
+    process: ``jobs`` > 1 splits them over forked worker processes through
+    :func:`parallel_map`, and the matrix is the same for every ``jobs``.
     """
     frames = list(frames)
     if len(frames) < 2:
@@ -293,12 +293,7 @@ def frames_order(
         pair_spec = spec.child(f"frames.pair.{i}.{j}")
         return image_pair_direction(frames[i], frames[j], n=n, k=k, engine=engine, seed=pair_spec)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(judge, pairs))
-    else:
-        verdicts = [judge(p) for p in pairs]
-
+    verdicts = parallel_map(judge, pairs, jobs)
     matrix = np.zeros((f, f), dtype=np.int64)
     for (i, j), verdict in zip(pairs, verdicts):
         if verdict.verdict is Verdict.X_TO_Y:

@@ -322,6 +322,13 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     Trees grow in blocks of ``_TREE_BLOCK``, in lock step within a block;
     each comes out as depth-first recursion on its own generator grows it.
     """
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (num_trees, min_leaf)):
+        raise ValueError(f"num_trees and min_leaf must be integers, got {num_trees!r} and {min_leaf!r}")
+    if num_trees < 1:
+        raise ValueError("a forest needs at least one tree")
+    if min_leaf < 1:
+        raise ValueError(f"min_leaf must be at least 1, got {min_leaf}")
+    num_trees, min_leaf = int(num_trees), int(min_leaf)
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] != y.size:
@@ -475,10 +482,15 @@ def load_model(path) -> RCCModel:
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')}")
     try:
+        counts = (doc["rff"]["seed"], doc["rff"]["num_features"], doc["forest"]["num_trees"], doc["forest"]["num_features"])
+        if any(type(v) is not int or v < 0 for v in counts) or counts[0] >= 2**64:
+            raise TypeError("seed, num_features and num_trees must be JSON integers, the seed in [0, 2**64)")
+        if type(doc["rff"]["bandwidth"]) not in (int, float):
+            raise TypeError("bandwidth must be a JSON number")
         rff = RFFSpec(
             seed=doc["rff"]["seed"],
             num_features=doc["rff"]["num_features"],
-            bandwidth=doc["rff"]["bandwidth"],
+            bandwidth=float(doc["rff"]["bandwidth"]),
         )
         trees = tuple(
             {name: _node_array(t[name], name, dtype) for name, dtype in TREE_FIELDS.items()}

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, precedence, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -190,8 +191,9 @@ def test_frames_order_command(tmp_path, capsys):
     assert sorted(doc["indices"]) == [0, 1, 2]
     assert len(doc["matrix"]) == 3
     assert doc["frames"] == ["frame_0.pgm", "frame_1.pgm", "frame_2.pgm"]
-    _, raw2 = run_json(capsys, *argv, "--jobs", "2")
-    assert raw == raw2
+    for jobs in (2, len(os.sched_getaffinity(0)) + 1):
+        _, raw2 = run_json(capsys, *argv, "--jobs", str(jobs))
+        assert raw == raw2
 
 
 def test_model_train_predict_inspect(tmp_path, capsys):
@@ -281,5 +283,18 @@ def test_nlp_eval_is_job_invariant(capsys):
     for point in doc["confidence_curve"]:
         acc = point["accuracy"]
         assert acc is None or 0.0 <= acc <= 1.0
-    _, raw2 = run_json(capsys, *argv, "--jobs", "3")
-    assert raw == raw2
+    for jobs in (2, len(os.sched_getaffinity(0)) + 1):
+        _, raw2 = run_json(capsys, *argv, "--jobs", str(jobs))
+        assert raw == raw2
+
+
+@pytest.mark.parametrize("command", ["nlp-eval", "baselines", "frames-order"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
+    argv = [command, "--jobs", jobs, "--dir", str(tmp_path)] if command == "frames-order" else [
+        command, "--pairs", bundled_data_path("word_pairs.csv"),
+        "--corpus", bundled_data_path("mini_corpus.txt"), "--jobs", jobs,
+    ]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"error: --jobs must be at least 1, got {jobs}" in err

@@ -1,10 +1,16 @@
 """Domain types, seed derivation, and JSON-lines round trips."""
 
 import hashlib
+import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proxycause import core
 from proxycause.core import (
     Direction,
     LabeledScatterDataset,
@@ -16,6 +22,7 @@ from proxycause.core import (
     derive_seed,
     load_dataset,
     load_scatter,
+    parallel_map,
     save_dataset,
     save_scatter,
     scatter_dumps,
@@ -170,3 +177,197 @@ def test_dataset_loads_errors():
         dataset_loads("")
     with pytest.raises(ValueError, match="line 1"):
         dataset_loads('{"label": 2}\n')
+
+
+POINTS = '[{"a": 1, "b": 2}, {"a": 2.5, "b": -1}]'
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"a": "1.5", "b": 2}',
+        '{"a": 1, "b": true}',
+        '{"a": %s, "b": 1}' % ("9" * 400),
+        '{"a": null, "b": 1}',
+        '[1, 2]',
+        '{"a": 1}',
+    ],
+    ids=["string", "bool", "huge int", "null", "list", "missing b"],
+)
+def test_scatter_loads_takes_json_numbers_only(record):
+    with pytest.raises(ValueError, match="line 2"):
+        scatter_loads('{"a": 0, "b": 0}\n' + record + "\n")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"label": -1.7, "points": %s}' % POINTS,
+        '{"label": "1", "points": %s}' % POINTS,
+        '{"label": true, "points": %s}' % POINTS,
+        '{"label": Infinity, "points": %s}' % POINTS,
+        '{"label": 1.0, "points": %s}' % POINTS,
+        '{"label": 0, "points": %s}' % POINTS,
+        '{"label": 1, "points": [{"a": "1", "b": 2}, {"a": 2, "b": 1}]}',
+        '{"label": 1, "points": [{"a": %s, "b": 2}, {"a": 2, "b": 1}]}' % ("9" * 400),
+        '{"label": 1, "points": {"a": 1, "b": 2}}',
+    ],
+    ids=["fraction", "string", "bool", "infinity", "float one", "zero", "string a", "huge a", "points object"],
+)
+def test_dataset_loads_takes_integer_labels_and_number_points(record):
+    with pytest.raises(ValueError, match="line 1"):
+        dataset_loads(record + "\n")
+
+
+def test_loaders_keep_integer_coordinates():
+    sample = scatter_loads('{"a": 1, "b": 2}\n{"a": -3, "b": 0.5}\n')
+    assert sample.points.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
+    data = dataset_loads('{"label": -1, "points": %s}\n' % POINTS)
+    assert data.labels().tolist() == [-1]
+    assert data.items[0][0].points.tolist() == [[1.0, 2.0], [2.5, -1.0]]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+coordinates = st.sampled_from([0, 1, -2, 0.5, 1e308, 10**400, "1.5", True, None]) | json_values
+labels = st.sampled_from([1, -1, -1.7, "1", True, float("inf"), 1.0]) | json_values
+
+
+@st.composite
+def scatter_lines(draw):
+    """A JSON-lines record: arbitrary text or JSON, or a point whose
+    coordinates are mostly numbers."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=30))
+    if kind == 1:
+        return json.dumps(draw(json_values))
+    point = {"a": draw(coordinates), "b": draw(coordinates)}
+    if kind == 3:
+        point = {"label": draw(labels), "points": [point, {"a": 0, "b": 1}]}
+    return json.dumps(point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(scatter_lines(), max_size=5))
+def test_scatter_loader_gives_a_sample_or_value_error(lines):
+    try:
+        sample = scatter_loads("\n".join(lines))
+    except ValueError:
+        return
+    assert sample.points.dtype == np.float64 and sample.n >= 2
+    assert np.all(np.isfinite(sample.points))
+    records = [json.loads(line) for line in lines if line.strip()]
+    assert all(type(r["a"]) in (int, float) and type(r["b"]) in (int, float) for r in records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(scatter_lines(), max_size=5))
+def test_dataset_loader_gives_a_dataset_or_value_error(lines):
+    try:
+        data = dataset_loads("\n".join(lines))
+    except ValueError:
+        return
+    for sample, label in data:
+        assert type(label) is int and label in (1, -1)
+        assert np.all(np.isfinite(sample.points))
+    records = [json.loads(line) for line in lines if line.strip()]
+    assert all(type(r["label"]) is int for r in records)
+    assert all(type(p[c]) in (int, float) for r in records for p in r["points"] for c in "ab")
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+def fake_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@needs_fork
+def test_parallel_map_keeps_item_order(monkeypatch):
+    fake_cpus(monkeypatch, 3)
+    offset = 10
+    got = parallel_map(lambda i: (i * i + offset, os.getpid()), range(11), 3)
+    assert [value for value, _ in got] == [i * i + offset for i in range(11)]
+    pids = [pid for _, pid in got]
+    assert all(pid == os.getpid() for pid in pids[0::3])
+    assert all(pid != os.getpid() for i, pid in enumerate(pids) if i % 3)
+    assert parallel_map(lambda i: i, [], 3) == []
+
+
+@needs_fork
+def test_parallel_map_inside_a_worker_runs_serially(monkeypatch):
+    fake_cpus(monkeypatch, 2)
+    got = parallel_map(lambda i: parallel_map(lambda j: (i * j, os.getpid()), range(3), 2), range(4), 2)
+    assert [[v for v, _ in row] for row in got] == [[i * j for j in range(3)] for i in range(4)]
+    assert all(len({pid for _, pid in row}) == 1 for row in got[1::2])
+
+
+def fail_on(bad):
+    def fn(i):
+        if i in bad:
+            raise (KeyError if i % 2 else ValueError)(f"item {i}")
+        return i
+
+    return fn
+
+
+@needs_fork
+@pytest.mark.parametrize("bad", [(4, 5, 7), (2, 3), (3, 4), (8,), (1, 2, 3, 4, 5, 6, 7, 8)])
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_parallel_map_raises_the_lowest_index_failure(monkeypatch, bad, jobs):
+    fake_cpus(monkeypatch, 4)
+    with pytest.raises(Exception) as serial:
+        parallel_map(fail_on(bad), range(9), 1)
+    with pytest.raises(Exception) as split:
+        parallel_map(fail_on(bad), range(9), jobs)
+    assert serial.value.args == (f"item {bad[0]}",)
+    assert type(split.value) is type(serial.value)
+    assert split.value.args == serial.value.args
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2", None])
+def test_parallel_map_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        parallel_map(abs, [1, 2], jobs)
+
+
+def test_parallel_map_accepts_numpy_integer_jobs():
+    assert parallel_map(abs, [-1, 2, -3], np.int64(1)) == [1, 2, 3]
+
+
+def test_parallel_map_starts_no_process_on_one_cpu(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fake_cpus(monkeypatch, 1)
+    assert parallel_map(lambda i: (i, os.getpid()), range(5), 4) == [(i, os.getpid()) for i in range(5)]
+    if "fork" in multiprocessing.get_all_start_methods():
+        fake_cpus(monkeypatch, 2)  # the guard above does catch a fork
+        with pytest.raises(AssertionError, match="a process was started"):
+            parallel_map(abs, range(5), 4)
+
+
+@needs_fork
+def test_parallel_map_runs_blas_on_one_thread(monkeypatch):
+    blas = core._blas_threads()
+    if blas is None:
+        pytest.skip("no thread control found for numpy's BLAS")
+    get, set_threads = blas
+    fake_cpus(monkeypatch, 2)
+    before = get()
+    set_threads(2)
+    try:
+        got = parallel_map(lambda i: (os.getpid(), get()), range(4), 2)
+        after = get()
+    finally:
+        set_threads(before)
+    assert [count for _, count in got] == [1, 1, 1, 1]
+    assert got[1][0] != os.getpid() and got[0][0] == os.getpid()
+    assert after == 2

@@ -1,11 +1,15 @@
 """Generators, annotated-pair handling, evaluation harness, statistics."""
 
+import csv
+import io
 import zlib
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxycause.anm import AnmConfig, kernel_ridge_fit, residuals
 from proxycause.core import Direction, SeedSpec, Verdict
@@ -71,6 +75,54 @@ def test_load_word_pairs_errors(tmp_path):
     path.write_text(head + "rain,wet,0,0,0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_word_pairs(path)
+    for votes in ("1_9,0,1", "19, 0,1", "19,+0,1", "19,0,\u0661", "19,-1,1"):
+        path.write_text(head + "rain,wet," + votes + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: vote counts must be integers"):
+            load_word_pairs(path)
+    path.write_text(head + "a" * 200_000 + ",wet,19,0,1\n")
+    with pytest.raises(ValueError, match="malformed CSV"):
+        load_word_pairs(path)
+
+
+csv_fields = st.sampled_from(["rain", "wet", "sun", "19", "0", "", '"a,b"', "\x00"]) | st.text(
+    st.characters(exclude_categories=("Cs",)), max_size=5
+)
+vote_fields = st.sampled_from(["0", "1", "19", "0", "1", "19", "-2", "2.5", " 3", "1_0", "+2", "\u0661", "1e3", ""])
+
+
+@st.composite
+def word_pair_files(draw):
+    """Word-pair CSV text: arbitrary text, or the header (mostly intact)
+    followed by rows of two words and three vote counts, some broken, or
+    of a wrong field count."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
+    header = draw(st.sampled_from(["x,y,votes_xy,votes_yx,votes_none"] * 5 + ["x,y,votes", ""]))
+    row = st.tuples(csv_fields, csv_fields, vote_fields, vote_fields, vote_fields).map(list)
+    rows = draw(st.lists(row | st.lists(csv_fields, min_size=3, max_size=6), max_size=4))
+    return header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=word_pair_files())
+def test_word_pair_loader_gives_records_or_value_error(fuzz_dir, text):
+    path = fuzz_dir / "pairs.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        records = load_word_pairs(path)
+    except ValueError:
+        return
+    assert len({(r.x, r.y) for r in records}) == len(records)
+    for r in records:
+        votes = (r.votes_xy, r.votes_yx, r.votes_none)
+        assert all(type(v) is int and v >= 0 for v in votes) and sum(votes) > 0
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    assert all(field.isascii() and field.isdigit() for row in rows for field in row[2:])
 
 
 def test_filter_consensus():

@@ -8,11 +8,15 @@ values were recorded with the per-feature split loop and the per-tree
 prediction walk, and the embedding tables with the per-position SGNS loop.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 
 import numpy as np
+import pytest
 
-from proxycause import proxy_image
+from proxycause import cli, proxy_image
 from proxycause.anm import AnmConfig, anm_direction
 from proxycause.core import LabeledScatterDataset
 from proxycause.experiments import bundled_data_path, synth_anm_pair, synth_diffusion_frames
@@ -192,3 +196,70 @@ def test_sgns_tables_are_pinned():
     emb = sgns_train(bundled_data_path("mini_corpus.txt"), d=16, epochs=1, window=3, negatives=3, seed=7)
     digest = hashlib.sha256(emb.input_matrix.tobytes() + emb.output_matrix.tobytes()).hexdigest()
     assert digest == SGNS_TABLES
+
+
+# SHA-256 of the CLI's standard output for one run of each pooled
+# subcommand, recorded with the serial loop.  Every --jobs value must give
+# the same bytes: 1, 2, and more jobs than the machine has CPUs.
+CLI_STDOUT = {
+    "nlp-eval": "2ac34ca51cf721151cc1b2a2bbb6c17eee254d65933db9680fcd950e06084a2b",
+    "baselines": "3dbe5af3a6ba2da8747f0f3b4a02aaf2b2168e04e8bbeeeb07f613540b9e30f0",
+    "frames-order": "6316801cfd25c987537cd72f5cdf6a63d7d46282f44982c6f5208a91974c8c48",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_golden")
+    paths = {
+        "vi": str(tmp / "vi.txt"),
+        "vo": str(tmp / "vo.txt"),
+        "index": str(tmp / "index.json"),
+        "frames": str(tmp / "frames"),
+    }
+    corpus = bundled_data_path("mini_corpus.txt")
+    for argv in (
+        ["embed-train", "--corpus", corpus, "--d", "8", "--epochs", "1", "--seed", "2",
+         "--out-input", paths["vi"], "--out-output", paths["vo"]],
+        ["index-corpus", "--corpus", corpus, "--out", paths["index"]],
+        ["synth", "--what", "frames", "--size", "32", "--frames", "5", "--seed", "2",
+         "--out-dir", paths["frames"]],
+    ):
+        assert _cli_stdout(argv)[0] == 0
+    return paths
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _cli_argv(name, paths):
+    pairs = bundled_data_path("word_pairs.csv")
+    if name == "nlp-eval":
+        return [
+            "nlp-eval", "--pairs", pairs, "--index", paths["index"],
+            "--emb-input", paths["vi"], "--emb-output", paths["vo"],
+            "--min-votes", "14", "--kinds", "all",
+            "--methods", "distribution,feature,baselines,curve",
+            "--trees", "8", "--m", "10", "--repeats", "2", "--n-vocab", "60", "--seed", "3",
+        ]
+    if name == "baselines":
+        return [
+            "baselines", "--pairs", pairs, "--index", paths["index"],
+            "--min-votes", "14", "--kinds", "all", "--n-vocab", "80",
+        ]
+    return [
+        "frames-order", "--dir", paths["frames"], "--n", "150", "--k", "5",
+        "--permutations", "99", "--seed", "4",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_STDOUT))
+def test_cli_stdout_is_pinned_for_any_jobs(name, cli_inputs):
+    for jobs in (1, 2, len(os.sched_getaffinity(0)) + 1):
+        code, out = _cli_stdout(_cli_argv(name, cli_inputs) + ["--jobs", str(jobs)])
+        assert code == 0, (name, jobs)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT[name], (name, jobs)

@@ -1,7 +1,11 @@
 """Image IO, patch proxies, and frame ordering."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxycause.anm import AnmConfig
 from proxycause.core import SeedSpec, Verdict
@@ -197,9 +201,13 @@ def test_frames_order_jobs_do_not_change_result():
     frames = synth_diffusion_frames(60, 3, seed=SeedSpec(11))
     cfg = AnmConfig(num_permutations=99, fit_fraction=0.75)
     serial = frames_order(frames, n=300, k=6, engine=cfg, seed=SeedSpec(12), jobs=1)
-    parallel = frames_order(frames, n=300, k=6, engine=cfg, seed=SeedSpec(12), jobs=3)
-    assert serial.order == parallel.order
-    assert np.array_equal(serial.matrix, parallel.matrix)
+    for jobs in (2, len(os.sched_getaffinity(0)) + 1):
+        parallel = frames_order(frames, n=300, k=6, engine=cfg, seed=SeedSpec(12), jobs=jobs)
+        assert serial.order == parallel.order
+        assert np.array_equal(serial.matrix, parallel.matrix)
+    for jobs in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="jobs"):
+            frames_order(frames, n=300, k=6, engine=cfg, seed=SeedSpec(12), jobs=jobs)
 
 
 def test_frames_order_validation():
@@ -209,3 +217,39 @@ def test_frames_order_validation():
         frames_order([a])
     with pytest.raises(ValueError, match="dimensions"):
         frames_order([a, b])
+
+
+header_tokens = st.sampled_from([b"P5", b"P6", b"P4", b"2", b"3", b"0", b"255", b"256", b"-1", b"+2", b"9" * 30, b"x"])
+separators = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b"", b" #", b"\r\n"])
+
+
+@st.composite
+def image_files(draw):
+    """PGM/PPM bytes: arbitrary bytes, or a header of plausible and broken
+    tokens followed by a payload of random length."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=40))
+    tokens = [draw(st.sampled_from([b"P5", b"P6"]) | header_tokens)]
+    tokens += [draw(st.sampled_from([b"2", b"3"]) | header_tokens) for _ in range(2)]
+    tokens.append(draw(st.sampled_from([b"255"]) | header_tokens))
+    tokens = tokens[: draw(st.integers(0, 4))] if draw(st.integers(0, 5)) == 0 else tokens
+    data = b"".join(tok + draw(separators) for tok in tokens)
+    return data + draw(st.binary(max_size=30))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=image_files())
+def test_image_loader_gives_an_image_or_value_error(fuzz_dir, data):
+    path = fuzz_dir / "image.pgm"
+    path.write_bytes(data)
+    try:
+        img = load_image(path)
+    except ValueError:
+        return
+    assert img.channels in (1, 3) and img.height >= 1 and img.width >= 1
+    assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxycause.core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict
 from proxycause.experiments import synth_anm_pair
@@ -334,6 +336,64 @@ def test_load_model_rejects_malformed_forest(tmp_path, corrupt, message):
         load_model(path)
 
 
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """A small saved model: its directory, JSON document and one probe."""
+    path, doc = saved_model_doc(tmp_path_factory.mktemp("fuzz"))
+    return path.parent, doc, make_dataset(1, seed0=7000)[0][0]
+
+
+def json_paths(doc, prefix=()):
+    """Every (key or index) path into a JSON document."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from json_paths(value, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+bad_values = st.sampled_from([0, -1, 1, 2.5, 1.0, True, False, "3", None, [], {}, 2**64, 1e999]) | json_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_model_loader_gives_a_model_or_value_error(fuzz_model, data):
+    """A saved model with up to three values replaced or deleted either
+    loads into a model that predicts, or raises ValueError."""
+    directory, doc, probe = fuzz_model
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        named = [p for p in paths if not any(isinstance(k, int) for k in p)]
+        path = data.draw(st.sampled_from(named) | st.sampled_from(paths))
+        if not path:
+            doc = data.draw(bad_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent[path[-1]] = data.draw(bad_values)
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+    target = directory / "fuzzed.json"
+    target.write_text(json.dumps(doc))
+    try:
+        model = load_model(target)
+    except ValueError:
+        return
+    assert type(model.rff.seed) is int and 0 <= model.rff.seed < 2**64
+    assert type(model.rff.num_features) is int and model.rff.num_features >= 1
+    assert type(model.rff.bandwidth) is float
+    assert type(model.forest.num_trees) is int and model.forest.num_trees == len(model.forest.trees)
+    assert model.forest.num_features == 3 * model.rff.num_features
+    assert rcc_predict(model, probe).verdict in (Verdict.X_TO_Y, Verdict.Y_TO_X)
+
+
 def loop_best_split(X, y, feat_ids, min_leaf):
     """One feature at a time, keeping a later feature only on a strictly
     lower score: the reference the all-feature search must reproduce."""
@@ -599,6 +659,36 @@ def test_forest_rejects_non_finite_features():
         Xb[4, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             forest_train(Xb, y, num_trees=3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"min_leaf": 0}, "min_leaf must be at least 1"),
+        ({"min_leaf": -3}, "min_leaf must be at least 1"),
+        ({"min_leaf": True}, "must be integers"),
+        ({"min_leaf": 1.5}, "must be integers"),
+        ({"num_trees": 2.5}, "must be integers"),
+        ({"num_trees": "3"}, "must be integers"),
+        ({"num_trees": False}, "must be integers"),
+        ({"num_trees": np.float64(3.0)}, "must be integers"),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, dict) else "",
+)
+def test_forest_rejects_bad_sizes(kwargs, message):
+    X = np.random.default_rng(19).normal(size=(40, 4))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    with pytest.raises(ValueError, match=message):
+        forest_train(X, y, **{"num_trees": 3, **kwargs})
+
+
+def test_forest_accepts_numpy_integer_sizes():
+    X = np.random.default_rng(19).normal(size=(40, 4))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    plain = forest_train(X, y, num_trees=3, seed=5, min_leaf=2)
+    numpy = forest_train(X, y, num_trees=np.int64(3), seed=5, min_leaf=np.int32(2))
+    assert type(numpy.num_trees) is int and numpy.num_trees == 3
+    assert_same_trees(numpy.trees, plain.trees)
 
 
 def per_tree_votes(forest, X):
