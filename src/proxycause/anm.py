@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, Verdict
+from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec
 from .independence import (
     KernelSpec,
     _check_permutations,
@@ -124,7 +124,7 @@ def anm_direction(sample: ScatterSample, cfg: AnmConfig = AnmConfig(), seed: See
     """
     if sample.n < 20:
         raise ValueError("direction test needs at least 20 points")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
 
     a = _standardize(sample.a)
     b = _standardize(sample.b)

@@ -282,16 +282,17 @@ def cmd_nlp_eval(args, config):
         "seed": seed,
     }
     # Every evaluation is an independent task with its own seed, so one
-    # pool runs them all and the bytes do not depend on --jobs.
-    tasks = []
-    if "distribution" in methods:
-        tasks += [("distribution", kind) for kind in kinds]
-    if "feature" in methods:
-        tasks += [("feature", kind) for kind in kinds]
+    # pool runs them all and the bytes do not depend on --jobs.  The pool
+    # deals tasks out round-robin, so neighbours in the list should cost
+    # alike: the distribution and curve tasks (0.2-0.4 s each at the bundled
+    # sizes) go first, then the features and baselines (under 0.1 s), each
+    # grouped by kind family (w2v, then counts and pmi, then prec).
+    tasks = [(method, kind) for method in ("distribution", "feature") if method in methods for kind in kinds]
     if "curve" in methods:
         tasks.append(("curve", curve_kind))
     if "baselines" in methods:
         tasks += [("baselines", bkind) for bkind in BASELINE_KINDS]
+    tasks.sort(key=lambda t: ({"feature": 1, "baselines": 2}.get(t[0], 0), ("w2v" not in t[1]) + t[1].startswith("prec")))
 
     def run(task):
         method, kind = task

@@ -172,6 +172,11 @@ class SeedSpec:
         return SeedSpec(self.seed(task_id))
 
 
+def as_spec(seed: SeedSpec | int) -> SeedSpec:
+    """``seed`` if it is already a SeedSpec, else ``SeedSpec(seed)``."""
+    return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+
+
 def derive_seed(spec: SeedSpec, task_id: str) -> int:
     """Mix a master seed with a task-id string into a 64-bit stream seed."""
     if not task_id:

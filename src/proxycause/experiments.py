@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict
+from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, as_spec
 from .proxy_image import Image
 from .proxy_text import projection_vector, word_pair_scatter
 from .rcc import forest_predict, forest_train, rcc_predict, rcc_train
@@ -177,8 +177,7 @@ def synth_anm_pair(
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if noise not in ANM_NOISES:
         raise ValueError(f"unknown noise {noise!r}")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.rng("synth.anm")
+    rng = as_spec(seed).rng("synth.anm")
 
     if mechanism == "linear":
         cause = rng.standard_normal(n)
@@ -266,8 +265,7 @@ def random_mechanism(
 ) -> LocalMechanism:
     """Seeded mechanism whose mixing weights keep g's input in a useful
     range for tile intensities in [0,1] (rows of beta sum to O(1))."""
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.rng("mechanism.beta")
+    rng = as_spec(seed).rng("mechanism.beta")
     kk = k * k
     # Row weights sum to alpha, so alpha is the gain on the tile mean.  The
     # per-g ranges keep outputs clear of the [0,1] clip (clipping truncates
@@ -306,8 +304,7 @@ def synth_base_image(
         raise ValueError("size and cells must be at least 2")
     if not 0.0 <= low < high <= 1.0:
         raise ValueError("need 0 <= low < high <= 1")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.rng("base.image")
+    rng = as_spec(seed).rng("base.image")
     coarse = rng.random((cells, cells))
     src = np.linspace(0.0, cells - 1.0, size)
     i0 = np.floor(src).astype(int)
@@ -330,8 +327,7 @@ def synth_stylized_pair(base: Image, mech: LocalMechanism, seed: SeedSpec | int 
         raise ValueError(f"image dimensions must be divisible by {k}")
     if base.channels != 1:
         raise ValueError("stylization expects a grayscale image")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.rng("stylize.noise")
+    rng = as_spec(seed).rng("stylize.noise")
     out = np.empty((base.height, base.width))
     for top in range(0, base.height, k):
         for left in range(0, base.width, k):
@@ -406,8 +402,7 @@ def synth_diffusion_frames(
     """
     if num_frames < 2:
         raise ValueError("need at least two frames")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.rng("diffusion")
+    rng = as_spec(seed).rng("diffusion")
     yy, xx = np.mgrid[0:size, 0:size]
     lo, hi = size * margin, size * (1.0 - margin)
     centers = []
@@ -496,7 +491,7 @@ def evaluate_scatter_dataset(
         raise ValueError("split must be in (0, 1)")
     if names is None:
         names = [str(i) for i in range(len(samples))]
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
     if trainer is None:
         trainer = _default_trainer(num_features, num_trees)
 
@@ -618,7 +613,7 @@ def evaluate_feature_method(
         raise ValueError("split must be in (0, 1)")
     X = np.stack(features)
     y = np.array(labels)
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
 
     n = len(labels)
     n_train = min(max(int(round(split * n)), 1), n - 1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeedSpec
+from .core import SeedSpec, as_spec
 
 __all__ = [
     "KernelSpec",
@@ -80,22 +80,24 @@ def _center(K: np.ndarray) -> np.ndarray:
     return K - row - col + K.mean()
 
 
-def hsic_statistic(u, v, ku: KernelSpec | None = None, kv: KernelSpec | None = None) -> float:
-    """Biased V-statistic HSIC = trace(K H L H) / n^2.
-
-    Kernel bandwidths default to the median heuristic on each argument.
-    Non-negative up to floating-point round-off.
-    """
+def _inputs(u, v, ku: KernelSpec | None, kv: KernelSpec | None):
+    """u, v as float vectors of one length >= 5, kernels median-heuristic by default."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.size != v.size:
         raise ValueError(f"length mismatch: {u.size} vs {v.size}")
     if u.size < 5:
         raise ValueError("HSIC needs at least 5 points")
-    if ku is None:
-        ku = KernelSpec(median_heuristic(u))
-    if kv is None:
-        kv = KernelSpec(median_heuristic(v))
+    return u, v, ku or KernelSpec(median_heuristic(u)), kv or KernelSpec(median_heuristic(v))
+
+
+def hsic_statistic(u, v, ku: KernelSpec | None = None, kv: KernelSpec | None = None) -> float:
+    """Biased V-statistic HSIC = trace(K H L H) / n^2.
+
+    Kernel bandwidths default to the median heuristic on each argument.
+    Non-negative up to floating-point round-off.
+    """
+    u, v, ku, kv = _inputs(u, v, ku, kv)
     K = gram_matrix(u, ku)
     L = gram_matrix(v, kv)
     n = u.size
@@ -116,26 +118,16 @@ def hsic_pvalue(
     The permutation schedule is drawn up front from the seed, so the result
     does not depend on evaluation order.
 
-    The permuted statistics are scored in blocks on low-rank factors of the
-    two centered Gram matrices (eigenvalues above 1e-12 of the largest).
-    A permutation whose factored statistic lies within a guard band of the
-    observed one is recomputed directly; the band bounds the truncation
-    error plus floating-point slack, so the count, and with it the p-value,
-    equals the one from computing every permuted statistic directly.
+    The permuted statistics are scored in blocks on pivoted Cholesky factors
+    of the two centered Gram matrices.  A permutation whose factored
+    statistic lies within a guard band of the observed one (the error bound
+    from the Frobenius norms of the factor residuals, plus slack) is
+    recomputed directly, so the count, and with it the p-value, equals the
+    one from computing every permuted statistic directly.
     """
     _check_permutations(num_permutations)
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.size != v.size:
-        raise ValueError(f"length mismatch: {u.size} vs {v.size}")
-    if u.size < 5:
-        raise ValueError("HSIC needs at least 5 points")
-    if ku is None:
-        ku = KernelSpec(median_heuristic(u))
-    if kv is None:
-        kv = KernelSpec(median_heuristic(v))
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    perms = _permutation_schedule(spec.rng("hsic.permutation"), u.size, num_permutations)
+    u, v, ku, kv = _inputs(u, v, ku, kv)
+    perms = _permutation_schedule(as_spec(seed).rng("hsic.permutation"), u.size, num_permutations)
     return _permutation_pvalue(u, v, ku, kv, perms)
 
 
@@ -158,23 +150,30 @@ def _permutation_schedule(rng: np.random.Generator, n: int, count: int) -> np.nd
 # the test-half sizes in use and raise peak memory through the gathered
 # (block, n, rank) array.
 _BLOCK = 32
-# Eigenvalues at or below this fraction of the largest are dropped from the
-# factors; the guard band accounts for what they carry.
-_RANK_CUTOFF = 1e-12
-# Floating-point slack of the guard band, relative to ||Kc||_F ||Lc||_F.
-# It covers the round-off of the eigendecompositions, of the factored
+# The pivoted Cholesky factors stop once the residual diagonal sums to at
+# most this fraction of the trace; the guard band accounts for the rest.
+_STOP = 1e-6
+# Floating-point slack of the guard band, relative to ||Kc||_F ||Lc||_F: it
+# covers the round-off of the factors, of their residuals, of the factored
 # products and of the direct sums, all far smaller at any practical n.
 _SLACK = 1e-9
 
 
 def _factor(C: np.ndarray):
-    """(F, discarded, top) with C ~ F F^T from the eigenvalues of C above the
-    cutoff; ``discarded`` is the absolute eigenvalue mass left out and
-    ``top`` the largest absolute eigenvalue (the spectral norm)."""
-    w, Q = np.linalg.eigh(C)
-    top = float(np.abs(w).max())
-    keep = w > _RANK_CUTOFF * top
-    return Q[:, keep] * np.sqrt(w[keep]), float(np.abs(w[~keep]).sum()), top
+    """(F, ||C - F F^T||_F) by greedy pivoted Cholesky of the PSD C, with F^T
+    C-contiguous: each step pivots on the largest residual diagonal entry,
+    until that diagonal sums to at most ``_STOP`` of the trace (rank 0 for C = 0)."""
+    n = C.shape[0]
+    d = np.diagonal(C).copy()
+    stop = _STOP * d.sum()
+    Ft = np.empty((n, n))
+    k = 0
+    while k < n and d.sum() > stop:
+        i = int(np.argmax(d))
+        Ft[k] = (C[i] - Ft[:k, i] @ Ft[:k]) / np.sqrt(d[i])
+        d -= Ft[k] * Ft[k]
+        k += 1
+    return Ft[:k].T, float(np.linalg.norm(C - Ft[:k].T @ Ft[:k]))
 
 
 def _permutation_pvalue(u, v, ku: KernelSpec, kv: KernelSpec, perms: np.ndarray) -> float:
@@ -182,9 +181,10 @@ def _permutation_pvalue(u, v, ku: KernelSpec, kv: KernelSpec, perms: np.ndarray)
 
     H commutes with permutation matrices, so centering and permuting v can
     be swapped: the permuted statistic is <Kc, P Lc P^T> / n^2.  With
-    Kc ~ G G^T and Lc ~ F F^T it is ||G^T F[p]||_F^2 / n^2.  Writing Kk, Lk
-    for the truncated Grams, |<Kc, P Lc P^T> - <Kk, P Lk P^T>| is at most
-    disc(Kc) ||Lc||_2 + ||Kc||_2 disc(Lc), so a factored statistic further
+    Kc = G G^T + Rk and Lc = F F^T + Rl, the factored sum ||G^T F[p]||_F^2
+    is off by <Rk, P Lc P^T> + <Kc - Rk, P Rl P^T>, which by Cauchy-Schwarz,
+    as permuting keeps the Frobenius norm, is at most
+    ||Rk|| ||Lc|| + (||Kc|| + ||Rk||) ||Rl||.  A factored statistic further
     than that (plus slack) from the observed one decides its permutation;
     the rest are recomputed directly.
     """
@@ -194,14 +194,15 @@ def _permutation_pvalue(u, v, ku: KernelSpec, kv: KernelSpec, perms: np.ndarray)
     observed_sum = float(np.sum(Kc * Lc))
     observed = observed_sum / (n * n)
 
-    G, disc_k, top_k = _factor(Kc)
-    F, disc_l, top_l = _factor(Lc)
-    tol = disc_k * top_l + top_k * disc_l + _SLACK * float(np.linalg.norm(Kc) * np.linalg.norm(Lc))
+    G, res_k = _factor(Kc)
+    F, res_l = _factor(Lc)
+    norm_k, norm_l = float(np.linalg.norm(Kc)), float(np.linalg.norm(Lc))
+    tol = res_k * norm_l + (norm_k + res_k) * res_l + _SLACK * norm_k * norm_l
 
     exceed = 0
     for start in range(0, len(perms), _BLOCK):
         block = perms[start : start + _BLOCK]
-        M = G.T @ F[block]
+        M = G.T @ np.take(F, block, axis=0)
         approx = np.einsum("bij,bij->b", M, M)
         exceed += int(np.count_nonzero(approx > observed_sum + tol))
         for p in block[np.abs(approx - observed_sum) <= tol]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anm import AnmConfig, anm_direction
-from .core import Direction, ScatterSample, SeedSpec, Verdict, parallel_map
+from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec, parallel_map
 from .rcc import RCCModel, rcc_predict
 
 __all__ = [
@@ -165,8 +165,7 @@ def sample_masks(width: int, height: int, k: int, n: int, seed: SeedSpec | int =
         raise ValueError(f"patch size {k} exceeds image dimensions {width}x{height}")
     if n < 1:
         raise ValueError("need at least one mask")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.rng("image.masks")
+    rng = as_spec(seed).rng("image.masks")
     tops = rng.integers(0, height - k + 1, n)
     lefts = rng.integers(0, width - k + 1, n)
     return [PatchMask(int(t), int(l), k) for t, l in zip(tops, lefts)]
@@ -206,7 +205,7 @@ def image_pair_direction(
     keeps the independence test from latching onto that artifact while the
     genuine backward-direction dependence stays easy to detect.
     """
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
     sample = image_pair_scatter(x, y, n=n, k=k, seed=spec.child("image.scatter"))
     if engine is None:
         engine = AnmConfig(fit_fraction=0.75)
@@ -284,7 +283,7 @@ def frames_order(
     for fr in frames[1:]:
         if (fr.height, fr.width) != shape:
             raise ValueError("frames must share dimensions")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
     f = len(frames)
     pairs = [(i, j) for i in range(f) for j in range(i + 1, f)]
 

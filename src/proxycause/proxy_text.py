@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, Verdict
+from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec
 
 __all__ = [
     "CorpusIndex",
@@ -239,8 +239,7 @@ def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec
         ranked = sorted(words, key=lambda w: (-index.unigram_count(w), w))
         return VocabSample(tuple(ranked[:n]))
     if method == "uniform":
-        spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-        rng = spec.rng("vocab.uniform")
+        rng = as_spec(seed).rng("vocab.uniform")
         picks = rng.choice(len(words), size=n, replace=False)
         return VocabSample(tuple(words[i] for i in picks))
     raise ValueError(f"unknown sampling method {method!r}")
@@ -328,7 +327,7 @@ def sgns_train(
         raise ValueError("negatives must be non-negative")
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError("learning rate must be finite and positive")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
 
     vocabulary = {}
     token_counts = []

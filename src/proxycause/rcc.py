@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, Verdict
+from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, as_spec
 from .independence import median_heuristic
 
 __all__ = [
@@ -342,7 +342,7 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     if min(np.sum(y == 1), np.sum(y == -1)) < 2:
         raise ValueError("training needs at least 2 examples per class")
     y01 = (y == 1).astype(np.int64)
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
     max_features = max(1, int(round(np.sqrt(X.shape[1]))))
     ranks, values = _column_ranks(X)
     trees = []
@@ -404,7 +404,7 @@ def rcc_train(
     the flipped label; the embedding bandwidth is the median heuristic over
     the pooled standardized coordinates of the training samples.
     """
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+    spec = as_spec(seed)
     labels = {label for _, label in data}
     if labels != {-1, 1}:
         raise ValueError("training data must contain both labels")

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxycause.core import SeedSpec
 from proxycause.independence import (
+    _SLACK,
     KernelSpec,
     _center,
+    _factor,
     _permutation_pvalue,
     _permutation_schedule,
     gram_matrix,
@@ -273,3 +277,98 @@ def test_permutation_pvalue_counts_exact_ties(n):
     assert np.linalg.matrix_rank(_center(gram_matrix(v, KernelSpec(median_heuristic(v))))) <= 2
     exceed = assert_same_count_as_direct_loop(u, v, perms)
     assert exceed >= len(ties)
+
+
+def eigh_factor(C):
+    """The earlier factor: eigenvalues of C above 1e-12 of the largest, with
+    the discarded absolute eigenvalue mass and the spectral norm."""
+    w, Q = np.linalg.eigh(C)
+    top = float(np.abs(w).max())
+    keep = w > 1e-12 * top
+    return Q[:, keep] * np.sqrt(w[keep]), float(np.abs(w[~keep]).sum()), top
+
+
+def eigh_permutation_pvalue(u, v, ku, kv, perms):
+    """Oracle: the eigendecomposition factors with their eigenvalue band,
+    |<Kc, P Lc P^T> - <Kk, P Lk P^T>| <= disc(Kc) ||Lc||_2 + ||Kc||_2 disc(Lc)."""
+    n = u.size
+    Kc = _center(gram_matrix(u, ku))
+    Lc = _center(gram_matrix(v, kv))
+    observed_sum = float(np.sum(Kc * Lc))
+    G, disc_k, top_k = eigh_factor(Kc)
+    F, disc_l, top_l = eigh_factor(Lc)
+    tol = disc_k * top_l + top_k * disc_l + 1e-9 * float(np.linalg.norm(Kc) * np.linalg.norm(Lc))
+    exceed = 0
+    for start in range(0, len(perms), 32):
+        block = perms[start : start + 32]
+        M = G.T @ F[block]
+        approx = np.einsum("bij,bij->b", M, M)
+        exceed += int(np.count_nonzero(approx > observed_sum + tol))
+        for p in block[np.abs(approx - observed_sum) <= tol]:
+            exceed += int(float(np.sum(Kc * Lc[np.ix_(p, p)])) / (n * n) >= observed_sum / (n * n))
+    return (1 + exceed) / (1 + len(perms))
+
+
+@pytest.mark.parametrize("n, count", [(128, 999), (250, 199)])
+@pytest.mark.parametrize("strength", [0.0, 0.3, 1.0, "ties"])
+def test_permutation_pvalue_equals_eigh_oracle(n, count, strength):
+    """Frames-shaped (n=128) and scatter-shaped (n=250) inputs give the same
+    p-value through the pivoted Cholesky factors as through the earlier
+    eigendecomposition factors."""
+    rng = np.random.default_rng(3000 + n)
+    u = rng.normal(size=n)
+    if strength == "ties":  # v on 3 levels, as in the exact-ties test
+        v = np.digitize(u + rng.normal(size=n), [-0.5, 0.5]).astype(float)
+    else:
+        v = strength * np.sin(2 * u) + rng.normal(size=n)
+    ku = KernelSpec(median_heuristic(u))
+    kv = KernelSpec(median_heuristic(v))
+    perms = _permutation_schedule(rng, n, count)
+    assert _permutation_pvalue(u, v, ku, kv, perms) == eigh_permutation_pvalue(u, v, ku, kv, perms)
+
+
+def samples(n):
+    """n values: continuous, quantized onto a few levels, or constant up to
+    jitter that leaves the centered Gram at round-off level."""
+    values = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    levels = st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n)
+    jitter = st.lists(st.floats(-1e-7, 1e-7).map(lambda x: 1.0 + x), min_size=n, max_size=n)
+    return st.one_of(values, levels, jitter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_factored_statistic_lies_within_the_band(data):
+    """For any u, v and permutation, the factored sum ||G^T F[p]||^2 is within
+    the documented residual-norm band of the direct sum <Kc, P Lc P^T>."""
+    n = data.draw(st.integers(5, 60))
+    u = np.array(data.draw(samples(n)))
+    v = np.array(data.draw(samples(n)))
+    ku = KernelSpec(data.draw(st.floats(0.05, 5.0)))
+    kv = KernelSpec(data.draw(st.floats(0.05, 5.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perms = _permutation_schedule(rng, n, 20)
+    Kc = _center(gram_matrix(u, ku))
+    Lc = _center(gram_matrix(v, kv))
+    G, res_k = _factor(Kc)
+    F, res_l = _factor(Lc)
+    norm_k, norm_l = np.linalg.norm(Kc), np.linalg.norm(Lc)
+    tol = res_k * norm_l + (norm_k + res_k) * res_l + _SLACK * norm_k * norm_l
+    for p in perms:
+        direct = float(np.sum(Kc * Lc[np.ix_(p, p)]))
+        M = G.T @ F[p]
+        assert abs(float(np.sum(M * M)) - direct) <= tol
+
+
+def test_constant_v_under_its_kernel_gives_p_one():
+    """Constant v makes Lc exactly zero: its factor has rank 0, every
+    permuted statistic ties the observed 0, and p = 1."""
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=60)
+    v = np.full(60, 2.5)
+    Lc = _center(gram_matrix(v, KernelSpec(1.0)))
+    assert not Lc.any()
+    F, residual = _factor(Lc)
+    assert F.shape == (60, 0) and residual == 0.0
+    perms = _permutation_schedule(rng, 60, 99)
+    assert _permutation_pvalue(u, v, KernelSpec(1.0), KernelSpec(1.0), perms) == 1.0
