@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _standardize, as_spec
 from .independence import (
     KernelSpec,
     _check_permutations,
@@ -39,6 +39,10 @@ class AnmConfig:
         _check_permutations(self.num_permutations)
         if not 0.0 < self.fit_fraction < 1.0:
             raise ValueError("fit_fraction must lie in (0, 1)")
+
+    def judge(self, sample: ScatterSample, spec: SeedSpec | int) -> Direction:
+        """This engine's verdict on ``sample``: ``anm_direction`` under ``spec``."""
+        return anm_direction(sample, self, seed=spec)
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,6 @@ def residuals(reg: Regressor, x, y) -> np.ndarray:
     return y - reg.predict(x)
 
 
-def _standardize(v: np.ndarray) -> np.ndarray:
-    sd = float(np.std(v))
-    if sd == 0.0:
-        raise ValueError("constant variable")
-    return (v - float(np.mean(v))) / sd
-
-
 def _directional_pvalue(x_fit, y_fit, x_test, y_test, cfg, perms) -> float:
     reg = kernel_ridge_fit(x_fit, y_fit, cfg)
     r = residuals(reg, x_test, y_test)
@@ -142,8 +139,4 @@ def anm_direction(sample: ScatterSample, cfg: AnmConfig = AnmConfig(), seed: See
 
     floor = 1.0 / (1.0 + cfg.num_permutations)
     score = abs(math.log(max(p_xy, floor)) - math.log(max(p_yx, floor)))
-    if p_xy > p_yx:
-        return Direction(Verdict.X_TO_Y, score)
-    if p_yx > p_xy:
-        return Direction(Verdict.Y_TO_X, score)
-    return Direction(Verdict.X_TO_Y, 0.0)
+    return Direction.compare(p_xy, p_yx, score)

@@ -8,7 +8,9 @@ repeated 10 times, 300-dimensional embeddings).
 
 Precedence for every option: command-line flag, then --config file
 (key=value lines), then the PROXYCAUSE_SEED environment variable (seed
-only), then the built-in default.
+only), then the built-in default.  One table gives every option its type,
+for the flag and the config key alike; the bare flag --general-beta is
+true or false in a config file.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import sys
 
 from . import experiments as xp
-from .anm import AnmConfig, anm_direction
+from .anm import AnmConfig
 from .core import (
     SeedSpec,
     load_dataset,
@@ -50,6 +52,7 @@ from .proxy_text import (
 from .rcc import load_model, rcc_predict, rcc_train, save_model
 
 PROJECTION_NAMES = tuple(k.value for k in ProjectionKind)
+METHODS = ("distribution", "feature", "baselines", "curve")
 
 
 def _log(msg: str) -> None:
@@ -70,30 +73,47 @@ def _load_config(path) -> dict:
     return config
 
 
-def _opt(args, config, name, cast, default):
-    """Flag > config > default."""
+def _opt(args, config, name, default):
+    """Flag > config > default; a config value is cast to the option's type."""
     value = getattr(args, name.replace("-", "_"))
     if value is not None:
         return value
-    if name in config:
-        return cast(config[name])
-    return default
+    if name not in config:
+        return default
+    kind, text = _OPTIONS[name], config[name]
+    if kind is not bool:
+        return kind(text)
+    if text not in ("true", "false"):
+        raise ValueError(f"config key {name} takes true or false, got {text!r}")
+    return text == "true"
 
 
 def _seed(args, config) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        return int(config["seed"])
+    seed = _opt(args, config, "seed", None)
+    if seed is not None:
+        return seed
     env = os.environ.get("PROXYCAUSE_SEED")
     if env is not None:
         return int(env)
     return 0
 
 
+def _name(text: str, allowed, what: str) -> str:
+    """``text`` with '-' read as '_'; a name outside ``allowed`` raises."""
+    name = text.replace("-", "_")
+    if name not in allowed:
+        raise ValueError(f"unknown {what} {text!r} (want one of {', '.join(allowed)})")
+    return name
+
+
+def _names(text: str, allowed, what: str) -> list:
+    """The comma-separated names in ``text``, each checked by :func:`_name`."""
+    return [_name(part, allowed, what) for part in text.split(",")]
+
+
 def _jobs(args, config) -> int:
     """--jobs, checked before any work starts."""
-    jobs = _opt(args, config, "jobs", int, 1)
+    jobs = _opt(args, config, "jobs", 1)
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     return jobs
@@ -124,12 +144,12 @@ def _report_doc(report: xp.EvalReport) -> dict:
 
 def _pick_engine(args, config):
     """AnmConfig or a loaded model, per --engine / --model."""
-    engine = _opt(args, config, "engine", str, "anm")
+    engine = _opt(args, config, "engine", "anm")
     if engine == "anm":
-        perms = _opt(args, config, "permutations", int, 499)
+        perms = _opt(args, config, "permutations", 499)
         return AnmConfig(num_permutations=perms)
     if engine == "model":
-        model_path = _opt(args, config, "model", str, None)
+        model_path = _opt(args, config, "model", None)
         if model_path is None:
             raise ValueError("--engine model needs --model PATH")
         return load_model(model_path)
@@ -142,8 +162,8 @@ def _pick_engine(args, config):
 
 
 def cmd_index_corpus(args, config):
-    corpus = _opt(args, config, "corpus", str, None)
-    out = _opt(args, config, "out", str, None)
+    corpus = _opt(args, config, "corpus", None)
+    out = _opt(args, config, "out", None)
     if corpus is None:
         raise ValueError("--corpus is required")
     _log(f"index-corpus config: corpus={corpus} out={out}")
@@ -160,17 +180,17 @@ def cmd_index_corpus(args, config):
 
 
 def cmd_embed_train(args, config):
-    corpus = _opt(args, config, "corpus", str, None)
+    corpus = _opt(args, config, "corpus", None)
     if corpus is None:
         raise ValueError("--corpus is required")
-    d = _opt(args, config, "d", int, 300)
-    epochs = _opt(args, config, "epochs", int, 5)
-    window = _opt(args, config, "window", int, 5)
-    negatives = _opt(args, config, "negatives", int, 5)
-    lr = _opt(args, config, "lr", float, 0.025)
+    d = _opt(args, config, "d", 300)
+    epochs = _opt(args, config, "epochs", 5)
+    window = _opt(args, config, "window", 5)
+    negatives = _opt(args, config, "negatives", 5)
+    lr = _opt(args, config, "lr", 0.025)
     seed = _seed(args, config)
-    out_input = _opt(args, config, "out-input", str, None)
-    out_output = _opt(args, config, "out-output", str, None)
+    out_input = _opt(args, config, "out-input", None)
+    out_output = _opt(args, config, "out-output", None)
     if out_input is None or out_output is None:
         raise ValueError("--out-input and --out-output are required")
     _log(
@@ -190,31 +210,31 @@ def cmd_embed_train(args, config):
 
 def _corpus_artifacts(args, config, kinds, seed):
     """(index, vocab, emb) resolved from flags; emb only when needed."""
-    index_path = _opt(args, config, "index", str, None)
-    corpus = _opt(args, config, "corpus", str, None)
+    index_path = _opt(args, config, "index", None)
+    corpus = _opt(args, config, "corpus", None)
     if index_path is not None:
         index = load_index(index_path)
     elif corpus is not None:
         index = build_index(corpus)
     else:
         raise ValueError("need --corpus or --index")
-    n_vocab = _opt(args, config, "n-vocab", int, 10000)
+    n_vocab = _opt(args, config, "n-vocab", 10000)
     if n_vocab > len(index.vocabulary):
         _log(f"vocabulary has {len(index.vocabulary)} words; clamping sample from {n_vocab}")
         n_vocab = len(index.vocabulary)
-    method = _opt(args, config, "vocab-method", str, "top")
+    method = _opt(args, config, "vocab-method", "top")
     vocab = vocab_sample(index, n_vocab, method=method, seed=SeedSpec(seed).child("cli.vocab"))
 
     needs_emb = any(k in ("w2vii", "w2vio", "w2voi") for k in kinds)
     emb = None
     if needs_emb:
-        emb_input = _opt(args, config, "emb-input", str, None)
-        emb_output = _opt(args, config, "emb-output", str, None)
+        emb_input = _opt(args, config, "emb-input", None)
+        emb_output = _opt(args, config, "emb-output", None)
         if emb_input is not None and emb_output is not None:
             emb = load_embeddings(emb_input, emb_output)
         elif corpus is not None:
-            d = _opt(args, config, "d", int, 300)
-            epochs = _opt(args, config, "epochs", int, 5)
+            d = _opt(args, config, "d", 300)
+            epochs = _opt(args, config, "epochs", 5)
             _log(f"training embeddings on the fly: d={d} epochs={epochs}")
             emb = sgns_train(corpus, d=d, epochs=epochs, seed=SeedSpec(seed).child("cli.embed"))
         else:
@@ -223,47 +243,42 @@ def _corpus_artifacts(args, config, kinds, seed):
 
 
 def cmd_word_pair(args, config):
-    x = _opt(args, config, "x", str, None)
-    y = _opt(args, config, "y", str, None)
+    x = _opt(args, config, "x", None)
+    y = _opt(args, config, "y", None)
     if x is None or y is None:
         raise ValueError("--x and --y are required")
-    kind = _opt(args, config, "kind", str, "w2voi").replace("-", "_")
+    kind = _opt(args, config, "kind", "w2voi").replace("-", "_")
     seed = _seed(args, config)
     _log(f"word-pair config: x={x} y={y} kind={kind} seed={seed}")
     index, vocab, emb = _corpus_artifacts(args, config, [kind], seed)
     sample = word_pair_scatter(x, y, kind, vocab, index, emb)
-    engine = _pick_engine(args, config)
-    if isinstance(engine, AnmConfig):
-        direction = anm_direction(sample, engine, seed=SeedSpec(seed).child("cli.anm"))
-    else:
-        direction = rcc_predict(engine, sample)
+    direction = _pick_engine(args, config).judge(sample, SeedSpec(seed).child("cli.anm"))
     result = _direction_doc(direction)
     result.update({"x": x, "y": y, "kind": kind, "n": len(vocab), "seed": seed})
     return result
 
 
 def _filtered_pairs(args, config):
-    pairs_path = _opt(args, config, "pairs", str, None)
+    pairs_path = _opt(args, config, "pairs", None)
     if pairs_path is None:
         raise ValueError("--pairs is required")
-    min_votes = _opt(args, config, "min-votes", int, 18)
-    total = _opt(args, config, "total", int, 20)
+    min_votes = _opt(args, config, "min-votes", 18)
+    total = _opt(args, config, "total", 20)
     records = xp.load_word_pairs(pairs_path)
     return xp.filter_consensus(records, min_votes, total), min_votes, total
 
 
 def cmd_nlp_eval(args, config):
     seed = _seed(args, config)
-    kinds_arg = _opt(args, config, "kinds", str, "all")
-    kinds = list(PROJECTION_NAMES) if kinds_arg == "all" else [k.replace("-", "_") for k in kinds_arg.split(",")]
-    methods_arg = _opt(args, config, "methods", str, "distribution,feature,baselines,curve")
-    methods = methods_arg.split(",")
-    trees = _opt(args, config, "trees", int, 500)
-    m = _opt(args, config, "m", int, 100)
-    split = _opt(args, config, "split", float, 0.75)
-    repeats = _opt(args, config, "repeats", int, 10)
+    kinds_arg = _opt(args, config, "kinds", "all")
+    kinds = list(PROJECTION_NAMES) if kinds_arg == "all" else _names(kinds_arg, PROJECTION_NAMES, "projection kind")
+    methods = _names(_opt(args, config, "methods", ",".join(METHODS)), METHODS, "method")
+    trees = _opt(args, config, "trees", 500)
+    m = _opt(args, config, "m", 100)
+    split = _opt(args, config, "split", 0.75)
+    repeats = _opt(args, config, "repeats", 10)
     jobs = _jobs(args, config)
-    curve_kind = _opt(args, config, "curve-kind", str, "w2voi").replace("-", "_")
+    curve_kind = _name(_opt(args, config, "curve-kind", "w2voi"), PROJECTION_NAMES, "curve kind")
 
     pairs, min_votes, total = _filtered_pairs(args, config)
     _log(
@@ -357,12 +372,12 @@ def _score_baseline(bkind, pairs, index, vocab) -> dict:
 
 def cmd_baselines(args, config):
     seed = _seed(args, config)
+    kinds_arg = _opt(args, config, "kinds", "all")
+    kinds = list(BASELINE_KINDS) if kinds_arg == "all" else _names(kinds_arg, BASELINE_KINDS, "baseline")
+    jobs = _jobs(args, config)
     pairs, min_votes, total = _filtered_pairs(args, config)
     if not pairs:
         raise ValueError("no pairs pass the consensus filter")
-    kinds_arg = _opt(args, config, "kinds", str, "all")
-    kinds = list(BASELINE_KINDS) if kinds_arg == "all" else [k.replace("-", "_") for k in kinds_arg.split(",")]
-    jobs = _jobs(args, config)
     _log(f"baselines config: kinds={kinds} min_votes={min_votes}/{total} seed={seed} jobs={jobs}")
     index, vocab, _ = _corpus_artifacts(args, config, [], seed)
     blocks = parallel_map(lambda bkind: _score_baseline(bkind, pairs, index, vocab), kinds, jobs)
@@ -370,12 +385,12 @@ def cmd_baselines(args, config):
 
 
 def cmd_image_pair(args, config):
-    x_path = _opt(args, config, "x", str, None)
-    y_path = _opt(args, config, "y", str, None)
+    x_path = _opt(args, config, "x", None)
+    y_path = _opt(args, config, "y", None)
     if x_path is None or y_path is None:
         raise ValueError("--x and --y are required")
-    n = _opt(args, config, "n", int, 1024)
-    k = _opt(args, config, "k", int, 10)
+    n = _opt(args, config, "n", 1024)
+    k = _opt(args, config, "k", 10)
     seed = _seed(args, config)
     _log(f"image-pair config: x={x_path} y={y_path} n={n} k={k} seed={seed}")
     engine = _pick_engine(args, config)
@@ -386,12 +401,12 @@ def cmd_image_pair(args, config):
 
 
 def cmd_frames_order(args, config):
-    directory = _opt(args, config, "dir", str, None)
+    directory = _opt(args, config, "dir", None)
     if directory is None:
         raise ValueError("--dir is required")
-    pattern = _opt(args, config, "pattern", str, "frame_*.pgm")
-    n = _opt(args, config, "n", int, 1024)
-    k = _opt(args, config, "k", int, 10)
+    pattern = _opt(args, config, "pattern", "frame_*.pgm")
+    n = _opt(args, config, "n", 1024)
+    k = _opt(args, config, "k", 10)
     jobs = _jobs(args, config)
     seed = _seed(args, config)
     paths = sorted(glob.glob(os.path.join(directory, pattern)))
@@ -412,15 +427,15 @@ def cmd_frames_order(args, config):
 
 
 def cmd_synth(args, config):
-    what = _opt(args, config, "what", str, None)
+    what = _opt(args, config, "what", None)
     if what is None:
         raise ValueError("--what is required (scatter, stylized, or frames)")
     seed = _seed(args, config)
     if what == "scatter":
-        n = _opt(args, config, "n", int, 500)
-        mechanism = _opt(args, config, "mechanism", str, "cubic")
-        noise = _opt(args, config, "noise", str, "gaussian")
-        out = _opt(args, config, "out", str, None)
+        n = _opt(args, config, "n", 500)
+        mechanism = _opt(args, config, "mechanism", "cubic")
+        noise = _opt(args, config, "noise", "gaussian")
+        out = _opt(args, config, "out", None)
         _log(f"synth scatter config: n={n} mechanism={mechanism} noise={noise} seed={seed}")
         sample, label = xp.synth_anm_pair(n, mechanism=mechanism, noise=noise, seed=seed)
         result = {"what": what, "n": n, "mechanism": mechanism, "noise": noise, "label": label, "seed": seed}
@@ -429,15 +444,15 @@ def cmd_synth(args, config):
             result["out"] = out
         return result
     if what == "stylized":
-        size = _opt(args, config, "size", int, 80)
-        k = _opt(args, config, "k", int, 10)
-        g = _opt(args, config, "g", str, "tanh")
-        sigma = _opt(args, config, "sigma", float, 0.05)
-        out_x = _opt(args, config, "out-x", str, None)
-        out_y = _opt(args, config, "out-y", str, None)
+        size = _opt(args, config, "size", 80)
+        k = _opt(args, config, "k", 10)
+        g = _opt(args, config, "g", "tanh")
+        sigma = _opt(args, config, "sigma", 0.05)
+        out_x = _opt(args, config, "out-x", None)
+        out_y = _opt(args, config, "out-y", None)
         if out_x is None or out_y is None:
             raise ValueError("--out-x and --out-y are required")
-        row_constant = not args.general_beta
+        row_constant = not _opt(args, config, "general-beta", False)
         _log(f"synth stylized config: size={size} k={k} g={g} sigma={sigma} row_constant={row_constant} seed={seed}")
         spec = SeedSpec(seed)
         base = xp.synth_base_image(size, seed=spec.child("synth.base"))
@@ -451,9 +466,9 @@ def cmd_synth(args, config):
             "out_x": out_x, "out_y": out_y, "seed": seed,
         }
     if what == "frames":
-        size = _opt(args, config, "size", int, 64)
-        count = _opt(args, config, "frames", int, 8)
-        out_dir = _opt(args, config, "out-dir", str, None)
+        size = _opt(args, config, "size", 64)
+        count = _opt(args, config, "frames", 8)
+        out_dir = _opt(args, config, "out-dir", None)
         if out_dir is None:
             raise ValueError("--out-dir is required")
         _log(f"synth frames config: size={size} frames={count} seed={seed}")
@@ -469,26 +484,26 @@ def cmd_synth(args, config):
 
 
 def cmd_significance(args, config):
-    accuracy = _opt(args, config, "accuracy", float, None)
-    n = _opt(args, config, "n", int, None)
+    accuracy = _opt(args, config, "accuracy", None)
+    n = _opt(args, config, "n", None)
     if accuracy is None or n is None:
         raise ValueError("--accuracy and --n are required")
-    p0 = _opt(args, config, "p0", float, 0.5)
+    p0 = _opt(args, config, "p0", 0.5)
     _log(f"significance config: accuracy={accuracy} n={n} p0={p0}")
     p = xp.binomial_significance(accuracy, n, p0)
     return {"accuracy": accuracy, "n": n, "p0": p0, "p_value": p, "significant": p < 0.05}
 
 
 def cmd_model(args, config):
-    action = _opt(args, config, "action", str, None)
+    action = _opt(args, config, "action", None)
     seed = _seed(args, config)
     if action == "train":
-        data_path = _opt(args, config, "data", str, None)
-        out = _opt(args, config, "out", str, None)
+        data_path = _opt(args, config, "data", None)
+        out = _opt(args, config, "out", None)
         if data_path is None or out is None:
             raise ValueError("model train needs --data and --out")
-        m = _opt(args, config, "m", int, 100)
-        trees = _opt(args, config, "trees", int, 500)
+        m = _opt(args, config, "m", 100)
+        trees = _opt(args, config, "trees", 500)
         _log(f"model train config: data={data_path} m={m} trees={trees} seed={seed}")
         data = load_dataset(data_path)
         model = rcc_train(data, num_features=m, num_trees=trees, seed=seed)
@@ -498,8 +513,8 @@ def cmd_model(args, config):
             "bandwidth": model.rff.bandwidth, "examples": len(data.items), "seed": seed,
         }
     if action == "predict":
-        model_path = _opt(args, config, "model", str, None)
-        sample_path = _opt(args, config, "sample", str, None)
+        model_path = _opt(args, config, "model", None)
+        sample_path = _opt(args, config, "sample", None)
         if model_path is None or sample_path is None:
             raise ValueError("model predict needs --model and --sample")
         _log(f"model predict config: model={model_path} sample={sample_path}")
@@ -509,7 +524,7 @@ def cmd_model(args, config):
         result.update({"action": action, "model": model_path, "sample": sample_path})
         return result
     if action == "inspect":
-        model_path = _opt(args, config, "model", str, None)
+        model_path = _opt(args, config, "model", None)
         if model_path is None:
             raise ValueError("model inspect needs --model")
         model = load_model(model_path)
@@ -528,13 +543,69 @@ def cmd_model(args, config):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None, help="master seed (env PROXYCAUSE_SEED)")
-    sub.add_argument("--config", type=str, default=None, help="key=value config file")
-    sub.add_argument("--jobs", type=int, default=None, help=(
+# Every option and its type, stated once: the type parses the flag and the
+# same key in a --config file.  A bool option is a bare flag on the command
+# line and true or false in a config file.
+_OPTIONS = {
+    **dict.fromkeys((
+        "action config corpus curve-kind data dir emb-input emb-output engine g index kind kinds mechanism "
+        "methods model noise out out-dir out-input out-output out-x out-y pairs pattern sample vocab-method "
+        "what x y"
+    ).split(), str),
+    **dict.fromkeys((
+        "d epochs frames jobs k m min-votes n n-vocab negatives permutations repeats seed size total trees "
+        "window"
+    ).split(), int),
+    **dict.fromkeys("accuracy lr p0 sigma split".split(), float),
+    "general-beta": bool,
+}
+
+# The options every subcommand takes, after its own, with their help.
+_SHARED = {
+    "seed": "master seed (env PROXYCAUSE_SEED)",
+    "config": "key=value config file",
+    "jobs": (
         "processes for independent tasks: the caller plus forked workers, at most the usable "
         "CPUs, BLAS on one thread each while mapping; output is identical for any value"
-    ))
+    ),
+}
+
+# Each subcommand: its handler, its help and its own options in --help
+# order.  ``action`` is the one positional (``model train``).
+_COMMANDS = {
+    "index-corpus": (cmd_index_corpus, "count sentence-level statistics of a corpus", "corpus out"),
+    "embed-train": (
+        cmd_embed_train, "train skip-gram embeddings",
+        "corpus d epochs window negatives lr out-input out-output",
+    ),
+    "word-pair": (
+        cmd_word_pair, "causal direction between two words",
+        "x y kind corpus index n-vocab vocab-method emb-input emb-output d epochs engine model permutations",
+    ),
+    "nlp-eval": (
+        cmd_nlp_eval, "full evaluation on annotated word pairs",
+        "pairs corpus index min-votes total kinds methods curve-kind n-vocab vocab-method "
+        "emb-input emb-output d epochs trees m split repeats",
+    ),
+    "baselines": (
+        cmd_baselines, "score the count-based baselines on word pairs",
+        "pairs corpus index min-votes total kinds n-vocab vocab-method",
+    ),
+    "image-pair": (cmd_image_pair, "causal direction between two images", "x y n k engine model permutations"),
+    "frames-order": (
+        cmd_frames_order, "temporal order of frames by pairwise direction",
+        "dir pattern n k engine model permutations",
+    ),
+    "synth": (
+        cmd_synth, "generate synthetic scatter, stylized pair, or frames",
+        "what n mechanism noise out size k g sigma general-beta out-x out-y frames out-dir",
+    ),
+    "significance": (cmd_significance, "exact one-sided binomial test against chance", "accuracy n p0"),
+    "model": (
+        cmd_model, "train, inspect, or apply a saved direction model",
+        "action data out m trees model sample",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,135 +614,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Causal direction between static entities via proxy projections.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("index-corpus", help="count sentence-level statistics of a corpus")
-    sub.add_argument("--corpus", type=str, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_index_corpus)
-
-    sub = subs.add_parser("embed-train", help="train skip-gram embeddings")
-    sub.add_argument("--corpus", type=str, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--window", type=int, default=None)
-    sub.add_argument("--negatives", type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--out-input", type=str, default=None)
-    sub.add_argument("--out-output", type=str, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_embed_train)
-
-    sub = subs.add_parser("word-pair", help="causal direction between two words")
-    sub.add_argument("--x", type=str, default=None)
-    sub.add_argument("--y", type=str, default=None)
-    sub.add_argument("--kind", type=str, default=None)
-    sub.add_argument("--corpus", type=str, default=None)
-    sub.add_argument("--index", type=str, default=None)
-    sub.add_argument("--n-vocab", type=int, default=None)
-    sub.add_argument("--vocab-method", type=str, default=None)
-    sub.add_argument("--emb-input", type=str, default=None)
-    sub.add_argument("--emb-output", type=str, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--engine", type=str, default=None)
-    sub.add_argument("--model", type=str, default=None)
-    sub.add_argument("--permutations", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_word_pair)
-
-    sub = subs.add_parser("nlp-eval", help="full evaluation on annotated word pairs")
-    sub.add_argument("--pairs", type=str, default=None)
-    sub.add_argument("--corpus", type=str, default=None)
-    sub.add_argument("--index", type=str, default=None)
-    sub.add_argument("--min-votes", type=int, default=None)
-    sub.add_argument("--total", type=int, default=None)
-    sub.add_argument("--kinds", type=str, default=None)
-    sub.add_argument("--methods", type=str, default=None)
-    sub.add_argument("--curve-kind", type=str, default=None)
-    sub.add_argument("--n-vocab", type=int, default=None)
-    sub.add_argument("--vocab-method", type=str, default=None)
-    sub.add_argument("--emb-input", type=str, default=None)
-    sub.add_argument("--emb-output", type=str, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None)
-    sub.add_argument("--trees", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--split", type=float, default=None)
-    sub.add_argument("--repeats", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_nlp_eval)
-
-    sub = subs.add_parser("baselines", help="score the count-based baselines on word pairs")
-    sub.add_argument("--pairs", type=str, default=None)
-    sub.add_argument("--corpus", type=str, default=None)
-    sub.add_argument("--index", type=str, default=None)
-    sub.add_argument("--min-votes", type=int, default=None)
-    sub.add_argument("--total", type=int, default=None)
-    sub.add_argument("--kinds", type=str, default=None)
-    sub.add_argument("--n-vocab", type=int, default=None)
-    sub.add_argument("--vocab-method", type=str, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_baselines)
-
-    sub = subs.add_parser("image-pair", help="causal direction between two images")
-    sub.add_argument("--x", type=str, default=None)
-    sub.add_argument("--y", type=str, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--engine", type=str, default=None)
-    sub.add_argument("--model", type=str, default=None)
-    sub.add_argument("--permutations", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_image_pair)
-
-    sub = subs.add_parser("frames-order", help="temporal order of frames by pairwise direction")
-    sub.add_argument("--dir", type=str, default=None)
-    sub.add_argument("--pattern", type=str, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--engine", type=str, default=None)
-    sub.add_argument("--model", type=str, default=None)
-    sub.add_argument("--permutations", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_frames_order)
-
-    sub = subs.add_parser("synth", help="generate synthetic scatter, stylized pair, or frames")
-    sub.add_argument("--what", type=str, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--mechanism", type=str, default=None)
-    sub.add_argument("--noise", type=str, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--size", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--g", type=str, default=None)
-    sub.add_argument("--sigma", type=float, default=None)
-    sub.add_argument("--general-beta", action="store_true")
-    sub.add_argument("--out-x", type=str, default=None)
-    sub.add_argument("--out-y", type=str, default=None)
-    sub.add_argument("--frames", type=int, default=None)
-    sub.add_argument("--out-dir", type=str, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_synth)
-
-    sub = subs.add_parser("significance", help="exact one-sided binomial test against chance")
-    sub.add_argument("--accuracy", type=float, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--p0", type=float, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_significance)
-
-    sub = subs.add_parser("model", help="train, inspect, or apply a saved direction model")
-    sub.add_argument("action", type=str, nargs="?", default=None)
-    sub.add_argument("--data", type=str, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--trees", type=int, default=None)
-    sub.add_argument("--model", type=str, default=None)
-    sub.add_argument("--sample", type=str, default=None)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_model)
-
+    for command, (func, help_text, names) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name in names.split() + list(_SHARED):
+            kind = _OPTIONS[name]
+            how = {"action": "store_true"} if kind is bool else {"type": kind}
+            if name == "action":
+                sub.add_argument(name, nargs="?", default=None, **how)
+            else:
+                sub.add_argument(f"--{name}", default=None, help=_SHARED.get(name), **how)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -73,6 +73,17 @@ class Direction:
     def flipped(self) -> "Direction":
         return Direction(self.verdict.flipped(), self.score)
 
+    @staticmethod
+    def compare(s_xy: float, s_yx: float, score: float) -> "Direction":
+        """The verdict rule of every engine: the side with the larger
+        evidence wins with ``score``; equal sides give the explicit tie
+        ``Direction(X_TO_Y, 0.0)``."""
+        if s_xy > s_yx:
+            return Direction(Verdict.X_TO_Y, score)
+        if s_yx > s_xy:
+            return Direction(Verdict.Y_TO_X, score)
+        return Direction(Verdict.X_TO_Y, 0.0)
+
 
 @dataclass(frozen=True)
 class ScatterSample:
@@ -175,6 +186,14 @@ class SeedSpec:
 def as_spec(seed: SeedSpec | int) -> SeedSpec:
     """``seed`` if it is already a SeedSpec, else ``SeedSpec(seed)``."""
     return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
+
+
+def _standardize(v: np.ndarray) -> np.ndarray:
+    """Zero mean, unit standard deviation; a constant variable raises."""
+    sd = float(np.std(v))
+    if sd == 0.0:
+        raise ValueError("constant variable")
+    return (v - float(np.mean(v))) / sd
 
 
 def derive_seed(spec: SeedSpec, task_id: str) -> int:

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, as_spec
+from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _standardize, as_spec
 from .proxy_image import Image
 from .proxy_text import projection_vector, word_pair_scatter
-from .rcc import forest_predict, forest_train, rcc_predict, rcc_train
+from .rcc import _vote_direction, forest_predict, forest_train, rcc_predict, rcc_train
 
 __all__ = [
     "WordPairRecord",
@@ -148,13 +148,6 @@ def filter_consensus(records, min_votes: int, total: int = 20) -> list:
 # ---------------------------------------------------------------------------
 # Synthetic scatter generator
 # ---------------------------------------------------------------------------
-
-
-def _standardize(v: np.ndarray) -> np.ndarray:
-    sd = v.std()
-    if sd == 0.0:
-        raise ValueError("constant variable")
-    return (v - v.mean()) / sd
 
 
 def synth_anm_pair(
@@ -455,11 +448,62 @@ class EvalReport:
     significance: float
 
 
-def _default_trainer(num_features, num_trees):
-    def train(data: LabeledScatterDataset, spec: SeedSpec):
-        return rcc_train(data, num_features=num_features, num_trees=num_trees, seed=spec)
+def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> EvalReport:
+    """The repeated-split loop of every evaluation.
 
-    return train
+    Repeat r shuffles the pairs with the ``eval.shuffle.{r}`` stream and
+    calls ``judge(train_idx, test_idx, spec)`` with the first `split` share
+    for training, the rest for testing and ``spec`` the child seed
+    ``eval.train.{r}``; it returns one Verdict per test index.
+    """
+    n = len(labels)
+    if n < 8:
+        raise ValueError("need at least 8 labeled pairs")
+    if not 0.0 < split < 1.0:
+        raise ValueError("split must be in (0, 1)")
+    spec = as_spec(seed)
+    n_train = min(max(int(round(split * n)), 1), n - 1)
+    accuracies = []
+    all_predictions = []
+    for r in range(repeats):
+        perm = spec.rng(f"eval.shuffle.{r}").permutation(n)
+        test_idx = perm[n_train:]
+        verdicts = judge(perm[:n_train], test_idx, spec.child(f"eval.train.{r}"))
+        repeat_preds = []
+        correct = 0
+        for i, verdict in zip(test_idx, verdicts):
+            ok = (1 if verdict is Verdict.X_TO_Y else -1) == labels[i]
+            correct += ok
+            repeat_preds.append((names[i], verdict.value, labels[i], bool(ok)))
+        accuracies.append(correct / len(test_idx))
+        all_predictions.append(tuple(repeat_preds))
+
+    accs = np.array(accuracies)
+    mean = float(accs.mean())
+    return EvalReport(
+        accuracies=tuple(accuracies),
+        mean=mean,
+        std=float(accs.std()),
+        predictions=tuple(all_predictions),
+        excluded=tuple(excluded),
+        num_pairs=n,
+        significance=binomial_significance(mean, n),
+    )
+
+
+def _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees):
+    """Train ``trainer`` (the embedding classifier when None) on the
+    training scatters and call ``predictor`` on each test scatter."""
+    if trainer is None:
+
+        def trainer(data: LabeledScatterDataset, spec: SeedSpec):
+            return rcc_train(data, num_features=num_features, num_trees=num_trees, seed=spec)
+
+    def judge(train_idx, test_idx, spec):
+        model = trainer(LabeledScatterDataset(tuple((samples[i], labels[i]) for i in train_idx)), spec)
+        return [predictor(model, samples[i]).verdict for i in test_idx]
+
+    return judge
 
 
 def evaluate_scatter_dataset(
@@ -485,48 +529,10 @@ def evaluate_scatter_dataset(
     labels = list(labels)
     if len(samples) != len(labels):
         raise ValueError("samples and labels must align")
-    if len(samples) < 8:
-        raise ValueError("need at least 8 labeled pairs")
-    if not 0.0 < split < 1.0:
-        raise ValueError("split must be in (0, 1)")
     if names is None:
         names = [str(i) for i in range(len(samples))]
-    spec = as_spec(seed)
-    if trainer is None:
-        trainer = _default_trainer(num_features, num_trees)
-
-    n = len(samples)
-    n_train = min(max(int(round(split * n)), 1), n - 1)
-    accuracies = []
-    all_predictions = []
-    for r in range(repeats):
-        perm = spec.rng(f"eval.shuffle.{r}").permutation(n)
-        train_idx = perm[:n_train]
-        test_idx = perm[n_train:]
-        train_data = LabeledScatterDataset(tuple((samples[i], labels[i]) for i in train_idx))
-        model = trainer(train_data, spec.child(f"eval.train.{r}"))
-        repeat_preds = []
-        correct = 0
-        for i in test_idx:
-            direction = predictor(model, samples[i])
-            predicted = 1 if direction.verdict is Verdict.X_TO_Y else -1
-            ok = predicted == labels[i]
-            correct += ok
-            repeat_preds.append((names[i], direction.verdict.value, labels[i], bool(ok)))
-        accuracies.append(correct / len(test_idx))
-        all_predictions.append(tuple(repeat_preds))
-
-    accs = np.array(accuracies)
-    mean = float(accs.mean())
-    return EvalReport(
-        accuracies=tuple(accuracies),
-        mean=mean,
-        std=float(accs.std()),
-        predictions=tuple(all_predictions),
-        excluded=(),
-        num_pairs=n,
-        significance=binomial_significance(mean, n),
-    )
+    judge = _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees)
+    return _repeated_splits(labels, names, (), judge, split, repeats, seed)
 
 
 def evaluate_distribution_method(
@@ -560,27 +566,8 @@ def evaluate_distribution_method(
         samples.append(sample)
         labels.append(label)
         names.append(name)
-    report = evaluate_scatter_dataset(
-        samples,
-        labels,
-        names=names,
-        trainer=trainer,
-        predictor=predictor,
-        split=split,
-        repeats=repeats,
-        num_features=num_features,
-        num_trees=num_trees,
-        seed=seed,
-    )
-    return EvalReport(
-        accuracies=report.accuracies,
-        mean=report.mean,
-        std=report.std,
-        predictions=report.predictions,
-        excluded=tuple(excluded),
-        num_pairs=report.num_pairs,
-        significance=report.significance,
-    )
+    judge = _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees)
+    return _repeated_splits(labels, names, excluded, judge, split, repeats, seed)
 
 
 def evaluate_feature_method(
@@ -607,46 +594,15 @@ def evaluate_feature_method(
         features.append(np.concatenate([px, py]))
         labels.append(label)
         names.append(name)
-    if len(features) < 8:
-        raise ValueError("need at least 8 usable pairs")
-    if not 0.0 < split < 1.0:
-        raise ValueError("split must be in (0, 1)")
-    X = np.stack(features)
-    y = np.array(labels)
-    spec = as_spec(seed)
+    # np.array, not np.stack: with no usable pair, the count check in
+    # _repeated_splits reports it.
+    X, y = np.array(features), np.array(labels)
 
-    n = len(labels)
-    n_train = min(max(int(round(split * n)), 1), n - 1)
-    accuracies = []
-    all_predictions = []
-    for r in range(repeats):
-        perm = spec.rng(f"eval.shuffle.{r}").permutation(n)
-        train_idx = perm[:n_train]
-        test_idx = perm[n_train:]
-        forest = forest_train(X[train_idx], y[train_idx], num_trees=num_trees, seed=spec.child(f"eval.train.{r}"))
-        fractions = forest_predict(forest, X[test_idx])
-        repeat_preds = []
-        correct = 0
-        for pos, i in enumerate(test_idx):
-            predicted = 1 if fractions[pos] >= 0.5 else -1
-            ok = predicted == y[i]
-            correct += ok
-            verdict = Verdict.X_TO_Y if predicted == 1 else Verdict.Y_TO_X
-            repeat_preds.append((names[i], verdict.value, int(y[i]), bool(ok)))
-        accuracies.append(correct / len(test_idx))
-        all_predictions.append(tuple(repeat_preds))
+    def judge(train_idx, test_idx, spec):
+        forest = forest_train(X[train_idx], y[train_idx], num_trees=num_trees, seed=spec)
+        return [_vote_direction(frac).verdict for frac in forest_predict(forest, X[test_idx])]
 
-    accs = np.array(accuracies)
-    mean = float(accs.mean())
-    return EvalReport(
-        accuracies=tuple(accuracies),
-        mean=mean,
-        std=float(accs.std()),
-        predictions=tuple(all_predictions),
-        excluded=tuple(excluded),
-        num_pairs=n,
-        significance=binomial_significance(mean, n),
-    )
+    return _repeated_splits(labels, names, excluded, judge, split, repeats, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# anm_direction is not called here; the traced benchmark run wraps it by
+# this module's name (perfbench/layers.py).
 from .anm import AnmConfig, anm_direction
 from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec, parallel_map
-from .rcc import RCCModel, rcc_predict
+from .rcc import RCCModel
 
 __all__ = [
     "Image",
@@ -199,21 +201,20 @@ def image_pair_direction(
 ) -> Direction:
     """Direction between two images: patch scatter fed to the chosen engine.
 
-    ``engine`` is an AnmConfig (default) or a trained RCCModel.  The default
+    ``engine`` is an AnmConfig (default) or a trained RCCModel; its
+    ``judge`` gets the child seed ``image.anm``.  The default
     config fits on 75% of the patches rather than 50%: overlapping patches
     leak weak grid structure into the residuals, and a smaller test half
     keeps the independence test from latching onto that artifact while the
     genuine backward-direction dependence stays easy to detect.
     """
-    spec = as_spec(seed)
-    sample = image_pair_scatter(x, y, n=n, k=k, seed=spec.child("image.scatter"))
     if engine is None:
         engine = AnmConfig(fit_fraction=0.75)
-    if isinstance(engine, AnmConfig):
-        return anm_direction(sample, engine, seed=spec.child("image.anm"))
-    if isinstance(engine, RCCModel):
-        return rcc_predict(engine, sample)
-    raise TypeError(f"engine must be AnmConfig or RCCModel, got {type(engine).__name__}")
+    if not isinstance(engine, (AnmConfig, RCCModel)):
+        raise TypeError(f"engine must be AnmConfig or RCCModel, got {type(engine).__name__}")
+    spec = as_spec(seed)
+    sample = image_pair_scatter(x, y, n=n, k=k, seed=spec.child("image.scatter"))
+    return engine.judge(sample, spec.child("image.anm"))
 
 
 # ---------------------------------------------------------------------------

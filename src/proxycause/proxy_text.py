@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec
+from .core import Direction, ScatterSample, SeedSpec, as_spec
 
 __all__ = [
     "CorpusIndex",
@@ -574,11 +574,7 @@ class BaselineScores:
         return self.s_xy == self.s_yx
 
     def direction(self) -> Direction:
-        if self.s_xy > self.s_yx:
-            return Direction(Verdict.X_TO_Y, self.s_xy - self.s_yx)
-        if self.s_yx > self.s_xy:
-            return Direction(Verdict.Y_TO_X, self.s_yx - self.s_xy)
-        return Direction(Verdict.X_TO_Y, 0.0)
+        return Direction.compare(self.s_xy, self.s_yx, abs(self.s_xy - self.s_yx))
 
 
 def shannon_entropy(vector: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, as_spec
+from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, as_spec
 from .independence import median_heuristic
 
 __all__ = [
@@ -391,6 +391,11 @@ class RCCModel:
         if self.forest.num_features != 3 * self.rff.num_features:
             raise ValueError("forest width must be 3x the embedding block size")
 
+    def judge(self, sample: ScatterSample, spec: SeedSpec | int) -> Direction:
+        """This engine's verdict on ``sample``: ``rcc_predict``, which draws
+        no randomness, so ``spec`` is unused."""
+        return rcc_predict(self, sample)
+
 
 def rcc_train(
     data: LabeledScatterDataset,
@@ -427,13 +432,13 @@ def rcc_train(
 def rcc_predict(model: RCCModel, sample: ScatterSample) -> Direction:
     """Direction of one scatterplot: forest vote on its embedding."""
     feats = featurize_scatter(sample, model.rff)
-    frac = float(forest_predict(model.forest, feats)[0])
-    score = abs(frac - 0.5) * 2.0
-    if frac > 0.5:
-        return Direction(Verdict.X_TO_Y, score)
-    if frac < 0.5:
-        return Direction(Verdict.Y_TO_X, score)
-    return Direction(Verdict.X_TO_Y, 0.0)
+    return _vote_direction(float(forest_predict(model.forest, feats)[0]))
+
+
+def _vote_direction(frac: float) -> Direction:
+    """The verdict of a class-1 vote fraction: x->y above one half, with
+    score 2|frac - 1/2|."""
+    return Direction.compare(frac, 0.5, abs(frac - 0.5) * 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -112,3 +112,12 @@ def test_linear_gaussian_is_near_chance():
         predicted = 1 if d.verdict is Verdict.X_TO_Y else -1
         hits += predicted == label
     assert 1 <= hits <= 11
+
+
+def test_judge_is_anm_direction_under_the_given_seed():
+    for i, mechanism in enumerate(("cubic", "tanh", "linear")):
+        sample, _ = synth_anm_pair(120, mechanism=mechanism, seed=40 + i)
+        for s in (sample, sample.swapped()):
+            for spec in (SeedSpec(60 + i), 60 + i):
+                d, want = FAST.judge(s, spec), anm_direction(s, FAST, seed=spec)
+                assert (d.verdict, repr(d.score)) == (want.verdict, repr(want.score))

@@ -298,3 +298,44 @@ def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert f"error: --jobs must be at least 1, got {jobs}" in err
+
+
+@pytest.mark.parametrize("command, flag, value, what", [
+    ("nlp-eval", "--methods", "distributon", "method"),
+    ("nlp-eval", "--kinds", "count", "projection kind"),
+    ("nlp-eval", "--curve-kind", "w2v", "curve kind"),
+    ("baselines", "--kinds", "frequency,zipf", "baseline"),
+])
+def test_unknown_names_are_rejected_before_any_work(capsys, command, flag, value, what):
+    # Neither input exists, so an error about the name shows that it was
+    # checked before either was read.
+    code, out, err = run(capsys, command, "--pairs", "/does/not/exist.csv", "--corpus", "/does/not/exist.txt",
+                         flag, value)
+    assert code == 1 and out == ""
+    bad = value.split(",")[-1]
+    assert f"error: unknown {what} {bad!r}" in err
+
+
+def test_general_beta_follows_flag_then_config(tmp_path, capsys):
+    argv = [
+        "synth", "--what", "stylized", "--size", "20", "--k", "10", "--seed", "6",
+        "--out-x", str(tmp_path / "x.pgm"), "--out-y", str(tmp_path / "y.pgm"),
+    ]
+    cfg = tmp_path / "run.cfg"
+
+    def row_constant(*extra, config=None):
+        if config is not None:
+            cfg.write_text(f"general-beta = {config}\n")
+            extra += ("--config", str(cfg))
+        return run_json(capsys, *argv, *extra)[0]["row_constant"]
+
+    assert row_constant() is True
+    assert row_constant("--general-beta") is False
+    assert row_constant(config="true") is False
+    assert row_constant(config="false") is True
+    # the flag beats the file
+    assert row_constant("--general-beta", config="false") is False
+    for bad in ("1", "yes", "True", ""):
+        cfg.write_text(f"general-beta = {bad}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == "" and "true or false" in err

@@ -93,6 +93,20 @@ def test_direction_validation_and_tie():
         Direction(Verdict.X_TO_Y, float("inf"))
 
 
+def test_direction_compare_is_the_three_way_verdict_rule():
+    assert Direction.compare(0.7, 0.2, 1.25) == Direction(Verdict.X_TO_Y, 1.25)
+    assert Direction.compare(0.2, 0.7, 1.25) == Direction(Verdict.Y_TO_X, 1.25)
+    # equal sides are the explicit tie, whatever score the caller computed
+    for side in (0.0, 0.5, 3.0):
+        d = Direction.compare(side, side, 2.0)
+        assert d == Direction(Verdict.X_TO_Y, 0.0) and d.tie
+    # swapping the sides flips the verdict and keeps the score bits
+    rng = np.random.default_rng(3)
+    for a, b in rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-8, 8, size=(50, 2)):
+        d, e = Direction.compare(a, b, abs(a - b)), Direction.compare(b, a, abs(b - a))
+        assert e.verdict is d.verdict.flipped() and repr(e.score) == repr(d.score)
+
+
 def test_scatter_sample_shape_and_immutability():
     s = ScatterSample.from_ab([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert s.n == 3

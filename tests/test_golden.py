@@ -18,10 +18,10 @@ import pytest
 
 from proxycause import cli, proxy_image
 from proxycause.anm import AnmConfig, anm_direction
-from proxycause.core import LabeledScatterDataset
+from proxycause.core import LabeledScatterDataset, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair, synth_diffusion_frames
 from proxycause.proxy_text import sgns_train
-from proxycause.rcc import rcc_predict, rcc_train
+from proxycause.rcc import rcc_predict, rcc_train, save_model
 
 MECHANISMS = ("cubic", "tanh", "piecewise", "linear")
 
@@ -263,3 +263,101 @@ def test_cli_stdout_is_pinned_for_any_jobs(name, cli_inputs):
         code, out = _cli_stdout(_cli_argv(name, cli_inputs) + ["--jobs", str(jobs)])
         assert code == 0, (name, jobs)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT[name], (name, jobs)
+
+
+# SHA-256 of the CLI's standard output for one run of every other
+# subcommand at criterion-8 sizes, recorded before the option table and
+# the engine ``judge`` method.  Each case runs in its own empty directory
+# with relative paths, so the paths echoed in the JSON are the same on
+# every machine; the argv lists before it build that case's inputs.
+TINY_CORPUS = (
+    "rain made the street wet\n"
+    "rain again today\n"
+    "wet street and wind\n"
+    "wind made waves\n"
+    "waves on the water\n"
+    "sun after rain\n"
+    "storms bring heavy rain and thunder\n"
+    "clouds cover the sky before storms\n"
+    "wind drives the clouds fast\n"
+    "the water rose over the banks\n"
+)
+_INDEX = ["index-corpus", "--corpus", "corpus.txt", "--out", "index.json"]
+_MODEL = ["model", "train", "--data", "train.jsonl", "--out", "model.json", "--m", "10", "--trees", "20", "--seed", "4"]
+_STYLIZED = [
+    "synth", "--what", "stylized", "--size", "40", "--k", "10", "--seed", "6",
+    "--out-x", "x.pgm", "--out-y", "y.pgm",
+]
+_WORD_PAIR = [
+    "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--index", "index.json",
+    "--n-vocab", "20", "--seed", "3",
+]
+_IMAGE_PAIR = ["image-pair", "--x", "x.pgm", "--y", "y.pgm", "--n", "200", "--k", "10", "--seed", "6"]
+CLI_RUNS = {
+    "index-corpus": ([], _INDEX),
+    "embed-train": ([], [
+        "embed-train", "--corpus", "corpus.txt", "--d", "8", "--epochs", "1", "--seed", "2",
+        "--out-input", "vi.txt", "--out-output", "vo.txt",
+    ]),
+    "word-pair-anm": ([_INDEX], _WORD_PAIR + ["--permutations", "99"]),
+    "word-pair-model": ([_INDEX, _MODEL], _WORD_PAIR + ["--engine", "model", "--model", "model.json"]),
+    "image-pair-anm": ([_STYLIZED], _IMAGE_PAIR + ["--permutations", "99"]),
+    "image-pair-model": ([_STYLIZED, _MODEL], _IMAGE_PAIR + ["--engine", "model", "--model", "model.json"]),
+    "synth-scatter": ([], ["synth", "--what", "scatter", "--n", "60", "--seed", "3", "--out", "pair.jsonl"]),
+    "synth-stylized": ([], _STYLIZED),
+    "synth-frames": ([], ["synth", "--what", "frames", "--size", "24", "--frames", "3", "--seed", "1", "--out-dir", "frames"]),
+    "significance": ([], ["significance", "--accuracy", "0.75", "--n", "40"]),
+    "model-train": ([], _MODEL),
+    "model-predict": ([_MODEL], ["model", "predict", "--model", "model.json", "--sample", "probe.jsonl"]),
+    "model-inspect": ([_MODEL], ["model", "inspect", "--model", "model.json"]),
+}
+CLI_RUN_STDOUT = {
+    "embed-train": "2a0f3de5d5f14954285c947cf70f70e1d7ba6ac4c6e54ff0a8ee41c48c4e4120",
+    "image-pair-anm": "d0f58d251db412eb75073f8006c6f26609bde464fb3f012bc99d07fd3a44c1f9",
+    "image-pair-model": "84b491c4becb0e98e057d8ef2cb00ea006186d5294c8071d2e0bfefe6fba150e",
+    "index-corpus": "80327e9ec1f20ab7cc0fedb1def8548cc67a5a74d6600b22e58e6b938f564799",
+    "model-inspect": "3f7c0ad47b0f0c0e492b69b0c7caf0f4801115a15aacc0cc54c63f2c9cd95e22",
+    "model-predict": "b8f5126eb6559eb2e80a3fbf7c0aed4a8156cfa4450a6bc5026be4db4d5a5fa9",
+    "model-train": "ac8aa6cff8510639f68db14a79ad66c6a128233010326d29f57045facc5934ab",
+    "significance": "448baeb6f9b6bee1213c41afbc67012b09b47fe34aa19cd450bed422abec9791",
+    "synth-frames": "05570507162e7e303fb7452f4e1bf3476ac8be28bdbb09d0df17b612b9c7cde5",
+    "synth-scatter": "dfca8077e5d2a25501549b64c801302ac464ff4113cec9189094ce1853217183",
+    "synth-stylized": "9b3ee9ad7d811034bce320692d541dd14675052e652f6acb1226caaa040ff870",
+    "word-pair-anm": "61f2a8ae733fedd0b79fb5581598a9874e45a91ed53bf803835e0f6dc655e649",
+    "word-pair-model": "11ce915808957ed0785a88b4916d128320afb88ffb4eb880110ae15f41d35433",
+}
+
+
+def _write_run_inputs():
+    """The corpus, the training set and the probe every case may read."""
+    with open("corpus.txt", "w", encoding="utf-8") as fh:
+        fh.write(TINY_CORPUS)
+    items = [synth_anm_pair(40, seed=400 + i) for i in range(12)]
+    save_dataset(LabeledScatterDataset(tuple(items)), "train.jsonl")
+    save_scatter(items[0][0], "probe.jsonl")
+    return items
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_subcommand_stdout_is_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_run_inputs()
+    setup, argv = CLI_RUNS[name]
+    for step in setup:
+        assert _cli_stdout(step)[0] == 0, step
+    code, out = _cli_stdout(argv)
+    assert code == 0, name
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_RUN_STDOUT[name], name
+
+
+# SHA-256 of the file save_model writes for rcc_train on the criterion-8
+# training set (12 scatters, n=40, seeds 400-411) with m=10, 20 trees, seed 4.
+SAVED_MODEL = "b0dde036d5896087ff8c36f97fe50e6b4482827c53e5be71dcea780b4ae15792"
+
+
+def test_saved_model_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    items = _write_run_inputs()
+    save_model(rcc_train(LabeledScatterDataset(tuple(items)), num_features=10, num_trees=20, seed=4), "model.json")
+    with open("model.json", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SAVED_MODEL

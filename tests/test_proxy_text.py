@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxycause.core import SeedSpec
+from proxycause.core import Direction, SeedSpec, Verdict
 from proxycause.proxy_text import (
     BASELINE_KINDS,
+    BaselineScores,
     EmbeddingModel,
     ProjectionKind,
     baseline_scores,
@@ -604,3 +605,20 @@ def test_baseline_scores_cover_all_kinds(tiny_index):
         baseline_scores("zipf", "rain", "wet", tiny_index, vocab)
     with pytest.raises(ValueError, match="needs a vocabulary"):
         baseline_scores("counts_ws", "rain", "wet", tiny_index)
+
+
+def _old_baseline_direction(s_xy, s_yx):
+    """The three-way rule BaselineScores.direction had before it went
+    through Direction.compare: the score is the winner's lead."""
+    if s_xy > s_yx:
+        return Direction(Verdict.X_TO_Y, s_xy - s_yx)
+    if s_yx > s_xy:
+        return Direction(Verdict.Y_TO_X, s_yx - s_xy)
+    return Direction(Verdict.X_TO_Y, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+def test_baseline_direction_keeps_the_lead_bits(s_xy, s_yx):
+    d, want = BaselineScores(s_xy, s_yx).direction(), _old_baseline_direction(s_xy, s_yx)
+    assert (d.verdict, repr(d.score)) == (want.verdict, repr(want.score))

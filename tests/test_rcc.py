@@ -145,6 +145,15 @@ def test_rcc_prediction_antisymmetric_on_swap():
     assert checked >= 5
 
 
+def test_judge_is_rcc_predict():
+    model = rcc_train(LabeledScatterDataset(tuple(make_dataset(20, n=80, seed0=2100))), num_features=20,
+                      num_trees=30, seed=SeedSpec(8))
+    for sample, _ in make_dataset(4, n=80, seed0=3100):
+        for s in (sample, sample.swapped()):
+            d, want = model.judge(s, SeedSpec(9)), rcc_predict(model, s)
+            assert (d.verdict, repr(d.score)) == (want.verdict, repr(want.score))
+
+
 def test_rcc_train_requires_both_labels():
     items = [(s, 1) for s, _ in make_dataset(6, seed0=4000)]
     with pytest.raises(ValueError, match="both labels"):
