@@ -18,6 +18,7 @@ from .core import Direction, ScatterSample, SeedSpec, _standardize, as_spec
 from .independence import (
     KernelSpec,
     _check_permutations,
+    _gaussian,
     _permutation_pvalue,
     _permutation_schedule,
     gram_matrix,
@@ -59,9 +60,7 @@ class Regressor:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
-        d = x[:, None] - self.x_train[None, :]
-        K = np.exp(-(d * d) / (2.0 * self.kernel.bandwidth**2))
-        return K @ self.alpha
+        return _gaussian(x, self.x_train, self.kernel.bandwidth) @ self.alpha
 
 
 def kernel_ridge_fit(x, y, cfg: AnmConfig = AnmConfig()) -> Regressor:
@@ -85,7 +84,9 @@ def kernel_ridge_fit(x, y, cfg: AnmConfig = AnmConfig()) -> Regressor:
         bandwidth = 1.0
     kernel = KernelSpec(bandwidth)
     K = gram_matrix(x, kernel)
-    alpha = np.linalg.solve(K + cfg.ridge_lambda * np.eye(x.size), y)
+    # K + lambda I in place: off the diagonal K_ij + 0.0 is exact, as K >= +0.
+    K[np.diag_indices(x.size)] += cfg.ridge_lambda
+    alpha = np.linalg.solve(K, y)
     return Regressor(x_train=x, alpha=alpha, kernel=kernel)
 
 

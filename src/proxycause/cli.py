@@ -247,7 +247,7 @@ def cmd_word_pair(args, config):
     y = _opt(args, config, "y", None)
     if x is None or y is None:
         raise ValueError("--x and --y are required")
-    kind = _opt(args, config, "kind", "w2voi").replace("-", "_")
+    kind = _name(_opt(args, config, "kind", "w2voi"), PROJECTION_NAMES, "projection kind")
     seed = _seed(args, config)
     _log(f"word-pair config: x={x} y={y} kind={kind} seed={seed}")
     index, vocab, emb = _corpus_artifacts(args, config, [kind], seed)

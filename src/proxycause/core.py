@@ -189,8 +189,12 @@ def as_spec(seed: SeedSpec | int) -> SeedSpec:
 
 
 def _standardize(v: np.ndarray) -> np.ndarray:
-    """Zero mean, unit standard deviation; a constant variable raises."""
-    sd = float(np.std(v))
+    """Zero mean, unit standard deviation; a constant variable raises, and so
+    do values too large for their standard deviation to be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(v))
+    if not np.isfinite(sd):
+        raise ValueError("standard deviation is not finite: values too large to standardize")
     if sd == 0.0:
         raise ValueError("constant variable")
     return (v - float(np.mean(v))) / sd

@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _MEDIAN_SUBSAMPLE = 1000
+# Rows of the sorted difference matrix that median_heuristic fills per step.
+_GAP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,23 @@ def median_heuristic(values) -> float:
     if v.size > _MEDIAN_SUBSAMPLE:
         idx = np.linspace(0, v.size - 1, _MEDIAN_SUBSAMPLE).round().astype(int)
         v = v[idx]
-    # On sorted values the gaps at lag k are v[k:] - v[:-k]: the same
-    # multiset as |v_i - v_j| over i < j, without the n x n matrix.
+    # On sorted values v_j - v_i over i < j is the same multiset as
+    # |v_i - v_j|, so the median has the same bits.  Each block of rows
+    # writes its triangle (masked) and the rectangle right of it straight
+    # into one array, without the n x n matrix.
     v = np.sort(v)
-    gaps = np.concatenate([v[k:] - v[:-k] for k in range(1, v.size)])
+    n = v.size
+    gaps = np.empty(n * (n - 1) // 2)
+    upper = np.triu(np.ones((_GAP_ROWS, _GAP_ROWS), dtype=bool), 1)
+    pos = 0
+    for s in range(0, n, _GAP_ROWS):
+        e = min(s + _GAP_ROWS, n)
+        tri = (v[s:e] - v[s:e, None])[upper[: e - s, : e - s]]
+        gaps[pos : pos + tri.size] = tri
+        pos += tri.size
+        rect = gaps[pos : pos + (e - s) * (n - e)].reshape(e - s, n - e)
+        np.subtract(v[e:], v[s:e, None], out=rect)
+        pos += rect.size
     # The gaps are a scratch array, so the median may reorder them in place.
     med = float(np.median(gaps, overwrite_input=True))
     if med > 0:
@@ -69,15 +84,32 @@ def gram_matrix(values, kernel: KernelSpec) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    d = v[:, None] - v[None, :]
-    return np.exp(-(d * d) / (2.0 * kernel.bandwidth**2))
+    return _gaussian(v, v, kernel.bandwidth)
+
+
+def _gaussian(u: np.ndarray, v: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-(u_i - v_j)^2 / (2 bandwidth^2)) for every i, j, in the one array
+    it returns: the IEEE operations of np.exp(-(d * d) / (2 h^2)), in order."""
+    k = np.subtract.outer(u, v)
+    np.multiply(k, k, out=k)
+    np.negative(k, out=k)
+    k /= 2.0 * bandwidth**2
+    return np.exp(k, out=k)
 
 
 def _center(K: np.ndarray) -> np.ndarray:
-    # H K H with H = I - J/n, done via row/column mean subtraction
+    """H K H with H = I - J/n by row/column mean subtraction, overwriting K.
+
+    The three means come first; the updates then keep the association of
+    K - row - col + mean.
+    """
     row = K.mean(axis=0, keepdims=True)
     col = K.mean(axis=1, keepdims=True)
-    return K - row - col + K.mean()
+    mean = K.mean()
+    K -= row
+    K -= col
+    K += mean
+    return K
 
 
 def _inputs(u, v, ku: KernelSpec | None, kv: KernelSpec | None):
@@ -173,7 +205,9 @@ def _factor(C: np.ndarray):
         Ft[k] = (C[i] - Ft[:k, i] @ Ft[:k]) / np.sqrt(d[i])
         d -= Ft[k] * Ft[k]
         k += 1
-    return Ft[:k].T, float(np.linalg.norm(C - Ft[:k].T @ Ft[:k]))
+    R = Ft[:k].T @ Ft[:k]
+    np.subtract(C, R, out=R)
+    return Ft[:k].T, float(np.linalg.norm(R))
 
 
 def _permutation_pvalue(u, v, ku: KernelSpec, kv: KernelSpec, perms: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, as_spec
+from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _standardize, as_spec
 from .independence import median_heuristic
 
 __all__ = [
@@ -100,13 +100,7 @@ def _canonical_standardized(sample: ScatterSample) -> np.ndarray:
     pts = sample.points
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
-    out = np.empty_like(pts)
-    for j in range(2):
-        sd = float(np.std(pts[:, j]))
-        if sd == 0.0:
-            raise ValueError("constant coordinate in scatter sample")
-        out[:, j] = (pts[:, j] - float(np.mean(pts[:, j]))) / sd
-    return out
+    return np.column_stack([_standardize(pts[:, 0]), _standardize(pts[:, 1])])
 
 
 def featurize_scatter(sample: ScatterSample, spec: RFFSpec) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Additive-noise direction engine: regression, residuals, antisymmetry."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from proxycause.anm import AnmConfig, anm_direction, kernel_ridge_fit, residuals
 from proxycause.core import ScatterSample, SeedSpec, Verdict
 from proxycause.experiments import synth_anm_pair
+from proxycause.independence import gram_matrix
 
 FAST = AnmConfig(num_permutations=99)
 
@@ -58,6 +61,23 @@ def test_kernel_ridge_constant_input_falls_back():
     assert abs(float(reg.predict([3.0])[0]) - y.mean()) < 0.1
 
 
+def test_kernel_ridge_fit_and_predict_equal_expression_formulas():
+    """The in-place ridge shift and the one-buffer kernel give the bits of
+    solve(K + lambda I, y) and exp(-(d * d) / (2 h^2)) @ alpha."""
+    rng = np.random.default_rng(8)
+    for n in (10, 33, 250):
+        for x in (rng.normal(size=n), np.round(rng.normal(size=n), 1), np.full(n, 3.0)):
+            y = np.sin(2 * x) + 0.1 * rng.normal(size=n)
+            for lam in (1e-8, 1e-3, 0.7):
+                reg = kernel_ridge_fit(x, y, AnmConfig(ridge_lambda=lam))
+                K = gram_matrix(x, reg.kernel)
+                assert np.array_equal(reg.alpha, np.linalg.solve(K + lam * np.eye(n), y))
+                t = rng.normal(size=n + 5)
+                d = t[:, None] - x[None, :]
+                want = np.exp(-(d * d) / (2.0 * reg.kernel.bandwidth**2)) @ reg.alpha
+                assert np.array_equal(reg.predict(t), want)
+
+
 def test_direction_on_cubic_mechanism():
     hits = 0
     for i in range(6):
@@ -98,6 +118,16 @@ def test_direction_rejects_small_and_constant_samples():
     pts = np.column_stack([np.ones(30), np.arange(30.0)])
     with pytest.raises(ValueError, match="constant"):
         anm_direction(ScatterSample(pts), FAST)
+
+
+def test_direction_rejects_values_too_large_to_standardize():
+    pts = np.random.default_rng(0).normal(size=(40, 2))
+    pts[:, 0] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample in (ScatterSample(pts), ScatterSample(pts).swapped()):
+            with pytest.raises(ValueError, match="not finite"):
+                anm_direction(sample, FAST)
 
 
 def test_linear_gaussian_is_near_chance():

@@ -316,6 +316,13 @@ def test_unknown_names_are_rejected_before_any_work(capsys, command, flag, value
     assert f"error: unknown {what} {bad!r}" in err
 
 
+def test_word_pair_kind_is_rejected_before_any_work(capsys):
+    code, out, err = run(capsys, "word-pair", "--x", "cat", "--y", "animal", "--corpus", "/does/not/exist.txt",
+                         "--kind", "count")
+    assert code == 1 and out == ""
+    assert "error: unknown projection kind 'count'" in err
+
+
 def test_general_beta_follows_flag_then_config(tmp_path, capsys):
     argv = [
         "synth", "--what", "stylized", "--size", "20", "--k", "10", "--seed", "6",

@@ -91,6 +91,23 @@ def test_median_heuristic_long_input_is_deterministic():
     assert median_heuristic(v) == median_heuristic(v)
 
 
+def lag_median_heuristic(values):
+    """The lag formula median_heuristic used before: gaps v[k:] - v[:-k] of
+    the sorted values, one slice per lag, joined by concatenate."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size > 1000:
+        v = v[np.linspace(0, v.size - 1, 1000).round().astype(int)]
+    v = np.sort(v)
+    gaps = np.concatenate([v[k:] - v[:-k] for k in range(1, v.size)])
+    med = float(np.median(gaps))
+    if med > 0:
+        return med
+    positive = gaps[gaps > 0]
+    if positive.size == 0:
+        raise ValueError("degenerate sample: all values identical")
+    return float(np.median(positive))
+
+
 def full_matrix_median_heuristic(values):
     """The n x n formula: the median of |v_i - v_j| over the upper triangle,
     after the same thinning, falling back to the positive gaps."""
@@ -107,22 +124,27 @@ def full_matrix_median_heuristic(values):
     return float(np.median(positive))
 
 
-@pytest.mark.parametrize("n", [2, 3, 128, 384, 1000, 1001, 5000])
+# Sizes around the 64-row blocks of the gap array (63/64/65 rows in the last
+# block), the frames and scatter test halves, and the thinning at 1000.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 250, 384, 999, 1000, 1001, 5000])
 def test_median_heuristic_equals_full_matrix_formula(n):
     rng = np.random.default_rng(n)
     inputs = [
         rng.normal(size=n),
         np.round(rng.normal(size=n), 1),  # heavy ties
-        rng.integers(0, 2, n) * 3.0 + (np.arange(n) == 0),  # mostly zero gaps
+        rng.integers(0, 2, n) * 3.0 + (np.arange(n) == 0),  # mostly zero gaps: zero median
+        rng.integers(0, 4, n) * 0.25,  # quantized onto four levels
         np.exp(rng.normal(scale=4.0, size=n)),  # wide dynamic range
     ]
     for v in inputs:
         try:
             want = full_matrix_median_heuristic(v)
         except ValueError:
-            with pytest.raises(ValueError, match="identical"):
-                median_heuristic(v)
+            for heuristic in (lag_median_heuristic, median_heuristic):
+                with pytest.raises(ValueError, match="identical"):
+                    heuristic(v)
             continue
+        assert lag_median_heuristic(v) == want
         assert median_heuristic(v) == want
     for v in (np.full(n, 2.5), np.full(max(n, 1500), -1.0)):
         with pytest.raises(ValueError, match="identical"):
@@ -138,6 +160,42 @@ def test_gram_matrix_values():
     assert g[0, 1] == g[1, 0]
     with pytest.raises(ValueError):
         gram_matrix([0.0, np.inf], KernelSpec(1.0))
+
+
+def kernel_inputs():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 7, 128, 250):
+        for v in (rng.normal(size=n), np.round(rng.normal(size=n), 1), np.exp(rng.normal(scale=4.0, size=n))):
+            for bandwidth in (1e-3, 0.37, 1.0, np.float64(2.5), 1e3):
+                yield v, bandwidth
+
+
+def test_gram_matrix_equals_expression_formula():
+    """The one-buffer kernel gives the bits of the expression it replaced."""
+    for v, bandwidth in kernel_inputs():
+        d = v[:, None] - v[None, :]
+        want = np.exp(-(d * d) / (2.0 * bandwidth**2))
+        assert np.array_equal(gram_matrix(v, KernelSpec(bandwidth)), want)
+
+
+def test_center_in_place_equals_expression_formula():
+    for v, bandwidth in kernel_inputs():
+        K = gram_matrix(v, KernelSpec(bandwidth))
+        want = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
+        got = _center(K)
+        assert got is K
+        assert np.array_equal(got, want)
+
+
+def test_factor_residual_equals_expression_formula():
+    for v, bandwidth in kernel_inputs():
+        if v.size < 5:
+            continue
+        C = _center(gram_matrix(v, KernelSpec(bandwidth)))
+        before = C.copy()
+        F, residual = _factor(C)
+        assert np.array_equal(C, before)
+        assert residual == float(np.linalg.norm(C - F @ F.T))
 
 
 def test_hsic_statistic_nonnegative_and_scales():

@@ -1,6 +1,7 @@
 """Scatterplot embedding, forest classifier, and the trained engine."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from proxycause.rcc import (
     Forest,
     RFFSpec,
     _best_splits,
+    _canonical_standardized,
     _column_ranks,
     featurize_scatter,
     forest_predict,
@@ -83,6 +85,29 @@ def test_featurization_rejects_constant_coordinate():
     pts = np.column_stack([np.ones(20), np.arange(20.0)])
     with pytest.raises(ValueError, match="constant"):
         featurize_scatter(ScatterSample(pts), RFFSpec(seed=0))
+
+
+def test_featurization_rejects_values_too_large_to_standardize():
+    """A coordinate scaled by 1e200 has no finite standard deviation: a clear
+    ValueError and no overflow warning, not features of an all-zero column."""
+    pts = np.random.default_rng(0).normal(size=(40, 2))
+    pts[:, 0] *= 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample in (ScatterSample(pts), ScatterSample(pts).swapped()):
+            with pytest.raises(ValueError, match="not finite"):
+                featurize_scatter(sample, RFFSpec(seed=0))
+
+
+def test_canonical_standardization_equals_expression_formula():
+    rng = np.random.default_rng(3)
+    for pts in (rng.normal(size=(50, 2)), np.round(rng.normal(size=(50, 2)), 1) * 1e150):
+        sorted_pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        want = np.empty_like(sorted_pts)
+        for j in range(2):
+            sd = float(np.std(sorted_pts[:, j]))
+            want[:, j] = (sorted_pts[:, j] - float(np.mean(sorted_pts[:, j]))) / sd
+        assert np.array_equal(_canonical_standardized(ScatterSample(pts)), want)
 
 
 def test_forest_learns_separable_rule():
