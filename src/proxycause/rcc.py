@@ -41,15 +41,20 @@ MODEL_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RFFSpec:
     """Frequencies and phases for the three embedding blocks.
 
     Only (seed, num_features, bandwidth) are stored; the Gaussian
-    frequencies and uniform phases are regenerated from them, which keeps
-    serialized models small and exactly reproducible.  The two marginal
-    blocks share one set of frequencies so that swapping a sample's
-    coordinates exactly exchanges the marginal blocks.
+    frequencies and uniform phases are drawn from them once per spec,
+    which keeps serialized models small and exactly reproducible.  The
+    two marginal blocks share one set of frequencies so that swapping a
+    sample's coordinates exactly exchanges the marginal blocks.
     """
 
     seed: int
@@ -57,13 +62,19 @@ class RFFSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.num_features < 1:
-            raise ValueError("num_features must be positive")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive")
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if not _is_integer(self.num_features) or self.num_features < 1:
+            raise ValueError(f"num_features must be a positive integer, got {self.num_features!r}")
+        bandwidth = self.bandwidth
+        real = isinstance(bandwidth, (int, float, np.integer, np.floating)) and not isinstance(bandwidth, bool)
+        if not (real and 0 < bandwidth < np.inf):
+            raise ValueError(f"bandwidth must be a finite positive number, got {bandwidth!r}")
 
+    @cached_property
     def blocks(self):
-        """(omega, phase) for the marginal block (d=1) and joint block (d=2)."""
+        """(omega, phase) for the marginal block (d=1) and joint block (d=2),
+        drawn on first use and read-only from then on."""
         spec = SeedSpec(self.seed)
         m = self.num_features
         rng_m = spec.rng("rff.marginal")
@@ -72,6 +83,8 @@ class RFFSpec:
         rng_j = spec.rng("rff.joint")
         omega_j = rng_j.standard_normal((m, 2)) / self.bandwidth
         phase_j = rng_j.uniform(0.0, 2.0 * np.pi, m)
+        for array in (omega_m, phase_m, omega_j, phase_j):
+            array.flags.writeable = False
         return (omega_m, phase_m), (omega_j, phase_j)
 
 
@@ -106,7 +119,7 @@ def _canonical_standardized(sample: ScatterSample) -> np.ndarray:
 def featurize_scatter(sample: ScatterSample, spec: RFFSpec) -> np.ndarray:
     """Concatenated [marginal-A, marginal-B, joint] embedding, length 3m."""
     pts = _canonical_standardized(sample)
-    (omega_m, phase_m), (omega_j, phase_j) = spec.blocks()
+    (omega_m, phase_m), (omega_j, phase_j) = spec.blocks
     block_a = rff_embed(pts[:, 0], omega_m, phase_m)
     block_b = rff_embed(pts[:, 1], omega_m, phase_m)
     block_ab = rff_embed(pts, omega_j, phase_j)
@@ -146,22 +159,30 @@ class Forest:
             size = tree["feature"].size
             if size == 0 or any(tree[name].shape != (size,) for name in TREE_FIELDS):
                 raise ValueError(f"tree {t}: node arrays must be 1-D, non-empty and of equal length")
-            parents = np.flatnonzero(tree["feature"] >= 0)
-            for side in ("left", "right"):
-                children = tree[side][parents]
-                if np.any(children <= parents) or np.any(children >= size):
-                    raise ValueError(f"tree {t}: {side} child out of range or not after its parent")
-            if np.any(tree["feature"] >= self.num_features):
-                raise ValueError(f"tree {t}: split feature beyond the {self.num_features} inputs")
-            if not np.all(np.isfinite(tree["threshold"])):
-                raise ValueError(f"tree {t}: thresholds must be finite")
-            if not np.all((tree["vote"] >= 0.0) & (tree["vote"] <= 1.0)):
-                raise ValueError(f"tree {t}: votes must lie in [0, 1]")
+        # The node values of all trees are checked at once in the packed
+        # table; an error names the first tree that fails any check.
+        roots, feature, threshold, left, right, vote = self._packed
+        sizes = np.diff(roots, append=feature.size)
+        node = np.arange(feature.size)
+        end = np.repeat(roots + sizes, sizes)
+        split = feature >= 0
+        checks = [
+            (split & ((left <= node) | (left >= end)), "left child out of range or not after its parent"),
+            (split & ((right <= node) | (right >= end)), "right child out of range or not after its parent"),
+            (feature >= self.num_features, f"split feature beyond the {self.num_features} inputs"),
+            (~np.isfinite(threshold), "thresholds must be finite"),
+            (~((vote >= 0.0) & (vote <= 1.0)), "votes must lie in [0, 1]"),
+        ]
+        tree_of = np.repeat(np.arange(self.num_trees), sizes)
+        failed = [(tree_of[np.argmax(bad)], i) for i, (bad, _) in enumerate(checks) if bad.any()]
+        if failed:
+            t, i = min(failed)
+            raise ValueError(f"tree {t}: {checks[i][1]}")
 
     @cached_property
     def _packed(self):
-        """All trees as one node table: child indices offset into it, one
-        root per tree, and each node's class-1 vote as a bool."""
+        """All trees as one node table: one root per tree, then the node
+        arrays concatenated, child indices offset into the table."""
         sizes = [tree["feature"].size for tree in self.trees]
         roots = np.cumsum([0] + sizes[:-1])
         offset = np.repeat(roots, sizes)
@@ -169,7 +190,7 @@ class Forest:
         def cat(name):
             return np.concatenate([tree[name] for tree in self.trees])
 
-        return roots, cat("feature"), cat("threshold"), cat("left") + offset, cat("right") + offset, cat("vote") >= 0.5
+        return roots, cat("feature"), cat("threshold"), cat("left") + offset, cat("right") + offset, cat("vote")
 
 
 # Trees grown in lock step per block: enough segments per split search to
@@ -200,49 +221,57 @@ def _column_ranks(X):
     return ranks, values
 
 
-def _best_splits(ranks, values, rows, y, sizes, feats, min_leaf):
+def _best_splits(ranks, values, rows, y, counts, sizes, feats, min_leaf):
     """Best Gini split of every segment in one search.
 
-    Segment s holds the next ``sizes[s]`` (at least two) entries of
-    ``rows`` (indices into the ranked features) and of their 0/1 labels
-    ``y``, and searches the columns ``feats[s]``.  Returns arrays (found,
-    score, feature, threshold), one entry per segment.  Ties go to the
-    earliest column in ``feats[s]`` order, then to the lowest split
-    position within it.
+    Segment s holds the next ``sizes[s]`` (at least two) distinct ``rows``
+    (indices into the ranked features), their 0/1 labels ``y`` and their
+    ``counts``, each row weighing as that many copies, and searches the
+    columns ``feats[s]``.  Returns arrays (found, score, feature,
+    threshold, n_left, left_ones) with the left side's weighted size and
+    class-1 count, one entry per segment.  Ties go to the earliest column
+    in ``feats[s]`` order, then to the lowest split position within it.
     """
     n_all = ranks.shape[1]
     num = sizes.size
     total = rows.size
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(num), sizes)
-    # One sort per candidate column of (segment, rank, label) keys: rows of
-    # a segment stay together, ordered by value; the order among tied
-    # values cannot move a split, since no split falls inside a tie.
+    # One sort per candidate column of (segment, rank, label, count) keys:
+    # rows of a segment stay together, ordered by value; the order among
+    # tied values cannot move a split, since no split falls inside a tie.
+    bits = int(counts.max()).bit_length()
     keys = ranks.take(feats.T.take(seg, axis=1) * n_all + rows)
-    keys <<= 1
-    keys += seg * (2 * n_all) + y
+    keys += seg * n_all
+    keys <<= bits + 1
+    keys += (y << bits) + counts
     keys.sort(axis=1)
-    ranked = keys >> 1
-    seg_ones = np.add.reduceat(y, starts)
-    left_ones = np.cumsum(keys & 1, axis=1)
-    left_ones -= (np.cumsum(seg_ones) - seg_ones)[seg]
-    n_left = np.arange(1, total + 1) - starts[seg]
-    n_right = sizes[seg] - n_left
+    # Weighted counts left of each position, cumulated in float64, which
+    # holds each one exactly, so the Gini arithmetic gives the bits it
+    # gives on integer counts.
+    seg_n = np.add.reduceat(counts, starts)
+    seg_ones = np.add.reduceat(counts * y, starts)
+    weight = keys & ((1 << bits) - 1)
+    size_l = np.cumsum(weight, axis=1, dtype=np.float64)
+    size_l -= (np.cumsum(seg_n) - seg_n)[seg]
+    weight *= (keys >> bits) & 1
+    ones_l = np.cumsum(weight, axis=1, dtype=np.float64)
+    ones_l -= (np.cumsum(seg_ones) - seg_ones)[seg]
+    del weight
+    ranked = np.right_shift(keys, bits + 1, out=keys)
+    n = seg_n[seg].astype(np.float64)
+    size_r = n - size_l
+    ones_r = seg_ones[seg] - ones_l
     lowest = max(min_leaf, 1)
     valid = np.zeros(keys.shape, dtype=bool)
     valid[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
-    valid &= (n_left >= lowest) & (n_right >= lowest)
-    # The counts go to float64, which holds each one exactly, so the Gini
-    # arithmetic gives the bits it gives on integer counts.  The last
-    # position of a segment (n_right == 0) divides by zero; it is never
-    # valid.
-    left_ones = left_ones.astype(np.float64)
-    right_ones = seg_ones[seg] - left_ones
-    n_left, n_right, n = n_left.astype(np.float64), n_right.astype(np.float64), sizes[seg].astype(np.float64)
+    valid &= (size_l >= lowest) & (size_r >= lowest)
+    # The last position of a segment (size_r == 0) divides by zero; it is
+    # never valid.
     with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - (left_ones / n_left) ** 2 - ((n_left - left_ones) / n_left) ** 2
-        gini_right = 1.0 - (right_ones / n_right) ** 2 - ((n_right - right_ones) / n_right) ** 2
-        score = (n_left * gini_left + n_right * gini_right) / n
+        gini_left = 1.0 - (ones_l / size_l) ** 2 - ((size_l - ones_l) / size_l) ** 2
+        gini_right = 1.0 - (ones_r / size_r) ** 2 - ((size_r - ones_r) / size_r) ** 2
+        score = (size_l * gini_left + size_r * gini_right) / n
     score[~valid] = np.inf
     col_best = np.minimum.reduceat(score, starts, axis=1)
     best = col_best.min(axis=0)
@@ -258,7 +287,7 @@ def _best_splits(ranks, values, rows, y, sizes, feats, min_leaf):
     # which would send every row left under the <= rule; fall back to the
     # left value, which still partitions correctly.
     threshold = np.where(threshold >= hi, lo, threshold)
-    return best < np.inf, best, feature, threshold
+    return best < np.inf, best, feature, threshold, size_l[c, j].astype(np.int64), ones_l[c, j].astype(np.int64)
 
 
 def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
@@ -268,43 +297,48 @@ def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
     an explicit stack (right child pushed first).  Every step takes one
     node per tree, so each generator makes the draws of a depth-first
     recursion in the same order and nodes are numbered in pre-order.  The
-    nodes of a step that need a split share one segmented search.
+    nodes of a step that need a split share one segmented search.  A node
+    holds the distinct rows of its bag (about 1 - 1/e of n) with their
+    counts: copies of a row always go to the same side of a split.
     """
     n, width = X.shape
     trees = [{name: [] for name in TREE_FIELDS} for _ in rngs]
     # Per tree: its node arrays as lists, its stack and its generator.  A
-    # stack entry is the rows reaching a node (indices into X) and the
+    # stack entry is the distinct rows reaching a node (indices into X),
+    # their counts, the node's weighted size and class-1 count, and the
     # parent's child field that gets the node's number.
-    live = [(tree, [(rng.integers(0, n, n), None, None)], rng) for tree, rng in zip(trees, rngs)]
+    bags = [np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs]
+    live = [(tree, [(np.flatnonzero(c), c[c > 0], n, int(c @ y), None, None)], rng)
+            for tree, rng, c in zip(trees, rngs, bags)]
     while live:
         splits = []
         for tree, stack, rng in live:
-            rows, parent, side = stack.pop()
+            rows, counts, size, ones, parent, side = stack.pop()
             node = len(tree["vote"])
             if parent is not None:
                 tree[side][parent] = node
-            ones = int(y[rows].sum())
-            for name, value in zip(TREE_FIELDS, (-1, 0.0, -1, -1, ones / rows.size)):
+            for name, value in zip(TREE_FIELDS, (-1, 0.0, -1, -1, ones / size)):
                 tree[name].append(value)
-            if ones == 0 or ones == rows.size or rows.size < 2 * min_leaf:
+            if ones == 0 or ones == size or size < 2 * min_leaf:
                 continue
-            splits.append((tree, stack, node, rows, rng.choice(width, size=max_features, replace=False)))
+            feat_ids = rng.choice(width, size=max_features, replace=False)
+            splits.append((tree, stack, node, rows, counts, size, ones, feat_ids))
         if splits:
-            parts = [rows for _, _, _, rows, _ in splits]
+            _, _, _, parts, weights, _, _, feat_sets = zip(*splits)
             stacked = np.concatenate(parts)
             sizes = np.array([rows.size for rows in parts])
-            feats = np.stack([feat_ids for *_, feat_ids in splits])
-            found, _, feature, threshold = _best_splits(ranks, values, stacked, y[stacked], sizes, feats, min_leaf)
-            for (tree, stack, node, rows, _), ok, f, thr in zip(splits, found, feature.tolist(), threshold.tolist()):
+            found, _, feature, threshold, n_left, left_ones = _best_splits(
+                ranks, values, stacked, y[stacked], np.concatenate(weights), sizes, np.stack(feat_sets), min_leaf)
+            chosen = zip(splits, found, feature.tolist(), threshold.tolist(), n_left.tolist(), left_ones.tolist())
+            for (tree, stack, node, rows, counts, size, ones, _), ok, f, thr, size_l, ones_l in chosen:
                 if not ok:
                     continue
+                # A found split lies between two distinct values: no side is empty.
                 mask = X[rows, f] <= thr
-                if mask.all() or not mask.any():
-                    continue
                 tree["feature"][node] = f
                 tree["threshold"][node] = thr
-                stack.append((rows[~mask], node, "right"))
-                stack.append((rows[mask], node, "left"))
+                stack.append((rows[~mask], counts[~mask], size - size_l, ones - ones_l, node, "right"))
+                stack.append((rows[mask], counts[mask], size_l, ones_l, node, "left"))
         live = [entry for entry in live if entry[1]]
     return [{name: np.array(tree[name], dtype=dtype) for name, dtype in TREE_FIELDS.items()} for tree in trees]
 
@@ -316,7 +350,7 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     Trees grow in blocks of ``_TREE_BLOCK``, in lock step within a block;
     each comes out as depth-first recursion on its own generator grows it.
     """
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (num_trees, min_leaf)):
+    if not (_is_integer(num_trees) and _is_integer(min_leaf)):
         raise ValueError(f"num_trees and min_leaf must be integers, got {num_trees!r} and {min_leaf!r}")
     if num_trees < 1:
         raise ValueError("a forest needs at least one tree")
@@ -358,7 +392,10 @@ def forest_predict(forest: Forest, features) -> np.ndarray:
         X = X[None, :]
     if X.shape[1] != forest.num_features:
         raise ValueError(f"expected {forest.num_features} features, got {X.shape[1]}")
-    roots, feature, threshold, left, right, class1 = forest._packed
+    # A NaN fails every <= test and would walk right at every node.
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
+    roots, feature, threshold, left, right, vote = forest._packed
     node = np.tile(roots, X.shape[0])
     row = np.repeat(np.arange(X.shape[0]), roots.size)
     active = np.flatnonzero(feature[node] >= 0)
@@ -367,7 +404,7 @@ def forest_predict(forest: Forest, features) -> np.ndarray:
         go_left = X[row[active], feature[at]] <= threshold[at]
         node[active] = np.where(go_left, left[at], right[at])
         active = active[feature[node[active]] >= 0]
-    votes = class1[node].reshape(X.shape[0], roots.size).sum(axis=1)
+    votes = (vote[node] >= 0.5).reshape(X.shape[0], roots.size).sum(axis=1)
     return votes / forest.num_trees
 
 

@@ -42,6 +42,36 @@ def test_rff_spec_validation():
         RFFSpec(seed=0, num_features=0)
     with pytest.raises(ValueError):
         RFFSpec(seed=0, bandwidth=0.0)
+    for kwargs in ({"seed": 1.5}, {"seed": True}, {"seed": -1}, {"seed": 2**64}, {"seed": "3"}, {"seed": None},
+                   {"num_features": 2.5}, {"num_features": True}, {"num_features": -2}, {"num_features": np.float64(3)},
+                   {"bandwidth": True}, {"bandwidth": np.nan}, {"bandwidth": np.inf}, {"bandwidth": -0.5},
+                   {"bandwidth": "1"}, {"bandwidth": np.bool_(True)}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RFFSpec(**{"seed": 0, **kwargs})
+    # Numpy scalars of the right kind are fine, and draw what plain ones do.
+    spec = RFFSpec(seed=np.uint64(2**64 - 1), num_features=np.int32(3), bandwidth=np.float32(0.5))
+    plain = RFFSpec(seed=2**64 - 1, num_features=3, bandwidth=0.5)
+    for block, plain_block in zip(spec.blocks, plain.blocks):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(block, plain_block))
+    RFFSpec(seed=0, bandwidth=2)
+
+
+def test_rff_blocks_are_drawn_once_and_read_only():
+    """The cached blocks are bit for bit a fresh draw from the seed, the
+    same arrays on every use, and cannot be written."""
+    spec = RFFSpec(seed=12, num_features=7, bandwidth=0.3)
+    rng_m, rng_j = SeedSpec(12).rng("rff.marginal"), SeedSpec(12).rng("rff.joint")
+    want = ((rng_m.standard_normal((7, 1)) / 0.3, rng_m.uniform(0.0, 2.0 * np.pi, 7)),
+            (rng_j.standard_normal((7, 2)) / 0.3, rng_j.uniform(0.0, 2.0 * np.pi, 7)))
+    got = spec.blocks
+    assert spec.blocks is got
+    for got_block, want_block in zip(got, want):
+        for a, b in zip(got_block, want_block):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    assert RFFSpec(seed=12, num_features=7, bandwidth=0.3) == spec
 
 
 def test_rff_embed_matches_direct_cosine_mean():
@@ -370,6 +400,22 @@ def test_load_model_rejects_malformed_forest(tmp_path, corrupt, message):
         load_model(path)
 
 
+def test_forest_check_names_the_first_bad_tree(tmp_path):
+    """With several trees broken, the error names the lowest one, and within
+    it the first check it fails."""
+    path, doc = saved_model_doc(tmp_path)
+    break_feature_beyond_width(doc)
+    break_negative_vote(doc)
+    break_child_before_parent(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="tree 3: right child out of range or not after its parent"):
+        load_model(path)
+    break_vote_above_one(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"tree 0: votes must lie in \[0, 1\]"):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def fuzz_model(tmp_path_factory):
     """A small saved model: its directory, JSON document and one probe."""
@@ -549,12 +595,24 @@ def recursive_forest_trees(X, y, num_trees, seed, min_leaf):
 
 def segmented_splits(X, y, segments, min_leaf):
     """One segmented search over [(rows, feat_ids)], as (score, feature,
-    threshold) or None per segment."""
+    threshold) or None per segment.
+
+    A segment's rows may repeat: the search gets each distinct row once
+    with its count.  The left side's weighted size and class-1 count it
+    reports must be those of the rows written out with repeats.
+    """
     ranks, values = _column_ranks(X)
-    rows = np.concatenate([np.asarray(r) for r, _ in segments])
-    sizes = np.array([len(r) for r, _ in segments])
+    distinct = [np.unique(np.asarray(r), return_counts=True) for r, _ in segments]
+    rows = np.concatenate([u for u, _ in distinct])
+    counts = np.concatenate([c for _, c in distinct])
+    sizes = np.array([u.size for u, _ in distinct])
     feats = np.array([f for _, f in segments])
-    found, score, feature, threshold = _best_splits(ranks, values, rows, y[rows], sizes, feats, min_leaf)
+    found, score, feature, threshold, n_left, left_ones = _best_splits(
+        ranks, values, rows, y[rows], counts, sizes, feats, min_leaf)
+    for s, (r, _) in enumerate(segments):
+        if found[s]:
+            left = np.asarray(r)[X[r, feature[s]] <= threshold[s]]
+            assert (n_left[s], left_ones[s]) == (left.size, y[left].sum())
     return [
         (float(score[s]), int(feature[s]), float(threshold[s])) if found[s] else None
         for s in range(len(segments))
@@ -637,6 +695,43 @@ def test_split_search_edge_cases():
     assert_split_matches_loop(Xz, yz, [(np.arange(6), [0]), (np.arange(4), [0]), ([5, 3, 0, 4], [0])], 1)
 
 
+def test_split_search_weighs_repeated_rows():
+    """Segments whose rows repeat, as in a bootstrap bag: the search on the
+    distinct rows with their counts gives the split of the rows written
+    out with repeats."""
+    # A weight above 1 moves the best split: rows 0-4 once each split best
+    # at 0.5; with row 4 three times, at 3.5.
+    X5 = np.arange(5.0)[:, None]
+    y5 = np.array([0, 1, 1, 1, 0])
+    got = assert_split_matches_loop(X5, y5, [([0, 1, 2, 3, 4, 4, 4], [0]), ([4, 0, 4, 3, 2, 1, 4], [0]),
+                                             ([0, 1, 2, 3, 4], [0])], 1)
+    assert [split[2] for split in got] == [3.5, 3.5, 0.5]
+    # Distinct rows that tie on a column: no split between them, whatever
+    # their counts.
+    Xt = np.array([[0.5, 1.0], [0.5, 2.0], [1.0, 3.0], [1.0, 4.0]])
+    yt = np.array([0, 1, 0, 1])
+    got = assert_split_matches_loop(Xt, yt, [([0, 1, 1, 1, 2, 3], [0]), ([1, 0, 0, 3, 3], [0])], 1)
+    assert [split[2] for split in got] == [0.75, 0.75]
+    assert_split_matches_loop(Xt, yt, [([0, 1, 1, 2, 2, 3], [0, 1]), ([1, 0, 0, 3], [1, 0])], 2)
+    # min_leaf met only through a multiplicity: two distinct rows, three
+    # copies each, at min_leaf 3; two copies on one side are too few.
+    X2 = np.array([[0.0], [1.0]])
+    y2 = np.array([0, 1])
+    got = assert_split_matches_loop(X2, y2, [([0, 0, 0, 1, 1, 1], [0]), ([0, 1, 0, 1, 1], [0]), ([0, 1], [0])], 3)
+    assert got[0] == (0.0, 0, 0.5) and got[1] is None and got[2] is None
+    # Random bags over rounded columns: weights above 1 and ties throughout.
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        X = np.round(rng.normal(size=(n, 6)), 1 if trial % 2 else 3)
+        y = rng.integers(0, 2, n)
+        bags = [rng.integers(0, n, int(rng.integers(2, 2 * n + 2))) for _ in range(3)]
+        width = int(rng.integers(1, 4))
+        segments = [(bag, rng.choice(6, size=width, replace=False)) for bag in bags if np.unique(bag).size >= 2]
+        if segments:
+            assert_split_matches_loop(X, y, segments, int(rng.integers(1, 4)))
+
+
 def test_column_ranks_are_dense_and_give_back_the_values():
     rng = np.random.default_rng(15)
     X = np.column_stack([np.round(rng.normal(size=50), 1), rng.normal(size=50), np.full(50, 2.0),
@@ -693,6 +788,14 @@ def test_forest_rejects_non_finite_features():
         Xb[4, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             forest_train(Xb, y, num_trees=3)
+    # Prediction refuses them too: a NaN row would walk right at every node.
+    forest = forest_train(X, y, num_trees=5)
+    for bad in (np.nan, np.inf, -np.inf):
+        Xb = X[:4].copy()
+        Xb[2, 1] = bad
+        for probe in (Xb, Xb[2]):
+            with pytest.raises(ValueError, match="finite"):
+                forest_predict(forest, probe)
 
 
 @pytest.mark.parametrize(
