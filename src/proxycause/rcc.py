@@ -70,6 +70,10 @@ class RFFSpec:
         real = isinstance(bandwidth, (int, float, np.integer, np.floating)) and not isinstance(bandwidth, bool)
         if not (real and 0 < bandwidth < np.inf):
             raise ValueError(f"bandwidth must be a finite positive number, got {bandwidth!r}")
+        # Plain Python numbers from here on, as save_model writes them to JSON.
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "num_features", int(self.num_features))
+        object.__setattr__(self, "bandwidth", float(bandwidth))
 
     @cached_property
     def blocks(self):
@@ -228,9 +232,8 @@ def _best_splits(ranks, values, rows, y, counts, sizes, feats, min_leaf):
     (indices into the ranked features), their 0/1 labels ``y`` and their
     ``counts``, each row weighing as that many copies, and searches the
     columns ``feats[s]``.  Returns arrays (found, score, feature,
-    threshold, n_left, left_ones) with the left side's weighted size and
-    class-1 count, one entry per segment.  Ties go to the earliest column
-    in ``feats[s]`` order, then to the lowest split position within it.
+    threshold), one entry per segment.  Ties go to the earliest column in
+    ``feats[s]`` order, then to the lowest split position within it.
     """
     n_all = ranks.shape[1]
     num = sizes.size
@@ -287,7 +290,7 @@ def _best_splits(ranks, values, rows, y, counts, sizes, feats, min_leaf):
     # which would send every row left under the <= rule; fall back to the
     # left value, which still partitions correctly.
     threshold = np.where(threshold >= hi, lo, threshold)
-    return best < np.inf, best, feature, threshold, size_l[c, j].astype(np.int64), ones_l[c, j].astype(np.int64)
+    return best < np.inf, best, feature, threshold
 
 
 def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
@@ -305,40 +308,38 @@ def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
     trees = [{name: [] for name in TREE_FIELDS} for _ in rngs]
     # Per tree: its node arrays as lists, its stack and its generator.  A
     # stack entry is the distinct rows reaching a node (indices into X),
-    # their counts, the node's weighted size and class-1 count, and the
-    # parent's child field that gets the node's number.
+    # their counts and the parent's child field that gets the node's number.
     bags = [np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs]
-    live = [(tree, [(np.flatnonzero(c), c[c > 0], n, int(c @ y), None, None)], rng)
-            for tree, rng, c in zip(trees, rngs, bags)]
+    live = [(tree, [(np.flatnonzero(c), c[c > 0], None, None)], rng) for tree, rng, c in zip(trees, rngs, bags)]
     while live:
         splits = []
         for tree, stack, rng in live:
-            rows, counts, size, ones, parent, side = stack.pop()
+            rows, counts, parent, side = stack.pop()
             node = len(tree["vote"])
             if parent is not None:
                 tree[side][parent] = node
+            size, ones = int(counts.sum()), int(counts @ y[rows])
             for name, value in zip(TREE_FIELDS, (-1, 0.0, -1, -1, ones / size)):
                 tree[name].append(value)
             if ones == 0 or ones == size or size < 2 * min_leaf:
                 continue
-            feat_ids = rng.choice(width, size=max_features, replace=False)
-            splits.append((tree, stack, node, rows, counts, size, ones, feat_ids))
+            splits.append((tree, stack, node, rows, counts, rng.choice(width, size=max_features, replace=False)))
         if splits:
-            _, _, _, parts, weights, _, _, feat_sets = zip(*splits)
+            _, _, _, parts, weights, feat_sets = zip(*splits)
             stacked = np.concatenate(parts)
             sizes = np.array([rows.size for rows in parts])
-            found, _, feature, threshold, n_left, left_ones = _best_splits(
+            found, _, feature, threshold = _best_splits(
                 ranks, values, stacked, y[stacked], np.concatenate(weights), sizes, np.stack(feat_sets), min_leaf)
-            chosen = zip(splits, found, feature.tolist(), threshold.tolist(), n_left.tolist(), left_ones.tolist())
-            for (tree, stack, node, rows, counts, size, ones, _), ok, f, thr, size_l, ones_l in chosen:
+            chosen = zip(splits, found, feature.tolist(), threshold.tolist())
+            for (tree, stack, node, rows, counts, _), ok, f, thr in chosen:
                 if not ok:
                     continue
                 # A found split lies between two distinct values: no side is empty.
                 mask = X[rows, f] <= thr
                 tree["feature"][node] = f
                 tree["threshold"][node] = thr
-                stack.append((rows[~mask], counts[~mask], size - size_l, ones - ones_l, node, "right"))
-                stack.append((rows[mask], counts[mask], size_l, ones_l, node, "left"))
+                stack.append((rows[~mask], counts[~mask], node, "right"))
+                stack.append((rows[mask], counts[mask], node, "left"))
         live = [entry for entry in live if entry[1]]
     return [{name: np.array(tree[name], dtype=dtype) for name, dtype in TREE_FIELDS.items()} for tree in trees]
 

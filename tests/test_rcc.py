@@ -13,6 +13,7 @@ from proxycause.experiments import synth_anm_pair
 from proxycause.rcc import (
     TREE_FIELDS,
     Forest,
+    RCCModel,
     RFFSpec,
     _best_splits,
     _canonical_standardized,
@@ -228,6 +229,20 @@ def test_model_serialization_round_trip(tmp_path):
     probes = make_dataset(8, seed0=7000)
     for sample, _ in probes:
         assert rcc_predict(back, sample) == rcc_predict(model, sample)
+
+
+def test_numpy_scalar_spec_saves_and_loads(tmp_path):
+    """A spec built from numpy scalars holds plain Python numbers, so
+    save_model writes it in full and load_model gives back an equal one."""
+    spec = RFFSpec(seed=np.uint64(2**64 - 1), num_features=np.int32(3), bandwidth=np.float32(0.5))
+    assert [type(v) for v in (spec.seed, spec.num_features, spec.bandwidth)] == [int, int, float]
+    features = np.random.default_rng(3).normal(size=(8, 9))
+    model = RCCModel(rff=spec, forest=forest_train(features, [1, -1] * 4, num_trees=3, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.rff == spec and back.rff.seed == 2**64 - 1
+    assert forest_predict(back.forest, features).tolist() == forest_predict(model.forest, features).tolist()
 
 
 def test_load_model_accepts_files_with_tree_seeds(tmp_path):
@@ -598,21 +613,20 @@ def segmented_splits(X, y, segments, min_leaf):
     threshold) or None per segment.
 
     A segment's rows may repeat: the search gets each distinct row once
-    with its count.  The left side's weighted size and class-1 count it
-    reports must be those of the rows written out with repeats.
+    with its count, in the order the rows first appear, so rows given out
+    of order reach the search out of order.
     """
     ranks, values = _column_ranks(X)
-    distinct = [np.unique(np.asarray(r), return_counts=True) for r, _ in segments]
+    distinct = []
+    for r, _ in segments:
+        u, first, c = np.unique(np.asarray(r), return_index=True, return_counts=True)
+        order = np.argsort(first)
+        distinct.append((u[order], c[order]))
     rows = np.concatenate([u for u, _ in distinct])
     counts = np.concatenate([c for _, c in distinct])
     sizes = np.array([u.size for u, _ in distinct])
     feats = np.array([f for _, f in segments])
-    found, score, feature, threshold, n_left, left_ones = _best_splits(
-        ranks, values, rows, y[rows], counts, sizes, feats, min_leaf)
-    for s, (r, _) in enumerate(segments):
-        if found[s]:
-            left = np.asarray(r)[X[r, feature[s]] <= threshold[s]]
-            assert (n_left[s], left_ones[s]) == (left.size, y[left].sum())
+    found, score, feature, threshold = _best_splits(ranks, values, rows, y[rows], counts, sizes, feats, min_leaf)
     return [
         (float(score[s]), int(feature[s]), float(threshold[s])) if found[s] else None
         for s in range(len(segments))
@@ -704,8 +718,8 @@ def test_split_search_weighs_repeated_rows():
     X5 = np.arange(5.0)[:, None]
     y5 = np.array([0, 1, 1, 1, 0])
     got = assert_split_matches_loop(X5, y5, [([0, 1, 2, 3, 4, 4, 4], [0]), ([4, 0, 4, 3, 2, 1, 4], [0]),
-                                             ([0, 1, 2, 3, 4], [0])], 1)
-    assert [split[2] for split in got] == [3.5, 3.5, 0.5]
+                                             ([0, 1, 2, 3, 4], [0]), ([4, 4, 4, 3, 2, 1, 0], [0])], 1)
+    assert [split[2] for split in got] == [3.5, 3.5, 0.5, 3.5]
     # Distinct rows that tie on a column: no split between them, whatever
     # their counts.
     Xt = np.array([[0.5, 1.0], [0.5, 2.0], [1.0, 3.0], [1.0, 4.0]])
