@@ -171,7 +171,7 @@ def cmd_index_corpus(args, config):
     result = {
         "sentences": index.sentence_count,
         "vocabulary": len(index.vocabulary),
-        "cooc_pairs": len(index.cooc_counts),
+        "cooc_pairs": len(index.cooc_table()),
     }
     if out is not None:
         save_index(index, out)

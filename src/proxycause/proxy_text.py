@@ -1,18 +1,21 @@
 """Text proxies: corpus counts, word embeddings, projections, baselines.
 
 The corpus is plain text, one sentence per line.  A CorpusIndex holds
-sentence-level unigram, co-occurrence, and precedence counts.  Words from
-a vocabulary sample act as proxies: projecting a target word against each
-vocabulary word yields an n-vector, and two such vectors paired entrywise
-give the scatter sample the direction engines consume.
+sentence-level unigram and precedence counts by word id; co-occurrence is
+precedence summed over both orders.  Words from a vocabulary sample act as
+proxies: projecting a target word against each vocabulary word yields an
+n-vector, and two such vectors paired entrywise give the scatter sample
+the direction engines consume.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -34,7 +37,6 @@ __all__ = [
     "sgns_train",
     "save_embeddings",
     "load_embeddings",
-    "projection_value",
     "projection_vector",
     "word_pair_scatter",
     "baseline_scores",
@@ -56,103 +58,127 @@ def tokenize(line: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _read_corpus(corpus_path):
+    """(vocabulary, sentences): each word's id in first-appearance order,
+    and one int64 id array per line that has a token."""
+    vocabulary = {}
+    sentences = []
+    with open(corpus_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            tokens = tokenize(line)
+            if tokens:
+                ids = [vocabulary.setdefault(t, len(vocabulary)) for t in tokens]
+                sentences.append(np.array(ids, dtype=np.int64))
+    if not sentences:
+        raise ValueError(f"empty corpus: {corpus_path}")
+    return vocabulary, sentences
+
+
+def _grouped(column: np.ndarray, size: int):
+    """Row numbers ordered by one id column, and where each id's run starts."""
+    order = np.argsort(column, kind="stable")
+    return order, np.searchsorted(column[order], np.arange(size + 1))
+
+
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Sentence-level counts: a word occurring several times in one
-    sentence still counts that sentence once.
+    """Sentence-level counts over word ids: a word occurring several times
+    in one sentence still counts that sentence once.
 
-    vocabulary maps word to id in first-appearance order; cooc keys are
-    sorted word pairs; prec keys are ordered (first occurrence of the
-    first word strictly precedes the second's).
+    words lists the vocabulary in first-appearance order, so a word's id is
+    its position; unigram[i] counts the sentences holding word i, and every
+    count is positive.  prec holds one (i, j, count) row per ordered pair
+    whose count is positive, sorted by (i, j): the sentences where i's first
+    occurrence strictly precedes j's.  Two distinct words in one sentence
+    count for exactly one order, so cooc(w, x) = prec(w, x) + prec(x, w).
     """
 
-    vocabulary: dict
+    words: tuple
     sentence_count: int
-    unigram: dict
-    cooc_counts: dict
-    prec_counts: dict
+    unigram: np.ndarray
+    prec: np.ndarray
+    vocabulary: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = len(self.words)
+        object.__setattr__(self, "vocabulary", {w: i for i, w in enumerate(self.words)})
+        object.__setattr__(self, "_groups", [_grouped(self.prec[:, side], size) for side in (0, 1)])
 
     def __contains__(self, word: str) -> bool:
         return word in self.vocabulary
 
-    def require(self, word: str) -> None:
+    def require(self, word: str) -> int:
+        """The id of word; ValueError when it is out of vocabulary."""
         if word not in self.vocabulary:
             raise ValueError(f"out of vocabulary: {word!r}")
+        return self.vocabulary[word]
 
-    def unigram_count(self, word: str) -> int:
-        return self.unigram.get(word, 0)
+    def _rows(self, side: int, wid: int) -> np.ndarray:
+        """The prec rows whose word at column side is wid."""
+        order, starts = self._groups[side]
+        return self.prec[order[starts[wid] : starts[wid + 1]]]
 
-    def cooc(self, w: str, x: str) -> int:
-        """Sentences containing both w and x; cooc(w, w) is the unigram count."""
-        if w == x:
-            return self.unigram_count(w)
-        key = (w, x) if w < x else (x, w)
-        return self.cooc_counts.get(key, 0)
+    def prec_row(self, word: str) -> np.ndarray:
+        """prec(w, word) for every id w; 0 at word's own id."""
+        row = np.zeros(len(self.words), dtype=np.int64)
+        before = self._rows(1, self.require(word))
+        row[before[:, 0]] = before[:, 2]
+        return row
 
-    def prec_cooc(self, w: str, x: str) -> int:
-        """Sentences where w's first occurrence precedes x's; 0 when w == x."""
-        if w == x:
-            return 0
-        return self.prec_counts.get((w, x), 0)
+    def cooc_row(self, word: str) -> np.ndarray:
+        """cooc(w, word) for every id w; the unigram count at word's own id."""
+        wid = self.require(word)
+        row = self.prec_row(word)
+        after = self._rows(0, wid)
+        row[after[:, 1]] += after[:, 2]
+        row[wid] = self.unigram[wid]
+        return row
+
+    def cooc_table(self) -> dict:
+        """{(w, x): cooc(w, x)} over co-occurring pairs with w < x: the cooc
+        entries of an index file."""
+        table = {}
+        for i, j, count in self.prec.tolist():
+            key = tuple(sorted((self.words[i], self.words[j])))
+            table[key] = table.get(key, 0) + count
+        return table
+
+
+def _prec_table(pairs: dict) -> np.ndarray:
+    """The (i, j, count) rows of {(i, j): count}, sorted by (i, j)."""
+    return np.array(sorted((i, j, c) for (i, j), c in pairs.items()), dtype=np.int64).reshape(-1, 3)
 
 
 def build_index(corpus_path) -> CorpusIndex:
     """One pass over a one-sentence-per-line text file."""
-    vocabulary = {}
-    unigram = {}
-    cooc = {}
-    prec = {}
-    sentence_count = 0
-    with open(corpus_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = tokenize(line)
-            if not tokens:
-                continue
-            sentence_count += 1
-            first = {}
-            for pos, tok in enumerate(tokens):
-                if tok not in vocabulary:
-                    vocabulary[tok] = len(vocabulary)
-                if tok not in first:
-                    first[tok] = pos
-            distinct = sorted(first)
-            for w in distinct:
-                unigram[w] = unigram.get(w, 0) + 1
-            for i, w in enumerate(distinct):
-                for x in distinct[i + 1 :]:
-                    cooc[(w, x)] = cooc.get((w, x), 0) + 1
-                    if first[w] < first[x]:
-                        key = (w, x)
-                    else:
-                        key = (x, w)
-                    prec[key] = prec.get(key, 0) + 1
-    if sentence_count == 0:
-        raise ValueError(f"empty corpus: {corpus_path}")
-    return CorpusIndex(
-        vocabulary=vocabulary,
-        sentence_count=sentence_count,
-        unigram=unigram,
-        cooc_counts=cooc,
-        prec_counts=prec,
-    )
+    vocabulary, sentences = _read_corpus(corpus_path)
+    unigram = np.zeros(len(vocabulary), dtype=np.int64)
+    prec = Counter()
+    for ids in sentences:
+        first = list(dict.fromkeys(ids.tolist()))
+        unigram[first] += 1
+        prec.update(itertools.combinations(first, 2))
+    return CorpusIndex(tuple(vocabulary), len(sentences), unigram, _prec_table(prec))
 
 
 def save_index(index: CorpusIndex, path) -> None:
+    words = index.words
     doc = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "sentence_count": index.sentence_count,
-        "vocabulary": sorted(index.vocabulary, key=index.vocabulary.get),
-        "unigram": index.unigram,
-        "cooc": [[w, x, c] for (w, x), c in sorted(index.cooc_counts.items())],
-        "prec": [[w, x, c] for (w, x), c in sorted(index.prec_counts.items())],
+        "vocabulary": list(words),
+        "unigram": dict(zip(words, index.unigram.tolist())),
+        "cooc": [[w, x, c] for (w, x), c in sorted(index.cooc_table().items())],
+        "prec": sorted([words[i], words[j], c] for i, j, c in index.prec.tolist()),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
 def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
+    """A positive int that fits the int64 count arrays."""
+    return type(value) is int and 0 < value < 2**63
 
 
 def _pair_counts(entries, name, path) -> dict:
@@ -176,7 +202,7 @@ def _pair_counts(entries, name, path) -> dict:
 
 
 def load_index(path) -> CorpusIndex:
-    """Read an index file; a malformed one raises ValueError."""
+    """Read an index file; a malformed or inconsistent one raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
@@ -186,23 +212,34 @@ def load_index(path) -> CorpusIndex:
     missing = sorted({"vocabulary", "sentence_count", "unigram", "cooc", "prec"} - doc.keys())
     if missing:
         raise ValueError(f"malformed {INDEX_FORMAT} file {path}: missing {', '.join(missing)}")
-    vocabulary = doc["vocabulary"]
-    if not (isinstance(vocabulary, list) and all(isinstance(w, str) for w in vocabulary)):
+    words = doc["vocabulary"]
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
         raise ValueError(f"vocabulary must be a list of words in {path}")
-    if len(set(vocabulary)) != len(vocabulary):
+    if len(set(words)) != len(words):
         raise ValueError(f"duplicate vocabulary words in {path}")
-    if not _is_count(doc["sentence_count"]) or doc["sentence_count"] == 0:
+    if not _is_count(doc["sentence_count"]):
         raise ValueError(f"sentence_count must be a positive integer in {path}")
     unigram = doc["unigram"]
     if not (isinstance(unigram, dict) and all(_is_count(c) for c in unigram.values())):
-        raise ValueError(f"unigram must map words to counts in {path}")
-    return CorpusIndex(
-        vocabulary={w: i for i, w in enumerate(vocabulary)},
+        raise ValueError(f"unigram must map words to positive counts in {path}")
+    if unigram.keys() != set(words):
+        raise ValueError(f"unigram words differ from the vocabulary in {path}")
+    ids = {w: i for i, w in enumerate(words)}
+    cooc = _pair_counts(doc["cooc"], "cooc", path)
+    prec = _pair_counts(doc["prec"], "prec", path)
+    if any(w not in ids or x not in ids for w, x in [*cooc, *prec]):
+        raise ValueError(f"count entries name words outside the vocabulary in {path}")
+    if any(w == x for w, x in prec):
+        raise ValueError(f"prec pairs a word with itself in {path}")
+    index = CorpusIndex(
+        words=tuple(words),
         sentence_count=doc["sentence_count"],
-        unigram=unigram,
-        cooc_counts=_pair_counts(doc["cooc"], "cooc", path),
-        prec_counts=_pair_counts(doc["prec"], "prec", path),
+        unigram=np.array([unigram[w] for w in words], dtype=np.int64),
+        prec=_prec_table({(ids[w], ids[x]): c for (w, x), c in prec.items()}),
     )
+    if index.cooc_table() != cooc:
+        raise ValueError(f"cooc counts differ from prec summed over both orders in {path}")
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +269,14 @@ class VocabSample:
 def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec | int = 0) -> VocabSample:
     """Proxy vocabulary: the n most frequent words (ties lexicographic),
     or a seeded uniform draw without replacement with method="uniform"."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     words = sorted(index.vocabulary)
     if n > len(words):
         raise ValueError(f"requested {n} words but vocabulary has {len(words)}")
     if method == "top":
-        ranked = sorted(words, key=lambda w: (-index.unigram_count(w), w))
+        count = dict(zip(index.words, index.unigram.tolist()))
+        ranked = sorted(words, key=lambda w: (-count[w], w))
         return VocabSample(tuple(ranked[:n]))
     if method == "uniform":
         rng = as_spec(seed).rng("vocab.uniform")
@@ -329,29 +369,9 @@ def sgns_train(
         raise ValueError("learning rate must be finite and positive")
     spec = as_spec(seed)
 
-    vocabulary = {}
-    token_counts = []
-    sentences = []
-    with open(corpus_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = tokenize(line)
-            if not tokens:
-                continue
-            ids = np.empty(len(tokens), dtype=np.int64)
-            for pos, tok in enumerate(tokens):
-                if tok not in vocabulary:
-                    vocabulary[tok] = len(vocabulary)
-                    token_counts.append(0)
-                wid = vocabulary[tok]
-                token_counts[wid] += 1
-                ids[pos] = wid
-            sentences.append(ids)
-    if not sentences:
-        raise ValueError(f"empty corpus: {corpus_path}")
-
+    vocabulary, sentences = _read_corpus(corpus_path)
     num_words = len(vocabulary)
-    counts = np.array(token_counts, dtype=np.float64)
-    noise = counts**0.75
+    noise = np.bincount(np.concatenate(sentences)) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
     rng_init = spec.rng("sgns.init")
@@ -385,10 +405,9 @@ def sgns_train(
                 np.add.at(vo_flat, flat[lo * d : hi * d], np.multiply.outer(grad, v).ravel())
                 v += grad_center
 
-    words = tuple(sorted(vocabulary, key=vocabulary.get))
     return EmbeddingModel(
-        words=words,
-        word_rows=dict(vocabulary),
+        words=tuple(vocabulary),
+        word_rows=vocabulary,
         input_matrix=vi,
         output_matrix=vo,
     )
@@ -465,38 +484,6 @@ def _coerce_kind(kind) -> ProjectionKind:
     return ProjectionKind(str(kind).replace("-", "_"))
 
 
-def _marginal(index: CorpusIndex, word: str) -> float:
-    p = index.unigram_count(word) / index.sentence_count
-    if p == 0.0:
-        raise ValueError(f"zero-frequency word: {word!r}")
-    return p
-
-
-def projection_value(kind, w: str, x: str, index: CorpusIndex, emb: EmbeddingModel | None = None) -> float:
-    """Scalar projection of target word x through proxy word w.
-
-    The pmi kinds return the probability ratio p(w,x)/(p(w)p(x)) itself,
-    not its logarithm, so never-co-occurring pairs give exactly 0.
-    """
-    kind = _coerce_kind(kind)
-    index.require(w)
-    index.require(x)
-    if kind in (ProjectionKind.W2VII, ProjectionKind.W2VIO, ProjectionKind.W2VOI):
-        if emb is None:
-            raise ValueError(f"projection {kind.value} needs an embedding model")
-        if kind is ProjectionKind.W2VII:
-            return float(emb.input_vector(w) @ emb.input_vector(x))
-        if kind is ProjectionKind.W2VIO:
-            return float(emb.input_vector(w) @ emb.output_vector(x))
-        return float(emb.output_vector(w) @ emb.input_vector(x))
-    if kind is ProjectionKind.COUNTS:
-        return index.cooc(w, x) / index.sentence_count
-    if kind is ProjectionKind.PREC_COUNTS:
-        return index.prec_cooc(w, x) / index.sentence_count
-    joint = index.cooc(w, x) if kind is ProjectionKind.PMI else index.prec_cooc(w, x)
-    return (joint / index.sentence_count) / (_marginal(index, w) * _marginal(index, x))
-
-
 def projection_vector(
     kind,
     word: str,
@@ -504,9 +491,15 @@ def projection_vector(
     index: CorpusIndex,
     emb: EmbeddingModel | None = None,
 ) -> np.ndarray:
-    """Entry j is projection_value(kind, vocab.words[j], word)."""
+    """Entry j projects word through the proxy w = vocab.words[j].
+
+    counts and prec_counts are cooc(w, word) and prec(w, word) over the
+    sentence count.  The pmi kinds return the probability ratio
+    p(w, word) / (p(w) p(word)) itself, not its logarithm, so
+    never-co-occurring pairs give exactly 0.
+    """
     kind = _coerce_kind(kind)
-    index.require(word)
+    target = index.require(word)
     if kind in (ProjectionKind.W2VII, ProjectionKind.W2VIO, ProjectionKind.W2VOI):
         if emb is None:
             raise ValueError(f"projection {kind.value} needs an embedding model")
@@ -516,7 +509,13 @@ def projection_vector(
         if kind is ProjectionKind.W2VIO:
             return emb.input_matrix[proxy_rows] @ emb.output_vector(word)
         return emb.output_matrix[proxy_rows] @ emb.input_vector(word)
-    return np.array([projection_value(kind, w, word, index) for w in vocab.words])
+    proxies = np.array([index.require(w) for w in vocab.words])
+    row = index.cooc_row(word) if kind in (ProjectionKind.COUNTS, ProjectionKind.PMI) else index.prec_row(word)
+    joint = row[proxies] / index.sentence_count
+    if kind in (ProjectionKind.COUNTS, ProjectionKind.PREC_COUNTS):
+        return joint
+    marginal = index.unigram / index.sentence_count
+    return joint / (marginal[proxies] * marginal[target])
 
 
 def word_pair_scatter(
@@ -611,12 +610,12 @@ def baseline_scores(
     kind = str(kind).replace("-", "_")
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
-    index.require(x_word)
-    index.require(y_word)
+    x_id = index.require(x_word)
+    y_id = index.require(y_word)
     if kind == "frequency":
-        return BaselineScores(float(index.unigram_count(x_word)), float(index.unigram_count(y_word)))
+        return BaselineScores(float(index.unigram[x_id]), float(index.unigram[y_id]))
     if kind == "precedence":
-        return BaselineScores(float(index.prec_cooc(x_word, y_word)), float(index.prec_cooc(y_word, x_word)))
+        return BaselineScores(float(index.prec_row(y_word)[x_id]), float(index.prec_row(x_word)[y_id]))
     if vocab is None:
         raise ValueError(f"baseline {kind} needs a vocabulary sample")
     proj = _BASELINE_PROJECTION[kind]

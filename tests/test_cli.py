@@ -132,6 +132,18 @@ def test_index_corpus_and_word_pair(tmp_path, capsys, corpus_file):
     assert raw == raw2
 
 
+@pytest.mark.parametrize("method", ["top", "uniform"])
+def test_word_pair_rejects_a_vocab_sample_below_two(capsys, corpus_file, method):
+    for n in ("-1", "0", "1"):
+        code, out, err = run(
+            capsys,
+            "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--corpus", corpus_file,
+            "--n-vocab", n, "--vocab-method", method,
+        )
+        assert code == 1 and out == ""
+        assert "n must be an integer of at least 2" in err
+
+
 def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
     vi = str(tmp_path / "vi.txt")
     vo = str(tmp_path / "vo.txt")

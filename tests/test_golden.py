@@ -20,7 +20,7 @@ from proxycause import cli, proxy_image
 from proxycause.anm import AnmConfig, anm_direction
 from proxycause.core import LabeledScatterDataset, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair, synth_diffusion_frames
-from proxycause.proxy_text import sgns_train
+from proxycause.proxy_text import build_index, load_index, save_index, sgns_train
 from proxycause.rcc import rcc_predict, rcc_train, save_model
 
 MECHANISMS = ("cubic", "tanh", "piecewise", "linear")
@@ -196,6 +196,19 @@ def test_sgns_tables_are_pinned():
     emb = sgns_train(bundled_data_path("mini_corpus.txt"), d=16, epochs=1, window=3, negatives=3, seed=7)
     digest = hashlib.sha256(emb.input_matrix.tobytes() + emb.output_matrix.tobytes()).hexdigest()
     assert digest == SGNS_TABLES
+
+
+# SHA-256 of the file save_index writes for the bundled corpus: the
+# corpus-index format the CLI's --index reads.
+SAVED_INDEX = "0f21be02728db93397358cb9e1a29911826424ad10f7d2fe0fa378a82f24cdaf"
+
+
+def test_saved_index_bytes_are_pinned(tmp_path):
+    path, again = tmp_path / "index.json", tmp_path / "again.json"
+    save_index(build_index(bundled_data_path("mini_corpus.txt")), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_INDEX
+    save_index(load_index(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # SHA-256 of the CLI's standard output for one run of each pooled

@@ -13,12 +13,12 @@ from proxycause.proxy_text import (
     BaselineScores,
     EmbeddingModel,
     ProjectionKind,
+    VocabSample,
     baseline_scores,
     build_index,
     load_embeddings,
     _read_table,
     load_index,
-    projection_value,
     projection_vector,
     save_embeddings,
     save_index,
@@ -37,12 +37,90 @@ wet street everywhere
 dry heat
 """
 
+COUNT_KINDS = ("counts", "prec_counts", "pmi", "prec_pmi")
+
 
 @pytest.fixture()
 def tiny_index(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text(TINY_CORPUS)
     return build_index(path)
+
+
+class OracleIndex:
+    """The word-keyed dict index the id-indexed one replaced: the reference
+    its counts and projections must equal bit for bit."""
+
+    def __init__(self, corpus_path):
+        self.vocabulary = {}
+        self.unigram = {}
+        self.cooc_counts = {}
+        self.prec_counts = {}
+        self.sentence_count = 0
+        with open(corpus_path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                tokens = tokenize(line)
+                if not tokens:
+                    continue
+                self.sentence_count += 1
+                first = {}
+                for pos, tok in enumerate(tokens):
+                    if tok not in self.vocabulary:
+                        self.vocabulary[tok] = len(self.vocabulary)
+                    if tok not in first:
+                        first[tok] = pos
+                distinct = sorted(first)
+                for w in distinct:
+                    self.unigram[w] = self.unigram.get(w, 0) + 1
+                for i, w in enumerate(distinct):
+                    for x in distinct[i + 1 :]:
+                        self.cooc_counts[(w, x)] = self.cooc_counts.get((w, x), 0) + 1
+                        key = (w, x) if first[w] < first[x] else (x, w)
+                        self.prec_counts[key] = self.prec_counts.get(key, 0) + 1
+        if self.sentence_count == 0:
+            raise ValueError(f"empty corpus: {corpus_path}")
+
+    def unigram_count(self, word):
+        return self.unigram.get(word, 0)
+
+    def cooc(self, w, x):
+        if w == x:
+            return self.unigram_count(w)
+        return self.cooc_counts.get((w, x) if w < x else (x, w), 0)
+
+    def prec_cooc(self, w, x):
+        if w == x:
+            return 0
+        return self.prec_counts.get((w, x), 0)
+
+
+def oracle_projection_value(kind, w, x, index):
+    """Scalar count projection of target x through proxy w, one dict lookup
+    at a time."""
+    kind = ProjectionKind(kind)
+    if kind is ProjectionKind.COUNTS:
+        return index.cooc(w, x) / index.sentence_count
+    if kind is ProjectionKind.PREC_COUNTS:
+        return index.prec_cooc(w, x) / index.sentence_count
+    joint = index.cooc(w, x) if kind is ProjectionKind.PMI else index.prec_cooc(w, x)
+    marginal_w = index.unigram_count(w) / index.sentence_count
+    marginal_x = index.unigram_count(x) / index.sentence_count
+    return (joint / index.sentence_count) / (marginal_w * marginal_x)
+
+
+def entry(kind, w, x, index, emb=None):
+    """Projection of target x through proxy w: the first entry of a
+    two-word projection_vector."""
+    other = next(v for v in index.words if v != w)
+    return projection_vector(kind, x, VocabSample((w, other)), index, emb)[0]
+
+
+def cooc(index, w, x):
+    return index.cooc_row(x)[index.vocabulary[w]]
+
+
+def prec(index, w, x):
+    return index.prec_row(x)[index.vocabulary[w]]
 
 
 def test_tokenize():
@@ -53,25 +131,29 @@ def test_tokenize():
 
 def test_index_hand_counts(tiny_index):
     idx = tiny_index
+    unigram = dict(zip(idx.words, idx.unigram.tolist()))
     assert idx.sentence_count == 4
-    assert idx.unigram_count("the") == 1  # twice in one sentence counts once
-    assert idx.unigram_count("rain") == 2
-    assert idx.unigram_count("wet") == 2
-    assert idx.unigram_count("missing") == 0
-    assert idx.cooc("rain", "wet") == 1
-    assert idx.cooc("wet", "rain") == 1  # symmetric
-    assert idx.cooc("street", "wet") == 2
-    assert idx.cooc("rain", "rain") == 2  # diagonal is the unigram count
-    assert idx.prec_cooc("rain", "wet") == 1
-    assert idx.prec_cooc("wet", "rain") == 0
-    assert idx.prec_cooc("street", "wet") == 1  # sentence 1
-    assert idx.prec_cooc("wet", "street") == 1  # sentence 3
-    assert idx.prec_cooc("wet", "wet") == 0
+    assert unigram["the"] == 1  # twice in one sentence counts once
+    assert unigram["rain"] == 2
+    assert unigram["wet"] == 2
+    assert "missing" not in unigram
+    assert cooc(idx, "rain", "wet") == 1
+    assert cooc(idx, "wet", "rain") == 1  # symmetric
+    assert cooc(idx, "street", "wet") == 2
+    assert cooc(idx, "rain", "rain") == 2  # diagonal is the unigram count
+    assert prec(idx, "rain", "wet") == 1
+    assert prec(idx, "wet", "rain") == 0
+    assert prec(idx, "street", "wet") == 1  # sentence 1
+    assert prec(idx, "wet", "street") == 1  # sentence 3
+    assert prec(idx, "wet", "wet") == 0
 
 
 def test_index_requires_known_words(tiny_index):
     with pytest.raises(ValueError, match="out of vocabulary"):
         tiny_index.require("banana")
+    with pytest.raises(ValueError, match="out of vocabulary"):
+        tiny_index.cooc_row("banana")
+    assert tiny_index.require("rain") == 1
     assert "rain" in tiny_index
     assert "banana" not in tiny_index
 
@@ -83,30 +165,63 @@ def test_build_index_rejects_empty_corpus(tmp_path):
         build_index(path)
 
 
+def assert_same_index(a, b):
+    assert a.words == b.words
+    assert a.vocabulary == b.vocabulary
+    assert a.sentence_count == b.sentence_count
+    assert np.array_equal(a.unigram, b.unigram)
+    assert np.array_equal(a.prec, b.prec)
+
+
 def test_index_round_trip(tiny_index, tmp_path):
     path = tmp_path / "index.json"
     save_index(tiny_index, path)
-    back = load_index(path)
-    assert back.vocabulary == tiny_index.vocabulary
-    assert back.sentence_count == tiny_index.sentence_count
-    assert back.unigram == tiny_index.unigram
-    assert back.cooc_counts == tiny_index.cooc_counts
-    assert back.prec_counts == tiny_index.prec_counts
+    assert_same_index(load_index(path), tiny_index)
     path.write_text('{"format": "other"}')
     with pytest.raises(ValueError, match="not a"):
         load_index(path)
 
 
-def index_doc(index):
-    return {
-        "format": "corpus-index",
-        "version": 1,
-        "sentence_count": index.sentence_count,
-        "vocabulary": sorted(index.vocabulary, key=index.vocabulary.get),
-        "unigram": dict(index.unigram),
-        "cooc": [[w, x, c] for (w, x), c in sorted(index.cooc_counts.items())],
-        "prec": [[w, x, c] for (w, x), c in sorted(index.prec_counts.items())],
-    }
+# Small corpora with blank lines, one-word lines and words repeated inside
+# a line, over a few words so that pairs recur across lines.
+corpora = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "E", "é", "b,"]), max_size=6).map(" ".join),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=corpora)
+def test_index_and_count_projections_equal_the_dict_oracle(fuzz_dir, lines):
+    path = fuzz_dir / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if not any(tokenize(line) for line in lines):
+        for build in (build_index, OracleIndex):
+            with pytest.raises(ValueError, match="empty corpus"):
+                build(path)
+        return
+    index, oracle = build_index(path), OracleIndex(path)
+    assert index.vocabulary == oracle.vocabulary
+    assert index.sentence_count == oracle.sentence_count
+    assert dict(zip(index.words, index.unigram.tolist())) == oracle.unigram
+    for x in index.words:
+        assert index.cooc_row(x).tolist() == [oracle.cooc(w, x) for w in index.words]
+        assert index.prec_row(x).tolist() == [oracle.prec_cooc(w, x) for w in index.words]
+    save_index(index, fuzz_dir / "index.json")
+    assert_same_index(load_index(fuzz_dir / "index.json"), index)
+    if len(index.words) < 2:
+        return
+    vocab = vocab_sample(index, len(index.words))
+    for kind in COUNT_KINDS:
+        for x in index.words:
+            want = [oracle_projection_value(kind, w, x, oracle) for w in vocab.words]
+            assert projection_vector(kind, x, vocab, index).tolist() == want
+
+
+def index_doc(index, tmp_path):
+    path = tmp_path / "saved.json"
+    save_index(index, path)
+    return json.loads(path.read_text())
 
 
 def drop(key):
@@ -121,6 +236,14 @@ def put_entry(key, entry):
     return lambda doc: {**doc, key: [entry] + doc[key][1:]}
 
 
+def swap_entry(key, old, new):
+    return lambda doc: {**doc, key: [new if e == old else e for e in doc[key]]}
+
+
+def without_unigram(word):
+    return lambda doc: {**doc, "unigram": {w: c for w, c in doc["unigram"].items() if w != word}}
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -133,23 +256,37 @@ def put_entry(key, entry):
         (put("sentence_count", 0), "sentence_count"),
         (put("sentence_count", "4"), "sentence_count"),
         (put("sentence_count", True), "sentence_count"),
+        (put("sentence_count", 2**63), "sentence_count"),
         (put("unigram", [["rain", 2]]), "unigram must map"),
         (put("unigram", {"rain": 2.5}), "unigram must map"),
+        (lambda doc: {**doc, "unigram": {**doc["unigram"], "rain": 0}}, "unigram must map"),
+        (without_unigram("heat"), "unigram words differ"),
+        (lambda doc: {**doc, "unigram": {**doc["unigram"], "banana": 1}}, "unigram words differ"),
         (put("cooc", {"rain": 1}), "cooc must be a list"),
         (put_entry("cooc", ["rain"]), "malformed cooc entry"),
         (put_entry("cooc", ["rain", "wet", 1, 2]), "malformed cooc entry"),
         (put_entry("cooc", ["rain", 7, 1]), "malformed cooc entry"),
         (put_entry("prec", ["rain", "wet", 1.0]), "malformed prec entry"),
         (put_entry("prec", ["rain", "wet", -1]), "malformed prec entry"),
+        (put_entry("prec", ["dry", "heat", 0]), "malformed prec entry"),
+        (put_entry("prec", ["dry", "heat", 2**63]), "malformed prec entry"),
         (put_entry("prec", "rain wet 1"), "malformed prec entry"),
         (lambda doc: {**doc, "cooc": doc["cooc"] + doc["cooc"][:1]}, "duplicate cooc pairs"),
+        (put_entry("cooc", ["again", "banana", 1]), "outside the vocabulary"),
+        (put_entry("prec", ["banana", "heat", 1]), "outside the vocabulary"),
+        (put_entry("prec", ["dry", "dry", 1]), "with itself"),
+        (swap_entry("cooc", ["rain", "wet", 1], ["wet", "rain", 1]), "cooc counts differ"),
+        (swap_entry("cooc", ["rain", "wet", 1], ["rain", "wet", 2]), "cooc counts differ"),
+        (lambda doc: {**doc, "cooc": doc["cooc"][1:]}, "cooc counts differ"),
+        (lambda doc: {**doc, "prec": doc["prec"][1:]}, "cooc counts differ"),
     ],
 )
 def test_load_index_rejects_malformed_files(tiny_index, tmp_path, corrupt, message):
-    doc = index_doc(tiny_index)
+    doc = index_doc(tiny_index, tmp_path)
+    assert ["rain", "wet", 1] in doc["cooc"] and doc["prec"][0] == ["dry", "heat", 1]
     path = tmp_path / "index.json"
     path.write_text(json.dumps(doc))
-    assert load_index(path).cooc_counts == tiny_index.cooc_counts
+    assert load_index(path).cooc_table() == tiny_index.cooc_table()
     path.write_text(json.dumps(corrupt(doc)))
     with pytest.raises(ValueError, match=message):
         load_index(path)
@@ -164,9 +301,11 @@ json_values = st.recursive(
 
 @st.composite
 def index_texts(draw):
-    """Index-file text: arbitrary characters, arbitrary JSON, or an index
-    that is well formed except where the draw breaks it (a key dropped or
-    replaced, a word or count of the wrong type, a short or long entry)."""
+    """Index-file text: arbitrary characters, arbitrary JSON, a consistent
+    index, or one that is consistent except where the draw breaks it (a key
+    dropped or replaced, a word or count of the wrong type, a short or long
+    entry, a self-pair, an unknown word, a cooc count that is not the prec
+    sum)."""
     kind = draw(st.integers(0, 4))
     if kind == 0:
         return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
@@ -174,22 +313,30 @@ def index_texts(draw):
         return json.dumps(draw(json_values))
 
     def mostly(good, *bad):
-        return draw(st.sampled_from((good,) * 6 + bad))
+        return good if kind == 2 else draw(st.sampled_from((good,) * 6 + bad))
 
-    words = draw(st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=4))
-    count = st.integers(0, 5)
-    entry = st.builds(lambda w, x, c: [w, x, c], st.sampled_from(words or ["a"]), st.sampled_from(words or ["b"]), count)
+    words = draw(st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=4, unique=True))
+    word = st.sampled_from(words or ["a"])
+    prec = draw(st.dictionaries(st.tuples(word, word).filter(lambda p: p[0] != p[1]), st.integers(1, 5), max_size=4))
+    cooc = {}
+    for (w, x), c in prec.items():
+        key = (min(w, x), max(w, x))
+        cooc[key] = cooc.get(key, 0) + c
     doc = {
         "format": mostly("corpus-index", "other"),
         "version": mostly(1, 2, "1"),
-        "sentence_count": mostly(draw(st.integers(1, 9)), 0, -1, 2.0, "3", None),
+        "sentence_count": mostly(draw(st.integers(1, 9)), 0, -1, 2.0, "3", None, 2**63),
         "vocabulary": mostly(words, words + words[:1], "a b", [1]),
-        "unigram": mostly({w: draw(count) for w in words}, [["a", 1]], {"a": 1.5}, {"a": -2}),
+        "unigram": mostly({w: draw(st.integers(1, 5)) for w in words}, [["a", 1]], {"a": 1.5}, {"a": -2}, {"z": 1}),
     }
-    for key in ("cooc", "prec"):
-        entries = draw(st.lists(entry, max_size=4))
+    for key, table in (("cooc", cooc), ("prec", prec)):
+        entries = [[w, x, c] for (w, x), c in table.items()]
         for e in entries:
-            broken = mostly(None, e[:1], e + [0], [e[0], 3, e[2]], [e[0], e[1], float(e[2])], [e[0], e[1], True])
+            broken = mostly(
+                None, e[:1], e + [0], [e[0], 3, e[2]], [e[0], e[1], float(e[2])], [e[0], e[1], True],
+                [e[1], e[0], e[2]], [e[0], e[0], e[2]], [e[0], "z", e[2]], [e[0], e[1], e[2] + 1],
+                [e[0], e[1], 0], [e[0], e[1], 2**63],
+            )
             if broken is not None:
                 e[:] = broken
         doc[key] = mostly(entries, {}, "x", None)
@@ -211,12 +358,21 @@ def test_index_loader_gives_an_index_or_value_error(fuzz_dir, text):
         index = load_index(path)
     except ValueError:
         return
+    size = len(index.words)
     assert index.sentence_count >= 1
-    assert sorted(index.vocabulary.values()) == list(range(len(index.vocabulary)))
-    assert all(type(c) is int and c >= 0 for c in index.unigram.values())
-    for table in (index.cooc_counts, index.prec_counts):
-        for (w, x), c in table.items():
-            assert isinstance(w, str) and isinstance(x, str) and type(c) is int and c >= 0
+    assert index.vocabulary == {w: i for i, w in enumerate(index.words)} and len(index.vocabulary) == size
+    assert index.unigram.dtype == np.int64 and index.unigram.shape == (size,) and np.all(index.unigram > 0)
+    table = index.prec
+    assert table.dtype == np.int64 and table.ndim == 2 and table.shape[1] == 3
+    assert [tuple(r) for r in table[:, :2].tolist()] == sorted({tuple(r) for r in table[:, :2].tolist()})
+    assert np.all(table[:, 0] != table[:, 1]) and np.all(table[:, :2] < size) and np.all(table >= 0)
+    assert np.all(table[:, 2] > 0)
+    for x, word in enumerate(index.words):
+        cooc_row, prec_row = index.cooc_row(word), index.prec_row(word)
+        assert cooc_row[x] == index.unigram[x] and prec_row[x] == 0
+        for w, other in enumerate(index.words):
+            if w != x:
+                assert cooc_row[w] == prec_row[w] + index.prec_row(other)[x]
 
 
 def test_vocab_sample_top_ranks_by_count_then_word(tiny_index):
@@ -226,6 +382,14 @@ def test_vocab_sample_top_ranks_by_count_then_word(tiny_index):
         vocab_sample(tiny_index, 100)
     with pytest.raises(ValueError, match="unknown sampling"):
         vocab_sample(tiny_index, 3, method="stratified")
+
+
+@pytest.mark.parametrize("method", ["top", "uniform"])
+@pytest.mark.parametrize("n", [-1, 0, 1, 2.0, True, "3", None])
+def test_vocab_sample_needs_an_integer_of_at_least_two(tiny_index, method, n):
+    with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+        vocab_sample(tiny_index, n, method=method)
+    assert len(vocab_sample(tiny_index, np.int64(2), method=method)) == 2
 
 
 def test_vocab_sample_uniform_is_seeded(tiny_index):
@@ -250,15 +414,14 @@ def crafted_embedding():
 def test_w2v_projection_hand_oracles():
     emb = crafted_embedding()
     idx_stub = build_index_from_lines(["a b"])
-    assert projection_value("w2vii", "a", "b", idx_stub, emb) == 11.0
-    assert projection_value("w2vio", "a", "b", idx_stub, emb) == 23.0
-    assert projection_value("w2voi", "a", "b", idx_stub, emb) == 39.0
+    assert entry("w2vii", "a", "b", idx_stub, emb) == 11.0
+    assert entry("w2vio", "a", "b", idx_stub, emb) == 23.0
+    assert entry("w2voi", "a", "b", idx_stub, emb) == 39.0
     with pytest.raises(ValueError, match="needs an embedding"):
-        projection_value("w2vii", "a", "b", idx_stub, None)
+        entry("w2vii", "a", "b", idx_stub, None)
 
 
 def build_index_from_lines(lines):
-    import io
     import os
     import tempfile
 
@@ -273,25 +436,30 @@ def build_index_from_lines(lines):
 
 def test_count_projection_hand_oracles(tiny_index):
     idx = tiny_index
-    assert projection_value("counts", "rain", "wet", idx) == 1 / 4
-    assert projection_value("prec_counts", "rain", "wet", idx) == 1 / 4
-    assert projection_value("prec_counts", "wet", "rain", idx) == 0.0
+    assert entry("counts", "rain", "wet", idx) == 1 / 4
+    assert entry("prec_counts", "rain", "wet", idx) == 1 / 4
+    assert entry("prec_counts", "wet", "rain", idx) == 0.0
     # ratio form: (1/4) / ((2/4) * (2/4)) = 1.0
-    assert projection_value("pmi", "rain", "wet", idx) == pytest.approx(1.0)
-    assert projection_value("prec_pmi", "wet", "rain", idx) == 0.0
-    assert projection_value("pmi", "dry", "heat", idx) == pytest.approx(
+    assert entry("pmi", "rain", "wet", idx) == pytest.approx(1.0)
+    assert entry("prec_pmi", "wet", "rain", idx) == 0.0
+    assert entry("pmi", "dry", "heat", idx) == pytest.approx(
         (1 / 4) / ((1 / 4) * (1 / 4))
     )
     with pytest.raises(ValueError, match="out of vocabulary"):
-        projection_value("counts", "rain", "banana", idx)
+        entry("counts", "rain", "banana", idx)
+    with pytest.raises(ValueError, match="out of vocabulary"):
+        entry("counts", "banana", "rain", idx)
 
 
-def test_projection_vector_matches_scalar_values(tiny_index):
+def test_projection_vector_matches_scalar_values(tiny_index, tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text(TINY_CORPUS)
+    oracle = OracleIndex(path)
     vocab = vocab_sample(tiny_index, 4)
-    for kind in ("counts", "prec_counts", "pmi", "prec_pmi"):
+    for kind in COUNT_KINDS:
         vec = projection_vector(kind, "wet", vocab, tiny_index)
         for j, w in enumerate(vocab.words):
-            assert vec[j] == projection_value(kind, w, "wet", tiny_index)
+            assert vec[j] == oracle_projection_value(kind, w, "wet", oracle)
 
 
 def test_word_pair_scatter_pairs_the_vectors(tiny_index):
