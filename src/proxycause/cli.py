@@ -16,12 +16,14 @@ true or false in a config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
 import sys
 
 from . import experiments as xp
+from . import proxy_text
 from .anm import AnmConfig
 from .core import (
     SeedSpec,
@@ -212,10 +214,12 @@ def _corpus_artifacts(args, config, kinds, seed):
     """(index, vocab, emb) resolved from flags; emb only when needed."""
     index_path = _opt(args, config, "index", None)
     corpus = _opt(args, config, "corpus", None)
+    # The index and on-the-fly embeddings share one read of the corpus.
+    tokens = functools.cache(lambda: proxy_text._read_corpus(corpus))
     if index_path is not None:
         index = load_index(index_path)
     elif corpus is not None:
-        index = build_index(corpus)
+        index = proxy_text._index_of(*tokens())
     else:
         raise ValueError("need --corpus or --index")
     n_vocab = _opt(args, config, "n-vocab", 10000)
@@ -236,7 +240,7 @@ def _corpus_artifacts(args, config, kinds, seed):
             d = _opt(args, config, "d", 300)
             epochs = _opt(args, config, "epochs", 5)
             _log(f"training embeddings on the fly: d={d} epochs={epochs}")
-            emb = sgns_train(corpus, d=d, epochs=epochs, seed=SeedSpec(seed).child("cli.embed"))
+            emb = proxy_text._sgns_train(tokens, d=d, epochs=epochs, seed=SeedSpec(seed).child("cli.embed"))
         else:
             raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
     return index, vocab, emb

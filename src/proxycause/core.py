@@ -191,13 +191,15 @@ def as_spec(seed: SeedSpec | int) -> SeedSpec:
 def _standardize(v: np.ndarray) -> np.ndarray:
     """Zero mean, unit standard deviation; a constant variable raises, and so
     do values too large for their standard deviation to be finite."""
+    # The IEEE operations of (v - np.mean(v)) / np.std(v), centering once.
     with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(v))
+        d = v - np.sum(v) / v.size
+        sd = float(np.sqrt(np.sum(d * d) / v.size))
     if not np.isfinite(sd):
         raise ValueError("standard deviation is not finite: values too large to standardize")
     if sd == 0.0:
         raise ValueError("constant variable")
-    return (v - float(np.mean(v))) / sd
+    return d / sd
 
 
 def derive_seed(spec: SeedSpec, task_id: str) -> int:

@@ -139,7 +139,8 @@ class CorpusIndex:
         entries of an index file."""
         table = {}
         for i, j, count in self.prec.tolist():
-            key = tuple(sorted((self.words[i], self.words[j])))
+            w, x = self.words[i], self.words[j]
+            key = (w, x) if w < x else (x, w)
             table[key] = table.get(key, 0) + count
         return table
 
@@ -151,7 +152,11 @@ def _prec_table(pairs: dict) -> np.ndarray:
 
 def build_index(corpus_path) -> CorpusIndex:
     """One pass over a one-sentence-per-line text file."""
-    vocabulary, sentences = _read_corpus(corpus_path)
+    return _index_of(*_read_corpus(corpus_path))
+
+
+def _index_of(vocabulary, sentences) -> CorpusIndex:
+    """The index of a corpus as ``_read_corpus`` gives it."""
     unigram = np.zeros(len(vocabulary), dtype=np.int64)
     prec = Counter()
     for ids in sentences:
@@ -355,6 +360,11 @@ def sgns_train(
     once per center position, batched over its context words; negatives
     are drawn from the unigram token distribution raised to 0.75.
     """
+    return _sgns_train(lambda: _read_corpus(corpus_path), d, epochs, window, negatives, learning_rate, seed)
+
+
+def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.025, seed=0) -> EmbeddingModel:
+    """``sgns_train`` on the corpus ``read()`` gives, read once the checks pass."""
     if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (d, epochs, window, negatives)):
         raise ValueError("d, epochs, window and negatives must be integers")
     if d < 2:
@@ -369,7 +379,7 @@ def sgns_train(
         raise ValueError("learning rate must be finite and positive")
     spec = as_spec(seed)
 
-    vocabulary, sentences = _read_corpus(corpus_path)
+    vocabulary, sentences = read()
     num_words = len(vocabulary)
     noise = np.bincount(np.concatenate(sentences)) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())

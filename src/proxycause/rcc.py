@@ -96,16 +96,20 @@ def rff_embed(points, omega, phase) -> np.ndarray:
     """Mean over points of sqrt(2/m) * cos(<omega_k, p> + phase_k).
 
     Approximates the Gaussian-kernel mean embedding of the point set;
-    invariant to point order up to float summation order.
+    invariant to point order up to float summation order.  A stack of
+    point sets, shape (..., n, d), gives one embedding per set, bit for
+    bit those of one call per set.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.shape[0] == 0:
+    if pts.shape[-2] == 0:
         raise ValueError("empty input")
-    m = omega.shape[0]
-    feats = np.cos(pts @ omega.T + phase) * np.sqrt(2.0 / m)
-    return feats.mean(axis=0)
+    feats = pts @ omega.T
+    feats += phase
+    np.cos(feats, out=feats)
+    feats *= np.sqrt(2.0 / omega.shape[0])
+    return feats.mean(axis=-2)
 
 
 def _canonical_standardized(sample: ScatterSample) -> np.ndarray:
@@ -120,14 +124,17 @@ def _canonical_standardized(sample: ScatterSample) -> np.ndarray:
     return np.column_stack([_standardize(pts[:, 0]), _standardize(pts[:, 1])])
 
 
+def _embed(pts: np.ndarray, spec: RFFSpec) -> np.ndarray:
+    """``featurize_scatter`` of canonical standardized points, both marginal
+    blocks embedded as one stack of the two columns."""
+    (omega_m, phase_m), (omega_j, phase_j) = spec.blocks
+    marginal = rff_embed(pts.T[:, :, None], omega_m, phase_m)
+    return np.concatenate([marginal.ravel(), rff_embed(pts, omega_j, phase_j)])
+
+
 def featurize_scatter(sample: ScatterSample, spec: RFFSpec) -> np.ndarray:
     """Concatenated [marginal-A, marginal-B, joint] embedding, length 3m."""
-    pts = _canonical_standardized(sample)
-    (omega_m, phase_m), (omega_j, phase_j) = spec.blocks
-    block_a = rff_embed(pts[:, 0], omega_m, phase_m)
-    block_b = rff_embed(pts[:, 1], omega_m, phase_m)
-    block_ab = rff_embed(pts, omega_j, phase_j)
-    return np.concatenate([block_a, block_b, block_ab])
+    return _embed(_canonical_standardized(sample), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +307,26 @@ def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
     an explicit stack (right child pushed first).  Every step takes one
     node per tree, so each generator makes the draws of a depth-first
     recursion in the same order and nodes are numbered in pre-order.  The
-    nodes of a step that need a split share one segmented search.  A node
-    holds the distinct rows of its bag (about 1 - 1/e of n) with their
-    counts: copies of a row always go to the same side of a split.
+    nodes of a step that need a split share one search and one partition.
+    A node holds the distinct rows of its bag (about 1 - 1/e of n) with
+    their counts: copies of a row always go to the same side of a split.
     """
     n, width = X.shape
     trees = [{name: [] for name in TREE_FIELDS} for _ in rngs]
     # Per tree: its node arrays as lists, its stack and its generator.  A
     # stack entry is the distinct rows reaching a node (indices into X),
-    # their counts and the parent's child field that gets the node's number.
+    # their counts, the node's weighted size and class-1 count, and the
+    # parent's child field that gets the node's number.
     bags = [np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs]
-    live = [(tree, [(np.flatnonzero(c), c[c > 0], None, None)], rng) for tree, rng, c in zip(trees, rngs, bags)]
+    live = [(tree, [(np.flatnonzero(c), c[c > 0], n, int(c @ y), None, None)], rng)
+            for tree, rng, c in zip(trees, rngs, bags)]
     while live:
         splits = []
         for tree, stack, rng in live:
-            rows, counts, parent, side = stack.pop()
+            rows, counts, size, ones, parent, side = stack.pop()
             node = len(tree["vote"])
             if parent is not None:
                 tree[side][parent] = node
-            size, ones = int(counts.sum()), int(counts @ y[rows])
             for name, value in zip(TREE_FIELDS, (-1, 0.0, -1, -1, ones / size)):
                 tree[name].append(value)
             if ones == 0 or ones == size or size < 2 * min_leaf:
@@ -326,20 +334,29 @@ def _grow_block(X, y, ranks, values, rngs, max_features, min_leaf):
             splits.append((tree, stack, node, rows, counts, rng.choice(width, size=max_features, replace=False)))
         if splits:
             _, _, _, parts, weights, feat_sets = zip(*splits)
-            stacked = np.concatenate(parts)
+            stacked, weight = np.concatenate(parts), np.concatenate(weights)
+            labels = y[stacked]
             sizes = np.array([rows.size for rows in parts])
             found, _, feature, threshold = _best_splits(
-                ranks, values, stacked, y[stacked], np.concatenate(weights), sizes, np.stack(feat_sets), min_leaf)
-            chosen = zip(splits, found, feature.tolist(), threshold.tolist())
-            for (tree, stack, node, rows, counts, _), ok, f, thr in chosen:
-                if not ok:
-                    continue
-                # A found split lies between two distinct values: no side is empty.
-                mask = X[rows, f] <= thr
-                tree["feature"][node] = f
-                tree["threshold"][node] = thr
-                stack.append((rows[~mask], counts[~mask], node, "right"))
-                stack.append((rows[mask], counts[mask], node, "left"))
+                ranks, values, stacked, labels, weight, sizes, np.stack(feat_sets), min_leaf)
+            # One stable partition puts each segment's left rows first.  A found
+            # split leaves no side empty; the other segments go unused.
+            seg = np.repeat(np.arange(sizes.size), sizes)
+            go_left = X[stacked, feature[seg]] <= threshold[seg]
+            order = np.lexsort((~go_left, seg))
+            stacked, weight = stacked[order], weight[order]
+            # A child's (size, class-1 count) is a difference of running totals.
+            tally = np.zeros((stacked.size + 1, 2), dtype=np.int64)
+            np.cumsum(np.column_stack([weight, weight * labels[order]]), axis=0, out=tally[1:])
+            start = np.cumsum(sizes) - sizes
+            ends = np.stack([start, start + np.add.reduceat(go_left, start, dtype=np.int64), start + sizes])
+            children = np.diff(tally[ends], axis=0).tolist()
+            chosen = zip(splits, found, feature.tolist(), threshold.tolist(), ends.T.tolist(), *children)
+            for (tree, stack, node, *_), ok, f, thr, (lo, mid, hi), left, right in chosen:
+                if ok:
+                    tree["feature"][node], tree["threshold"][node] = f, thr
+                    stack.append((stacked[mid:hi], weight[mid:hi], *right, node, "right"))
+                    stack.append((stacked[lo:mid], weight[lo:mid], *left, node, "left"))
         live = [entry for entry in live if entry[1]]
     return [{name: np.array(tree[name], dtype=dtype) for name, dtype in TREE_FIELDS.items()} for tree in trees]
 
@@ -451,11 +468,13 @@ def rcc_train(
         augmented.append((sample, label))
         augmented.append((sample.swapped(), -label))
 
-    pooled = np.concatenate([_canonical_standardized(s).ravel() for s, _ in augmented])
-    bandwidth = median_heuristic(pooled)
+    # One canonicalization per sample serves the bandwidth and its features.
+    pooled = np.concatenate([_canonical_standardized(s) for s, _ in augmented])
+    bandwidth = median_heuristic(pooled.ravel())
     rff = RFFSpec(seed=spec.seed("rcc.rff"), num_features=num_features, bandwidth=bandwidth)
 
-    X = np.stack([featurize_scatter(s, rff) for s, _ in augmented])
+    ends = np.cumsum([s.n for s, _ in augmented]).tolist()
+    X = np.stack([_embed(pooled[lo:hi], rff) for lo, hi in zip([0] + ends, ends)])
     y = np.array([label for _, label in augmented], dtype=np.int64)
     forest = forest_train(X, y, num_trees=num_trees, seed=spec.child("rcc.forest"))
     return RCCModel(rff=rff, forest=forest)

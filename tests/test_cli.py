@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from proxycause import proxy_text
 from proxycause.cli import main
-from proxycause.core import LabeledScatterDataset, load_scatter, save_dataset, save_scatter
+from proxycause.core import LabeledScatterDataset, SeedSpec, load_scatter, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair
 
 
@@ -168,6 +169,33 @@ def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
         "--permutations", "99", "--n-vocab", "20", "--seed", "2",
     )
     assert doc2["verdict"] in ("x->y", "y->x")
+
+
+def test_word_pair_reads_the_corpus_once(tmp_path, capsys, monkeypatch, corpus_file):
+    """With --corpus and an embedding kind, the index and the embeddings
+    trained on the fly share one read of the corpus; stdout is that of the
+    same run on an index and embeddings the public functions build."""
+    calls = []
+    real = proxy_text._read_corpus
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    argv = ("word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--n-vocab", "20", "--permutations", "99",
+            "--seed", "2")
+    monkeypatch.setattr(proxy_text, "_read_corpus", counting)
+    code, out, err = run(capsys, *argv, "--corpus", corpus_file, "--d", "8", "--epochs", "1")
+    assert code == 0, err
+    assert calls == [corpus_file]
+    monkeypatch.undo()
+    index, vi, vo = (str(tmp_path / name) for name in ("index.json", "vi.txt", "vo.txt"))
+    proxy_text.save_index(proxy_text.build_index(corpus_file), index)
+    emb = proxy_text.sgns_train(corpus_file, d=8, epochs=1, seed=SeedSpec(2).child("cli.embed"))
+    proxy_text.save_embeddings(emb, vi, vo)
+    code, want, err = run(capsys, *argv, "--index", index, "--emb-input", vi, "--emb-output", vo)
+    assert code == 0, err
+    assert out == want and json.loads(out)["kind"] == "w2vii"
 
 
 def test_image_pair_command(tmp_path, capsys):

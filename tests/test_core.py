@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from proxycause.core import (
     ScatterSample,
     SeedSpec,
     Verdict,
+    _standardize,
     dataset_dumps,
     dataset_loads,
     derive_seed,
@@ -105,6 +107,27 @@ def test_direction_compare_is_the_three_way_verdict_rule():
     for a, b in rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-8, 8, size=(50, 2)):
         d, e = Direction.compare(a, b, abs(a - b)), Direction.compare(b, a, abs(b - a))
         assert e.verdict is d.verdict.flipped() and repr(e.score) == repr(d.score)
+
+
+def test_standardize_equals_mean_and_std_expression():
+    """One centering pass gives (v - mean) / std bit for bit, on the column
+    views and the quantized axes the engines pass, down to n=2."""
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(301, 2)) * [3e-4, 7e5] + [1e3, -2.5]
+    quantized = np.round(rng.normal(size=(200, 2)) * 2) / 4
+    cases = [pts[:, 0], pts[:, 1], np.ascontiguousarray(pts[:, 1]), pts[::3, 1], quantized[:, 0], quantized[:, 1],
+             np.array([1.0, 4.0]), np.array([-0.1, 0.2]), rng.normal(size=4097) + 1e8, np.arange(10.0) * 1e150]
+    for v in cases:
+        want = (v - float(np.mean(v))) / float(np.std(v))
+        got = _standardize(v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (pts[:, 0] * 1e200, np.array([1e300, -1e300, 1e308])):
+            with pytest.raises(ValueError, match="standard deviation is not finite"):
+                _standardize(v)
+        with pytest.raises(ValueError, match="constant variable"):
+            _standardize(np.full(5, 0.3))
 
 
 def test_scatter_sample_shape_and_immutability():

@@ -1,5 +1,6 @@
 """Corpus statistics, embeddings, projections, and count baselines."""
 
+import inspect
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from proxycause.proxy_text import (
     build_index,
     load_embeddings,
     _read_table,
+    _sgns_train,
     load_index,
     projection_vector,
     save_embeddings,
@@ -595,6 +597,14 @@ def test_sgns_equals_per_position_loop(tmp_path, d, epochs, window, negatives, l
     vi, vo = per_position_sgns(path, d, epochs, window, negatives, learning_rate, seed)
     assert np.array_equal(emb.input_matrix, vi)
     assert np.array_equal(emb.output_matrix, vo)
+
+
+def test_sgns_defaults_are_those_of_the_shared_trainer():
+    """sgns_train and the trainer the CLI reaches with a corpus it already
+    read take the same defaults."""
+    public = list(inspect.signature(sgns_train).parameters.values())[1:]
+    shared = list(inspect.signature(_sgns_train).parameters.values())[1:]
+    assert [(p.name, p.default) for p in public] == [(p.name, p.default) for p in shared]
 
 
 def test_sgns_validation(tmp_path):

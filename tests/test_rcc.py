@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxycause import rcc
 from proxycause.core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict
 from proxycause.experiments import synth_anm_pair
+from proxycause.independence import median_heuristic
 from proxycause.rcc import (
     TREE_FIELDS,
     Forest,
@@ -18,6 +20,7 @@ from proxycause.rcc import (
     _best_splits,
     _canonical_standardized,
     _column_ranks,
+    _embed,
     featurize_scatter,
     forest_predict,
     forest_train,
@@ -85,6 +88,61 @@ def test_rff_embed_matches_direct_cosine_mean():
     assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(ValueError):
         rff_embed(np.empty((0, 2)), omega, phase)
+
+
+def cosine_mean(points, omega, phase):
+    """The embedding formula as one expression over one point set."""
+    pts = points[:, None] if points.ndim == 1 else points
+    return (np.cos(pts @ omega.T + phase) * np.sqrt(2.0 / omega.shape[0])).mean(axis=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 100])
+def test_embed_equals_rff_embed_of_each_block(m):
+    """Both marginal blocks from one stacked call, in place, are bit for bit
+    rff_embed of each column, and every block is the one-expression
+    formula, at m=1 too (where the mean sums one contiguous run)."""
+    rng = np.random.default_rng([41, m])
+    samples = [rng.normal(size=(200, 2)), np.round(rng.normal(size=(150, 2)), 1),
+               np.column_stack([rng.integers(0, 4, 90), rng.normal(size=90)]), rng.normal(size=(9, 2))]
+    spec = RFFSpec(seed=m, num_features=m, bandwidth=0.6)
+    (omega_m, phase_m), (omega_j, phase_j) = spec.blocks
+    for points in samples:
+        pts = _canonical_standardized(ScatterSample(points))
+        want = np.concatenate([rff_embed(pts[:, 0], omega_m, phase_m), rff_embed(pts[:, 1], omega_m, phase_m),
+                               rff_embed(pts, omega_j, phase_j)])
+        got = _embed(pts, spec)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == featurize_scatter(ScatterSample(points), spec).tobytes()
+        oracle = np.concatenate([cosine_mean(pts[:, 0], omega_m, phase_m), cosine_mean(pts[:, 1], omega_m, phase_m),
+                                 cosine_mean(pts, omega_j, phase_j)])
+        assert got.tobytes() == oracle.tobytes()
+        stacked = rff_embed(np.stack([pts, pts[::-1]]), omega_j, phase_j)
+        assert stacked.shape == (2, m) and stacked[0].tobytes() == want[2 * m :].tobytes()
+
+
+def test_rcc_train_canonicalizes_each_sample_once(monkeypatch):
+    """rcc_train canonicalizes each of its 2N augmented samples once, and
+    gets the bandwidth and the forest that per-sample featurize_scatter
+    calls on the same samples give."""
+    data = LabeledScatterDataset(tuple(make_dataset(6, n=40)))
+    calls = []
+    real = rcc._canonical_standardized
+
+    def counting(sample):
+        calls.append(sample)
+        return real(sample)
+
+    monkeypatch.setattr(rcc, "_canonical_standardized", counting)
+    model = rcc_train(data, num_features=8, num_trees=5, seed=4)
+    monkeypatch.undo()
+    augmented = [pair for sample, label in data for pair in ((sample, label), (sample.swapped(), -label))]
+    assert len(calls) == 12
+    assert all(np.array_equal(got.points, s.points) for got, (s, _) in zip(calls, augmented))
+    pooled = np.concatenate([_canonical_standardized(s).ravel() for s, _ in augmented])
+    assert model.rff.bandwidth == median_heuristic(pooled)
+    X = np.stack([featurize_scatter(s, model.rff) for s, _ in augmented])
+    forest = forest_train(X, np.array([label for _, label in augmented]), num_trees=5, seed=SeedSpec(4).child("rcc.forest"))
+    assert_same_trees(model.forest.trees, forest.trees)
 
 
 def test_featurization_is_bitwise_permutation_invariant():
@@ -783,15 +841,29 @@ def forest_fixture(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["plain", "ties", "signed zeros", "constant columns", "width 1"])
-@pytest.mark.parametrize("min_leaf", [1, 2, 3])
-def test_forest_equals_recursive_oracle(kind, min_leaf):
+@pytest.mark.parametrize("min_leaf", [1, 2, 3, 7])
+def test_forest_equals_recursive_oracle(kind, min_leaf, monkeypatch):
     rng = np.random.default_rng([16, min_leaf, len(kind)])
     X, y = forest_fixture(kind, rng)
+    searched = []
+    real = rcc._best_splits
+
+    def recording(*args):
+        result = real(*args)
+        searched.append(result[0])
+        return result
+
+    monkeypatch.setattr(rcc, "_best_splits", recording)
     for num_trees in (1, 31, 32, 33, 70):
         seed = int(rng.integers(1 << 30))
         forest = forest_train(X, y, num_trees=num_trees, seed=seed, min_leaf=min_leaf)
         assert forest.num_trees == num_trees
         assert_same_trees(forest.trees, recursive_forest_trees(X, y, num_trees, seed, min_leaf))
+    if min_leaf == 7:
+        # Steps where a segment found no split next to segments that did;
+        # on tied columns, also as the step's last segment.
+        assert any(found.any() and not found.all() for found in searched)
+        assert kind == "plain" or any(found.any() and not found[-1] for found in searched)
 
 
 def test_forest_rejects_non_finite_features():
