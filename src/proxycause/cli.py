@@ -8,9 +8,12 @@ repeated 10 times, 300-dimensional embeddings).
 
 Precedence for every option: command-line flag, then --config file
 (key=value lines), then the PROXYCAUSE_SEED environment variable (seed
-only), then the built-in default.  One table gives every option its type,
-for the flag and the config key alike; the bare flag --general-beta is
-true or false in a config file.
+only), then the built-in default.  One option table states each option's
+type and default, and each subcommand's row marks its required options;
+the type parses the flag and the config key alike, and the bare flag
+--general-beta is true or false in a config file.  Every config key must
+name an option of some subcommand.  Before any work, one stderr line
+echoes every resolved option of the subcommand.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def _log(msg: str) -> None:
 
 
 def _load_config(path) -> dict:
+    """The key=value lines of a config file, each value cast to its option's type."""
     config = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -70,34 +74,14 @@ def _load_config(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
+            key, _, text = (part.strip() for part in line.partition("="))
+            if key not in _OPTIONS:
+                raise ValueError(f"config line {lineno}: {key!r} names no option")
+            kind = _OPTIONS[key][0]
+            if kind is bool and text not in ("true", "false"):
+                raise ValueError(f"config key {key} takes true or false, got {text!r}")
+            config[key] = text == "true" if kind is bool else kind(text)
     return config
-
-
-def _opt(args, config, name, default):
-    """Flag > config > default; a config value is cast to the option's type."""
-    value = getattr(args, name.replace("-", "_"))
-    if value is not None:
-        return value
-    if name not in config:
-        return default
-    kind, text = _OPTIONS[name], config[name]
-    if kind is not bool:
-        return kind(text)
-    if text not in ("true", "false"):
-        raise ValueError(f"config key {name} takes true or false, got {text!r}")
-    return text == "true"
-
-
-def _seed(args, config) -> int:
-    seed = _opt(args, config, "seed", None)
-    if seed is not None:
-        return seed
-    env = os.environ.get("PROXYCAUSE_SEED")
-    if env is not None:
-        return int(env)
-    return 0
 
 
 def _name(text: str, allowed, what: str) -> str:
@@ -113,12 +97,11 @@ def _names(text: str, allowed, what: str) -> list:
     return [_name(part, allowed, what) for part in text.split(",")]
 
 
-def _jobs(args, config) -> int:
-    """--jobs, checked before any work starts."""
-    jobs = _opt(args, config, "jobs", 1)
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    return jobs
+def _need(o, *names) -> None:
+    """Raise for the first of ``names`` that resolved to no value."""
+    for name in names:
+        if getattr(o, name.replace("-", "_")) is None:
+            raise ValueError(f"--{name} is required")
 
 
 def _emit(result) -> None:
@@ -144,161 +127,105 @@ def _report_doc(report: xp.EvalReport) -> dict:
     }
 
 
-def _pick_engine(args, config):
+def _pick_engine(o):
     """AnmConfig or a loaded model, per --engine / --model."""
-    engine = _opt(args, config, "engine", "anm")
-    if engine == "anm":
-        perms = _opt(args, config, "permutations", 499)
-        return AnmConfig(num_permutations=perms)
-    if engine == "model":
-        model_path = _opt(args, config, "model", None)
-        if model_path is None:
-            raise ValueError("--engine model needs --model PATH")
-        return load_model(model_path)
-    raise ValueError(f"unknown engine {engine!r} (want anm or model)")
+    if o.engine == "anm":
+        return AnmConfig(num_permutations=o.permutations)
+    if o.engine == "model":
+        _need(o, "model")
+        return load_model(o.model)
+    raise ValueError(f"unknown engine {o.engine!r} (want anm or model)")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the resolved options (``o.corpus``, ``o.trees``)
 # ---------------------------------------------------------------------------
 
 
-def cmd_index_corpus(args, config):
-    corpus = _opt(args, config, "corpus", None)
-    out = _opt(args, config, "out", None)
-    if corpus is None:
-        raise ValueError("--corpus is required")
-    _log(f"index-corpus config: corpus={corpus} out={out}")
-    index = build_index(corpus)
+def cmd_index_corpus(o):
+    index = build_index(o.corpus)
     result = {
         "sentences": index.sentence_count,
         "vocabulary": len(index.vocabulary),
         "cooc_pairs": len(index.cooc_table()),
     }
-    if out is not None:
-        save_index(index, out)
-        result["out"] = out
+    if o.out is not None:
+        save_index(index, o.out)
+        result["out"] = o.out
     return result
 
 
-def cmd_embed_train(args, config):
-    corpus = _opt(args, config, "corpus", None)
-    if corpus is None:
-        raise ValueError("--corpus is required")
-    d = _opt(args, config, "d", 300)
-    epochs = _opt(args, config, "epochs", 5)
-    window = _opt(args, config, "window", 5)
-    negatives = _opt(args, config, "negatives", 5)
-    lr = _opt(args, config, "lr", 0.025)
-    seed = _seed(args, config)
-    out_input = _opt(args, config, "out-input", None)
-    out_output = _opt(args, config, "out-output", None)
-    if out_input is None or out_output is None:
-        raise ValueError("--out-input and --out-output are required")
-    _log(
-        f"embed-train config: corpus={corpus} d={d} epochs={epochs} window={window} "
-        f"negatives={negatives} lr={lr} seed={seed}"
+def cmd_embed_train(o):
+    emb = sgns_train(
+        o.corpus, d=o.d, epochs=o.epochs, window=o.window, negatives=o.negatives, learning_rate=o.lr, seed=o.seed
     )
-    emb = sgns_train(corpus, d=d, epochs=epochs, window=window, negatives=negatives, learning_rate=lr, seed=seed)
-    save_embeddings(emb, out_input, out_output)
+    save_embeddings(emb, o.out_input, o.out_output)
     return {
         "words": len(emb.words),
         "d": emb.dimension,
-        "out_input": out_input,
-        "out_output": out_output,
-        "seed": seed,
+        "out_input": o.out_input,
+        "out_output": o.out_output,
+        "seed": o.seed,
     }
 
 
-def _corpus_artifacts(args, config, kinds, seed):
+def _corpus_artifacts(o, kinds):
     """(index, vocab, emb) resolved from flags; emb only when needed."""
-    index_path = _opt(args, config, "index", None)
-    corpus = _opt(args, config, "corpus", None)
     # The index and on-the-fly embeddings share one read of the corpus.
-    tokens = functools.cache(lambda: proxy_text._read_corpus(corpus))
-    if index_path is not None:
-        index = load_index(index_path)
-    elif corpus is not None:
+    tokens = functools.cache(lambda: proxy_text._read_corpus(o.corpus))
+    if o.index is not None:
+        index = load_index(o.index)
+    elif o.corpus is not None:
         index = proxy_text._index_of(*tokens())
     else:
         raise ValueError("need --corpus or --index")
-    n_vocab = _opt(args, config, "n-vocab", 10000)
-    if n_vocab > len(index.vocabulary):
-        _log(f"vocabulary has {len(index.vocabulary)} words; clamping sample from {n_vocab}")
-        n_vocab = len(index.vocabulary)
-    method = _opt(args, config, "vocab-method", "top")
-    vocab = vocab_sample(index, n_vocab, method=method, seed=SeedSpec(seed).child("cli.vocab"))
+    n_vocab = min(o.n_vocab, len(index.vocabulary))
+    if n_vocab < o.n_vocab:
+        _log(f"vocabulary has {n_vocab} words; clamping sample from {o.n_vocab}")
+    vocab = vocab_sample(index, n_vocab, method=o.vocab_method, seed=SeedSpec(o.seed).child("cli.vocab"))
 
-    needs_emb = any(k in ("w2vii", "w2vio", "w2voi") for k in kinds)
-    emb = None
-    if needs_emb:
-        emb_input = _opt(args, config, "emb-input", None)
-        emb_output = _opt(args, config, "emb-output", None)
-        if emb_input is not None and emb_output is not None:
-            emb = load_embeddings(emb_input, emb_output)
-        elif corpus is not None:
-            d = _opt(args, config, "d", 300)
-            epochs = _opt(args, config, "epochs", 5)
-            _log(f"training embeddings on the fly: d={d} epochs={epochs}")
-            emb = proxy_text._sgns_train(tokens, d=d, epochs=epochs, seed=SeedSpec(seed).child("cli.embed"))
-        else:
-            raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
+    if not any(k in ("w2vii", "w2vio", "w2voi") for k in kinds):
+        return index, vocab, None
+    if o.emb_input is not None and o.emb_output is not None:
+        return index, vocab, load_embeddings(o.emb_input, o.emb_output)
+    if o.corpus is None:
+        raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
+    _log("training embeddings on the fly")
+    emb = proxy_text._sgns_train(tokens, d=o.d, epochs=o.epochs, seed=SeedSpec(o.seed).child("cli.embed"))
     return index, vocab, emb
 
 
-def cmd_word_pair(args, config):
-    x = _opt(args, config, "x", None)
-    y = _opt(args, config, "y", None)
-    if x is None or y is None:
-        raise ValueError("--x and --y are required")
-    kind = _name(_opt(args, config, "kind", "w2voi"), PROJECTION_NAMES, "projection kind")
-    seed = _seed(args, config)
-    _log(f"word-pair config: x={x} y={y} kind={kind} seed={seed}")
-    index, vocab, emb = _corpus_artifacts(args, config, [kind], seed)
-    sample = word_pair_scatter(x, y, kind, vocab, index, emb)
-    direction = _pick_engine(args, config).judge(sample, SeedSpec(seed).child("cli.anm"))
+def cmd_word_pair(o):
+    kind = _name(o.kind, PROJECTION_NAMES, "projection kind")
+    index, vocab, emb = _corpus_artifacts(o, [kind])
+    sample = word_pair_scatter(o.x, o.y, kind, vocab, index, emb)
+    direction = _pick_engine(o).judge(sample, SeedSpec(o.seed).child("cli.anm"))
     result = _direction_doc(direction)
-    result.update({"x": x, "y": y, "kind": kind, "n": len(vocab), "seed": seed})
+    result.update({"x": o.x, "y": o.y, "kind": kind, "n": len(vocab), "seed": o.seed})
     return result
 
 
-def _filtered_pairs(args, config):
-    pairs_path = _opt(args, config, "pairs", None)
-    if pairs_path is None:
-        raise ValueError("--pairs is required")
-    min_votes = _opt(args, config, "min-votes", 18)
-    total = _opt(args, config, "total", 20)
-    records = xp.load_word_pairs(pairs_path)
-    return xp.filter_consensus(records, min_votes, total), min_votes, total
-
-
-def cmd_nlp_eval(args, config):
-    seed = _seed(args, config)
-    kinds_arg = _opt(args, config, "kinds", "all")
-    kinds = list(PROJECTION_NAMES) if kinds_arg == "all" else _names(kinds_arg, PROJECTION_NAMES, "projection kind")
-    methods = _names(_opt(args, config, "methods", ",".join(METHODS)), METHODS, "method")
-    trees = _opt(args, config, "trees", 500)
-    m = _opt(args, config, "m", 100)
-    split = _opt(args, config, "split", 0.75)
-    repeats = _opt(args, config, "repeats", 10)
-    jobs = _jobs(args, config)
-    curve_kind = _name(_opt(args, config, "curve-kind", "w2voi"), PROJECTION_NAMES, "curve kind")
-
-    pairs, min_votes, total = _filtered_pairs(args, config)
-    _log(
-        f"nlp-eval config: kinds={kinds} methods={methods} trees={trees} m={m} "
-        f"split={split} repeats={repeats} min_votes={min_votes}/{total} seed={seed} jobs={jobs}"
-    )
+def _filtered_pairs(o):
+    pairs = xp.filter_consensus(xp.load_word_pairs(o.pairs), o.min_votes, o.total)
     if not pairs:
         raise ValueError("no pairs pass the consensus filter")
+    return pairs
+
+
+def cmd_nlp_eval(o):
+    kinds = list(PROJECTION_NAMES) if o.kinds == "all" else _names(o.kinds, PROJECTION_NAMES, "projection kind")
+    methods = _names(o.methods, METHODS, "method")
+    curve_kind = _name(o.curve_kind, PROJECTION_NAMES, "curve kind")
+
+    pairs = _filtered_pairs(o)
     need_emb_kinds = kinds + ([curve_kind] if "curve" in methods else [])
-    index, vocab, emb = _corpus_artifacts(args, config, need_emb_kinds, seed)
+    index, vocab, emb = _corpus_artifacts(o, need_emb_kinds)
 
     result = {
         "filtered_pairs": len(pairs),
-        "min_votes": min_votes,
-        "total_votes": total,
-        "seed": seed,
+        "min_votes": o.min_votes,
+        "total_votes": o.total,
+        "seed": o.seed,
     }
     # Every evaluation is an independent task with its own seed, so one
     # pool runs them all and the bytes do not depend on --jobs.  The pool
@@ -320,17 +247,17 @@ def cmd_nlp_eval(args, config):
         if method == "feature":
             return xp.evaluate_feature_method(
                 pairs, kind, vocab, index, emb,
-                num_trees=trees, split=split, repeats=repeats,
-                seed=SeedSpec(seed).child(f"nlp.feat.{kind}"),
+                num_trees=o.trees, split=o.split, repeats=o.repeats,
+                seed=SeedSpec(o.seed).child(f"nlp.feat.{kind}"),
             )
         tag = "dist" if method == "distribution" else "curve"
         return xp.evaluate_distribution_method(
             pairs, kind, vocab, index, emb,
-            split=split, repeats=repeats, num_features=m, num_trees=trees,
-            seed=SeedSpec(seed).child(f"nlp.{tag}.{kind}"),
+            split=o.split, repeats=o.repeats, num_features=o.m, num_trees=o.trees,
+            seed=SeedSpec(o.seed).child(f"nlp.{tag}.{kind}"),
         )
 
-    for (method, kind), out in zip(tasks, parallel_map(run, tasks, jobs)):
+    for (method, kind), out in zip(tasks, parallel_map(run, tasks, o.jobs)):
         if method == "baselines":
             block = {"accuracy": out["accuracy"], "ties": out["ties"], "count": len(pairs)}
             result.setdefault("baselines", {})[kind] = block
@@ -374,164 +301,104 @@ def _score_baseline(bkind, pairs, index, vocab) -> dict:
     return {"accuracy": correct / len(pairs), "ties": ties, "pairs": per_pair}
 
 
-def cmd_baselines(args, config):
-    seed = _seed(args, config)
-    kinds_arg = _opt(args, config, "kinds", "all")
-    kinds = list(BASELINE_KINDS) if kinds_arg == "all" else _names(kinds_arg, BASELINE_KINDS, "baseline")
-    jobs = _jobs(args, config)
-    pairs, min_votes, total = _filtered_pairs(args, config)
-    if not pairs:
-        raise ValueError("no pairs pass the consensus filter")
-    _log(f"baselines config: kinds={kinds} min_votes={min_votes}/{total} seed={seed} jobs={jobs}")
-    index, vocab, _ = _corpus_artifacts(args, config, [], seed)
-    blocks = parallel_map(lambda bkind: _score_baseline(bkind, pairs, index, vocab), kinds, jobs)
+def cmd_baselines(o):
+    kinds = list(BASELINE_KINDS) if o.kinds == "all" else _names(o.kinds, BASELINE_KINDS, "baseline")
+    pairs = _filtered_pairs(o)
+    index, vocab, _ = _corpus_artifacts(o, [])
+    blocks = parallel_map(lambda bkind: _score_baseline(bkind, pairs, index, vocab), kinds, o.jobs)
     return {"filtered_pairs": len(pairs), "baselines": dict(zip(kinds, blocks))}
 
 
-def cmd_image_pair(args, config):
-    x_path = _opt(args, config, "x", None)
-    y_path = _opt(args, config, "y", None)
-    if x_path is None or y_path is None:
-        raise ValueError("--x and --y are required")
-    n = _opt(args, config, "n", 1024)
-    k = _opt(args, config, "k", 10)
-    seed = _seed(args, config)
-    _log(f"image-pair config: x={x_path} y={y_path} n={n} k={k} seed={seed}")
-    engine = _pick_engine(args, config)
-    direction = image_pair_direction(load_image(x_path), load_image(y_path), n=n, k=k, engine=engine, seed=seed)
+def cmd_image_pair(o):
+    engine = _pick_engine(o)
+    direction = image_pair_direction(load_image(o.x), load_image(o.y), n=o.n, k=o.k, engine=engine, seed=o.seed)
     result = _direction_doc(direction)
-    result.update({"x": x_path, "y": y_path, "n": n, "k": k, "seed": seed})
+    result.update({"x": o.x, "y": o.y, "n": o.n, "k": o.k, "seed": o.seed})
     return result
 
 
-def cmd_frames_order(args, config):
-    directory = _opt(args, config, "dir", None)
-    if directory is None:
-        raise ValueError("--dir is required")
-    pattern = _opt(args, config, "pattern", "frame_*.pgm")
-    n = _opt(args, config, "n", 1024)
-    k = _opt(args, config, "k", 10)
-    jobs = _jobs(args, config)
-    seed = _seed(args, config)
-    paths = sorted(glob.glob(os.path.join(directory, pattern)))
+def cmd_frames_order(o):
+    paths = sorted(glob.glob(os.path.join(o.dir, o.pattern)))
     if len(paths) < 2:
-        raise ValueError(f"found {len(paths)} frames matching {pattern!r} in {directory}")
-    _log(f"frames-order config: dir={directory} pattern={pattern} frames={len(paths)} n={n} k={k} seed={seed} jobs={jobs}")
+        raise ValueError(f"found {len(paths)} frames matching {o.pattern!r} in {o.dir}")
     frames = [load_image(p) for p in paths]
-    engine = _pick_engine(args, config)
-    order = frames_order(frames, n=n, k=k, engine=engine, seed=seed, jobs=jobs)
+    engine = _pick_engine(o)
+    order = frames_order(frames, n=o.n, k=o.k, engine=engine, seed=o.seed, jobs=o.jobs)
     return {
         "frames": [os.path.basename(p) for p in paths],
         "order": [os.path.basename(paths[i]) for i in order.order],
         "indices": list(order.order),
         "cyclic": order.cyclic,
         "matrix": order.matrix.tolist(),
-        "seed": seed,
+        "seed": o.seed,
     }
 
 
-def cmd_synth(args, config):
-    what = _opt(args, config, "what", None)
-    if what is None:
-        raise ValueError("--what is required (scatter, stylized, or frames)")
-    seed = _seed(args, config)
-    if what == "scatter":
-        n = _opt(args, config, "n", 500)
-        mechanism = _opt(args, config, "mechanism", "cubic")
-        noise = _opt(args, config, "noise", "gaussian")
-        out = _opt(args, config, "out", None)
-        _log(f"synth scatter config: n={n} mechanism={mechanism} noise={noise} seed={seed}")
-        sample, label = xp.synth_anm_pair(n, mechanism=mechanism, noise=noise, seed=seed)
-        result = {"what": what, "n": n, "mechanism": mechanism, "noise": noise, "label": label, "seed": seed}
-        if out is not None:
-            save_scatter(sample, out)
-            result["out"] = out
+def cmd_synth(o):
+    if o.what == "scatter":
+        sample, label = xp.synth_anm_pair(o.n, mechanism=o.mechanism, noise=o.noise, seed=o.seed)
+        result = {"what": o.what, "n": o.n, "mechanism": o.mechanism, "noise": o.noise, "label": label, "seed": o.seed}
+        if o.out is not None:
+            save_scatter(sample, o.out)
+            result["out"] = o.out
         return result
-    if what == "stylized":
-        size = _opt(args, config, "size", 80)
-        k = _opt(args, config, "k", 10)
-        g = _opt(args, config, "g", "tanh")
-        sigma = _opt(args, config, "sigma", 0.05)
-        out_x = _opt(args, config, "out-x", None)
-        out_y = _opt(args, config, "out-y", None)
-        if out_x is None or out_y is None:
-            raise ValueError("--out-x and --out-y are required")
-        row_constant = not _opt(args, config, "general-beta", False)
-        _log(f"synth stylized config: size={size} k={k} g={g} sigma={sigma} row_constant={row_constant} seed={seed}")
-        spec = SeedSpec(seed)
+    if o.what == "stylized":
+        _need(o, "out-x", "out-y")
+        size = 80 if o.size is None else o.size
+        row_constant = not o.general_beta
+        spec = SeedSpec(o.seed)
         base = xp.synth_base_image(size, seed=spec.child("synth.base"))
-        mech = xp.random_mechanism(k=k, row_constant=row_constant, g=g, noise_scale=sigma, seed=spec.child("synth.mech"))
+        mech = xp.random_mechanism(
+            k=o.k, row_constant=row_constant, g=o.g, noise_scale=o.sigma, seed=spec.child("synth.mech")
+        )
         styled, clipped = xp.synth_stylized_pair(base, mech, seed=spec.child("synth.style"))
-        save_image(base, out_x)
-        save_image(styled, out_y)
+        save_image(base, o.out_x)
+        save_image(styled, o.out_y)
         return {
-            "what": what, "size": size, "k": k, "g": g, "sigma": sigma,
+            "what": o.what, "size": size, "k": o.k, "g": o.g, "sigma": o.sigma,
             "row_constant": row_constant, "clipped_fraction": clipped,
-            "out_x": out_x, "out_y": out_y, "seed": seed,
+            "out_x": o.out_x, "out_y": o.out_y, "seed": o.seed,
         }
-    if what == "frames":
-        size = _opt(args, config, "size", 64)
-        count = _opt(args, config, "frames", 8)
-        out_dir = _opt(args, config, "out-dir", None)
-        if out_dir is None:
-            raise ValueError("--out-dir is required")
-        _log(f"synth frames config: size={size} frames={count} seed={seed}")
-        frames = xp.synth_diffusion_frames(size, num_frames=count, seed=seed)
-        os.makedirs(out_dir, exist_ok=True)
+    if o.what == "frames":
+        _need(o, "out-dir")
+        size = 64 if o.size is None else o.size
+        frames = xp.synth_diffusion_frames(size, num_frames=o.frames, seed=o.seed)
+        os.makedirs(o.out_dir, exist_ok=True)
         paths = []
         for i, frame in enumerate(frames):
-            path = os.path.join(out_dir, f"frame_{i}.pgm")
+            path = os.path.join(o.out_dir, f"frame_{i}.pgm")
             save_image(frame, path)
             paths.append(path)
-        return {"what": what, "size": size, "frames": count, "paths": paths, "seed": seed}
-    raise ValueError(f"unknown synth target {what!r}")
+        return {"what": o.what, "size": size, "frames": o.frames, "paths": paths, "seed": o.seed}
+    raise ValueError(f"unknown synth target {o.what!r}")
 
 
-def cmd_significance(args, config):
-    accuracy = _opt(args, config, "accuracy", None)
-    n = _opt(args, config, "n", None)
-    if accuracy is None or n is None:
-        raise ValueError("--accuracy and --n are required")
-    p0 = _opt(args, config, "p0", 0.5)
-    _log(f"significance config: accuracy={accuracy} n={n} p0={p0}")
-    p = xp.binomial_significance(accuracy, n, p0)
-    return {"accuracy": accuracy, "n": n, "p0": p0, "p_value": p, "significant": p < 0.05}
+def cmd_significance(o):
+    p = xp.binomial_significance(o.accuracy, o.n, o.p0)
+    return {"accuracy": o.accuracy, "n": o.n, "p0": o.p0, "p_value": p, "significant": p < 0.05}
 
 
-def cmd_model(args, config):
-    action = _opt(args, config, "action", None)
-    seed = _seed(args, config)
+def cmd_model(o):
+    action = o.action
     if action == "train":
-        data_path = _opt(args, config, "data", None)
-        out = _opt(args, config, "out", None)
-        if data_path is None or out is None:
-            raise ValueError("model train needs --data and --out")
-        m = _opt(args, config, "m", 100)
-        trees = _opt(args, config, "trees", 500)
-        _log(f"model train config: data={data_path} m={m} trees={trees} seed={seed}")
-        data = load_dataset(data_path)
-        model = rcc_train(data, num_features=m, num_trees=trees, seed=seed)
-        save_model(model, out)
+        _need(o, "data", "out")
+        data = load_dataset(o.data)
+        model = rcc_train(data, num_features=o.m, num_trees=o.trees, seed=o.seed)
+        save_model(model, o.out)
         return {
-            "action": action, "out": out, "m": m, "trees": trees,
-            "bandwidth": model.rff.bandwidth, "examples": len(data.items), "seed": seed,
+            "action": action, "out": o.out, "m": o.m, "trees": o.trees,
+            "bandwidth": model.rff.bandwidth, "examples": len(data.items), "seed": o.seed,
         }
     if action == "predict":
-        model_path = _opt(args, config, "model", None)
-        sample_path = _opt(args, config, "sample", None)
-        if model_path is None or sample_path is None:
-            raise ValueError("model predict needs --model and --sample")
-        _log(f"model predict config: model={model_path} sample={sample_path}")
-        model = load_model(model_path)
-        direction = rcc_predict(model, load_scatter(sample_path))
+        _need(o, "model", "sample")
+        model = load_model(o.model)
+        direction = rcc_predict(model, load_scatter(o.sample))
         result = _direction_doc(direction)
-        result.update({"action": action, "model": model_path, "sample": sample_path})
+        result.update({"action": action, "model": o.model, "sample": o.sample})
         return result
     if action == "inspect":
-        model_path = _opt(args, config, "model", None)
-        if model_path is None:
-            raise ValueError("model inspect needs --model")
-        model = load_model(model_path)
+        _need(o, "model")
+        model = load_model(o.model)
         return {
             "action": action,
             "m": model.rff.num_features,
@@ -543,25 +410,53 @@ def cmd_model(args, config):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Options and parser
 # ---------------------------------------------------------------------------
 
 
-# Every option and its type, stated once: the type parses the flag and the
-# same key in a --config file.  A bool option is a bare flag on the command
-# line and true or false in a config file.
+# Every option with its type and its default, stated once.  The type parses
+# the flag and the same key in a --config file; a bool option is a bare flag
+# on the command line and true or false in a config file.  A default of None
+# means the option has no value unless one is given.
 _OPTIONS = {
-    **dict.fromkeys((
-        "action config corpus curve-kind data dir emb-input emb-output engine g index kind kinds mechanism "
-        "methods model noise out out-dir out-input out-output out-x out-y pairs pattern sample vocab-method "
-        "what x y"
-    ).split(), str),
-    **dict.fromkeys((
-        "d epochs frames jobs k m min-votes n n-vocab negatives permutations repeats seed size total trees "
-        "window"
-    ).split(), int),
-    **dict.fromkeys("accuracy lr p0 sigma split".split(), float),
-    "general-beta": bool,
+    **{name: (str, None) for name in (
+        "action config corpus data dir emb-input emb-output index model out out-dir out-input out-output "
+        "out-x out-y pairs sample what x y"
+    ).split()},
+    "accuracy": (float, None),
+    "curve-kind": (str, "w2voi"),
+    "d": (int, 300),
+    "engine": (str, "anm"),
+    "epochs": (int, 5),
+    "frames": (int, 8),
+    "g": (str, "tanh"),
+    "general-beta": (bool, False),
+    "jobs": (int, 1),
+    "k": (int, 10),
+    "kind": (str, "w2voi"),
+    "kinds": (str, "all"),
+    "lr": (float, 0.025),
+    "m": (int, 100),
+    "mechanism": (str, "cubic"),
+    "methods": (str, ",".join(METHODS)),
+    "min-votes": (int, 18),
+    "n": (int, 1024),
+    "n-vocab": (int, 10000),
+    "negatives": (int, 5),
+    "noise": (str, "gaussian"),
+    "p0": (float, 0.5),
+    "pattern": (str, "frame_*.pgm"),
+    "permutations": (int, 499),
+    "repeats": (int, 10),
+    "seed": (int, 0),
+    # synth --size defaults to 80 for --what stylized and 64 for frames.
+    "size": (int, None),
+    "sigma": (float, 0.05),
+    "split": (float, 0.75),
+    "total": (int, 20),
+    "trees": (int, 500),
+    "vocab-method": (str, "top"),
+    "window": (int, 5),
 }
 
 # The options every subcommand takes, after its own, with their help.
@@ -575,41 +470,73 @@ _SHARED = {
 }
 
 # Each subcommand: its handler, its help and its own options in --help
-# order.  ``action`` is the one positional (``model train``).
+# order.  ``corpus!`` marks a required option and ``n=500`` a default of
+# this subcommand's own; ``action`` is the one positional (``model train``).
 _COMMANDS = {
-    "index-corpus": (cmd_index_corpus, "count sentence-level statistics of a corpus", "corpus out"),
+    "index-corpus": (cmd_index_corpus, "count sentence-level statistics of a corpus", "corpus! out"),
     "embed-train": (
         cmd_embed_train, "train skip-gram embeddings",
-        "corpus d epochs window negatives lr out-input out-output",
+        "corpus! d epochs window negatives lr out-input! out-output!",
     ),
     "word-pair": (
         cmd_word_pair, "causal direction between two words",
-        "x y kind corpus index n-vocab vocab-method emb-input emb-output d epochs engine model permutations",
+        "x! y! kind corpus index n-vocab vocab-method emb-input emb-output d epochs engine model permutations",
     ),
     "nlp-eval": (
         cmd_nlp_eval, "full evaluation on annotated word pairs",
-        "pairs corpus index min-votes total kinds methods curve-kind n-vocab vocab-method "
+        "pairs! corpus index min-votes total kinds methods curve-kind n-vocab vocab-method "
         "emb-input emb-output d epochs trees m split repeats",
     ),
     "baselines": (
         cmd_baselines, "score the count-based baselines on word pairs",
-        "pairs corpus index min-votes total kinds n-vocab vocab-method",
+        "pairs! corpus index min-votes total kinds n-vocab vocab-method",
     ),
-    "image-pair": (cmd_image_pair, "causal direction between two images", "x y n k engine model permutations"),
+    "image-pair": (cmd_image_pair, "causal direction between two images", "x! y! n k engine model permutations"),
     "frames-order": (
         cmd_frames_order, "temporal order of frames by pairwise direction",
-        "dir pattern n k engine model permutations",
+        "dir! pattern n k engine model permutations",
     ),
     "synth": (
         cmd_synth, "generate synthetic scatter, stylized pair, or frames",
-        "what n mechanism noise out size k g sigma general-beta out-x out-y frames out-dir",
+        "what! n=500 mechanism noise out size k g sigma general-beta out-x out-y frames out-dir",
     ),
-    "significance": (cmd_significance, "exact one-sided binomial test against chance", "accuracy n p0"),
+    "significance": (cmd_significance, "exact one-sided binomial test against chance", "accuracy! n! p0"),
     "model": (
         cmd_model, "train, inspect, or apply a saved direction model",
         "action data out m trees model sample",
     ),
 }
+
+
+def _row(command):
+    """(name, required, default) of each option of ``command``: its own, then the shared ones."""
+    for token in _COMMANDS[command][2].split() + list(_SHARED):
+        name, _, own = token.rstrip("!").partition("=")
+        kind, default = _OPTIONS[name]
+        yield name, token.endswith("!"), kind(own) if own else default
+
+
+def _resolve(args, config) -> argparse.Namespace:
+    """Every option of ``args.command`` resolved: flag, then config file,
+    then PROXYCAUSE_SEED (seed only), then the default.  A required option
+    left without a value, or --jobs below 1, raises ValueError; the resolved
+    values are echoed on one stderr line."""
+    values, required = {}, []
+    for name, need, default in _row(args.command):
+        value = getattr(args, name.replace("-", "_"))
+        if value is None:
+            value = config.get(name)
+        if value is None and name == "seed" and "PROXYCAUSE_SEED" in os.environ:
+            value = int(os.environ["PROXYCAUSE_SEED"])
+        values[name] = default if value is None and not need else value
+        if need:
+            required.append(name)
+    o = argparse.Namespace(**{name.replace("-", "_"): value for name, value in values.items()})
+    _need(o, *required)
+    if o.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {o.jobs}")
+    _log(f"{args.command} config: " + " ".join(f"{name}={value}" for name, value in values.items()))
+    return o
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,16 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Causal direction between static entities via proxy projections.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, names) in _COMMANDS.items():
+    for command, (_, help_text, _) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
-        for name in names.split() + list(_SHARED):
-            kind = _OPTIONS[name]
+        for name, _, _ in _row(command):
+            kind = _OPTIONS[name][0]
             how = {"action": "store_true"} if kind is bool else {"type": kind}
             if name == "action":
                 sub.add_argument(name, nargs="?", default=None, **how)
             else:
                 sub.add_argument(f"--{name}", default=None, help=_SHARED.get(name), **how)
-        sub.set_defaults(func=func)
     return parser
 
 
@@ -637,11 +563,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = {}
     try:
-        if args.config is not None:
-            config = _load_config(args.config)
-        result = args.func(args, config)
+        config = {} if args.config is None else _load_config(args.config)
+        result = _COMMANDS[args.command][0](_resolve(args, config))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

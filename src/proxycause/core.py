@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Iterable
@@ -188,6 +187,11 @@ def as_spec(seed: SeedSpec | int) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _standardize(v: np.ndarray) -> np.ndarray:
     """Zero mean, unit standard deviation; a constant variable raises, and so
     do values too large for their standard deviation to be finite."""
@@ -314,7 +318,7 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     BLAS runs on one thread in the caller and in every worker.  Otherwise,
     and inside a worker, this is the serial loop.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+    if not _is_integer(jobs) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     items = list(items)
     workers = min(int(jobs), len(items), _usable_cpus())

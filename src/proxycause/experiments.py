@@ -367,20 +367,22 @@ def _blur_schedule(r2: float, blur: float, gaps: int, lam: float) -> list:
     return steps
 
 
+# The diffusion stack: _NUM_BLOBS identical blobs of radius _RADIUS at
+# least _SEP apart inside a _MARGIN border, amplitude _AMP on a _PEDESTAL,
+# each gap shrinking the peaks by _BLUR under heat steps of size _LAM.
+_NUM_BLOBS = 34
+_RADIUS = 8.0
+_SEP = 32.0
+_AMP = 0.5
+_PEDESTAL = 0.3
+_MARGIN = 0.12
+_BLUR = 0.85
+_LAM = 0.2
+_LEAD_IN = 3
+
+
 def synth_diffusion_frames(
-    size: int,
-    num_frames: int = 8,
-    seed: SeedSpec | int = 0,
-    num_blobs: int = 34,
-    radius: float = 8.0,
-    sep: float = 32.0,
-    amp: float = 0.5,
-    pedestal: float = 0.3,
-    blur: float = 0.85,
-    lam: float = 0.2,
-    noise_scale: float = 0.04,
-    margin: float = 0.12,
-    lead_in: int = 3,
+    size: int, num_frames: int = 8, seed: SeedSpec | int = 0, noise_scale: float = 0.04
 ) -> list:
     """Frames of identical sparse blobs spreading under the heat stencil,
     with iid pixel noise added after every recorded or lead-in gap.
@@ -388,7 +390,7 @@ def synth_diffusion_frames(
     Identical blob profiles keep the patch-mean relation between any two
     frames single valued, and the equal-blur gap schedule keeps adjacent
     frames equally separated, so the ordering stays recoverable across the
-    whole stack.  The lead_in gaps run before the first recorded frame so
+    whole stack.  The _LEAD_IN gaps run before the first recorded frame so
     that every recorded frame carries the same kind of accumulated,
     partially smoothed noise history; without them the first frame is
     statistically special and pairwise verdicts against it degrade.
@@ -397,35 +399,33 @@ def synth_diffusion_frames(
         raise ValueError("need at least two frames")
     rng = as_spec(seed).rng("diffusion")
     yy, xx = np.mgrid[0:size, 0:size]
-    lo, hi = size * margin, size * (1.0 - margin)
+    lo, hi = size * _MARGIN, size * (1.0 - _MARGIN)
     centers = []
     for _ in range(4000):
-        if len(centers) == num_blobs:
+        if len(centers) == _NUM_BLOBS:
             break
         c = rng.uniform(lo, hi, 2)
-        if all((c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2 >= sep * sep for p in centers):
+        if all((c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2 >= _SEP * _SEP for p in centers):
             centers.append(c)
-    # Seed the field lead_in gaps before the first recorded frame: sharper
-    # blobs, higher amplitude, so that after the lead-in it lands on the
-    # requested radius and amp.
-    r_seed2 = radius * radius * blur**lead_in
-    amp_seed = amp / blur**lead_in
-    field = np.full((size, size), float(pedestal))
+    # Seed the field _LEAD_IN gaps before the first recorded frame: sharper
+    # blobs, higher amplitude, so that after the lead-in it lands on _RADIUS
+    # and _AMP.
+    r_seed2 = _RADIUS * _RADIUS * _BLUR**_LEAD_IN
+    amp_seed = _AMP / _BLUR**_LEAD_IN
+    field = np.full((size, size), _PEDESTAL)
     for cy, cx in centers:
         u = (yy - cy) ** 2 + (xx - cx) ** 2
         field += amp_seed * np.exp(-u / (2.0 * r_seed2))
     field = np.clip(field, 0.0, 1.0)
     frames = []
-    if lead_in == 0:
-        frames.append(Image(field))
-    schedule = _blur_schedule(r_seed2, blur, lead_in + num_frames - 1, lam)
+    schedule = _blur_schedule(r_seed2, _BLUR, _LEAD_IN + num_frames - 1, _LAM)
     for gap, m in enumerate(schedule):
         for _ in range(m):
-            field = diffusion_step(field, lam)
+            field = diffusion_step(field, _LAM)
         if noise_scale > 0.0:
             field = field + rng.normal(0.0, noise_scale, field.shape)
         field = np.clip(field, 0.0, 1.0)
-        if gap >= lead_in - 1:
+        if gap >= _LEAD_IN - 1:
             frames.append(Image(field))
     return frames
 

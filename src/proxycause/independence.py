@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeedSpec, as_spec
+from .core import SeedSpec, _is_integer, as_spec
 
 __all__ = [
     "KernelSpec",
@@ -165,7 +165,7 @@ def hsic_pvalue(
 
 def _check_permutations(num_permutations) -> None:
     """Reject a permutation count that is not an integer of at least 99."""
-    if isinstance(num_permutations, bool) or not isinstance(num_permutations, (int, np.integer)):
+    if not _is_integer(num_permutations):
         raise ValueError(f"num_permutations must be an integer, got {num_permutations!r}")
     if num_permutations < 99:
         raise ValueError("use at least 99 permutations")

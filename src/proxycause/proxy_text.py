@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _is_integer, as_spec
 
 __all__ = [
     "CorpusIndex",
@@ -274,7 +274,7 @@ class VocabSample:
 def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec | int = 0) -> VocabSample:
     """Proxy vocabulary: the n most frequent words (ties lexicographic),
     or a seeded uniform draw without replacement with method="uniform"."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+    if not _is_integer(n) or n < 2:
         raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     words = sorted(index.vocabulary)
     if n > len(words):
@@ -300,11 +300,14 @@ class EmbeddingModel:
     """Input and output embedding tables over one vocabulary."""
 
     words: tuple
-    word_rows: dict
     input_matrix: np.ndarray
     output_matrix: np.ndarray
+    word_rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "word_rows", {w: i for i, w in enumerate(self.words)})
+        if len(self.word_rows) != len(self.words):
+            raise ValueError("embedding tables have duplicate words")
         vi, vo = self.input_matrix, self.output_matrix
         if vi.shape != vo.shape or vi.shape[0] != len(self.words):
             raise ValueError("embedding tables must cover the same vocabulary")
@@ -365,7 +368,7 @@ def sgns_train(
 
 def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.025, seed=0) -> EmbeddingModel:
     """``sgns_train`` on the corpus ``read()`` gives, read once the checks pass."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (d, epochs, window, negatives)):
+    if not all(_is_integer(v) for v in (d, epochs, window, negatives)):
         raise ValueError("d, epochs, window and negatives must be integers")
     if d < 2:
         raise ValueError("embedding dimension must be at least 2")
@@ -415,12 +418,7 @@ def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.02
                 np.add.at(vo_flat, flat[lo * d : hi * d], np.multiply.outer(grad, v).ravel())
                 v += grad_center
 
-    return EmbeddingModel(
-        words=tuple(vocabulary),
-        word_rows=vocabulary,
-        input_matrix=vi,
-        output_matrix=vo,
-    )
+    return EmbeddingModel(words=tuple(vocabulary), input_matrix=vi, output_matrix=vo)
 
 
 def _write_table(words, matrix, path) -> None:
@@ -448,8 +446,6 @@ def _read_table(path):
             rows.append([float(v) for v in parts[1:]])
         if fh.read().strip():
             raise ValueError(f"more rows than the header's {count} in {path}")
-    if len(set(words)) != count:
-        raise ValueError(f"duplicate words in {path}")
     return words, np.array(rows, dtype=np.float64).reshape(count, dim)
 
 
@@ -465,12 +461,7 @@ def load_embeddings(input_path, output_path) -> EmbeddingModel:
     words_o, vo = _read_table(output_path)
     if words_i != words_o:
         raise ValueError("input and output tables list different vocabularies")
-    return EmbeddingModel(
-        words=tuple(words_i),
-        word_rows={w: i for i, w in enumerate(words_i)},
-        input_matrix=vi,
-        output_matrix=vo,
-    )
+    return EmbeddingModel(words=tuple(words_i), input_matrix=vi, output_matrix=vo)
 
 
 # ---------------------------------------------------------------------------

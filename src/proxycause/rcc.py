@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _standardize, as_spec
+from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _is_integer, _standardize, as_spec
 from .independence import median_heuristic
 
 __all__ = [
@@ -39,11 +39,6 @@ MODEL_VERSION = 1
 # ---------------------------------------------------------------------------
 # Random Fourier feature embedding
 # ---------------------------------------------------------------------------
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

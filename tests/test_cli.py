@@ -386,3 +386,43 @@ def test_general_beta_follows_flag_then_config(tmp_path, capsys):
         cfg.write_text(f"general-beta = {bad}\n")
         code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 1 and out == "" and "true or false" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["index-corpus"], "corpus"),
+    (["embed-train", "--corpus", "c.txt", "--out-output", "vo.txt"], "out-input"),
+    (["embed-train", "--corpus", "c.txt", "--out-input", "vi.txt"], "out-output"),
+    (["word-pair", "--y", "wet", "--corpus", "c.txt"], "x"),
+    (["word-pair", "--x", "rain", "--corpus", "c.txt"], "y"),
+    (["nlp-eval", "--corpus", "c.txt"], "pairs"),
+    (["baselines", "--corpus", "c.txt"], "pairs"),
+    (["image-pair", "--x", "a.pgm"], "y"),
+    (["frames-order"], "dir"),
+    (["synth"], "what"),
+    (["synth", "--what", "stylized", "--out-x", "x.pgm"], "out-y"),
+    (["synth", "--what", "frames"], "out-dir"),
+    (["significance", "--n", "40"], "accuracy"),
+    (["significance", "--accuracy", "0.75"], "n"),
+    (["model", "train", "--out", "m.json"], "data"),
+    (["model", "predict", "--model", "m.json"], "sample"),
+    (["model", "inspect"], "model"),
+    (["image-pair", "--x", "a.pgm", "--y", "b.pgm", "--engine", "model"], "model"),
+])
+def test_a_missing_required_option_exits_one_and_is_named(capsys, tmp_path, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"--{option}" in err
+
+
+def test_config_keys_must_name_an_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a typo below\np00 = 0.9\n")
+    code, out, err = run(capsys, "significance", "--accuracy", "0.75", "--n", "40", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert "config line 2" in err and "'p00'" in err
+    # a key of another subcommand's options is accepted, so one file can
+    # serve several commands
+    cfg.write_text("p0 = 0.25\ntrees = 9\n")
+    doc, _ = run_json(capsys, "significance", "--accuracy", "0.75", "--n", "40", "--config", str(cfg))
+    assert doc["p0"] == 0.25

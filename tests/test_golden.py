@@ -323,20 +323,35 @@ CLI_RUNS = {
     "model-train": ([], _MODEL),
     "model-predict": ([_MODEL], ["model", "predict", "--model", "model.json", "--sample", "probe.jsonl"]),
     "model-inspect": ([_MODEL], ["model", "inspect", "--model", "model.json"]),
+    # Only the required options and input files, recorded while each handler
+    # still held its own defaults: every other value is a default (seed 0,
+    # n 1024 or 500, size 80 or 64, ...), so these pin the option table.
+    "image-pair-defaults": ([_STYLIZED], ["image-pair", "--x", "x.pgm", "--y", "y.pgm"]),
+    "synth-scatter-defaults": ([], ["synth", "--what", "scatter"]),
+    "synth-stylized-defaults": ([], ["synth", "--what", "stylized", "--out-x", "x.pgm", "--out-y", "y.pgm"]),
+    "synth-frames-defaults": ([], ["synth", "--what", "frames", "--out-dir", "frames"]),
+    "model-train-defaults": ([], ["model", "train", "--data", "train.jsonl", "--out", "model.json"]),
+    "word-pair-defaults": ([], ["word-pair", "--corpus", "corpus.txt", "--x", "rain", "--y", "wet"]),
 }
 CLI_RUN_STDOUT = {
     "embed-train": "2a0f3de5d5f14954285c947cf70f70e1d7ba6ac4c6e54ff0a8ee41c48c4e4120",
     "image-pair-anm": "d0f58d251db412eb75073f8006c6f26609bde464fb3f012bc99d07fd3a44c1f9",
+    "image-pair-defaults": "64a9ff3d2c71c829ed4bcfeff11fe51a6f17c588f3bc0102f674894044d24928",
     "image-pair-model": "84b491c4becb0e98e057d8ef2cb00ea006186d5294c8071d2e0bfefe6fba150e",
     "index-corpus": "80327e9ec1f20ab7cc0fedb1def8548cc67a5a74d6600b22e58e6b938f564799",
     "model-inspect": "3f7c0ad47b0f0c0e492b69b0c7caf0f4801115a15aacc0cc54c63f2c9cd95e22",
     "model-predict": "b8f5126eb6559eb2e80a3fbf7c0aed4a8156cfa4450a6bc5026be4db4d5a5fa9",
     "model-train": "ac8aa6cff8510639f68db14a79ad66c6a128233010326d29f57045facc5934ab",
+    "model-train-defaults": "5ad727c37863cc099e233e5839baca6b76d44ffd5417bac9826f39b52b9e3ae4",
     "significance": "448baeb6f9b6bee1213c41afbc67012b09b47fe34aa19cd450bed422abec9791",
     "synth-frames": "05570507162e7e303fb7452f4e1bf3476ac8be28bdbb09d0df17b612b9c7cde5",
+    "synth-frames-defaults": "fe3830ed215b43eeea6bd07f5240d19dc5651371fa821ef01aac24b7dc8caadb",
     "synth-scatter": "dfca8077e5d2a25501549b64c801302ac464ff4113cec9189094ce1853217183",
+    "synth-scatter-defaults": "be17751a28e7710b1d6e3bdc0537b86544d516f2147fd1ba454926a01ccac660",
     "synth-stylized": "9b3ee9ad7d811034bce320692d541dd14675052e652f6acb1226caaa040ff870",
+    "synth-stylized-defaults": "b27c88544382b721e88466a0b8951feb4d773b87fc934a393e590369023accae",
     "word-pair-anm": "61f2a8ae733fedd0b79fb5581598a9874e45a91ed53bf803835e0f6dc655e649",
+    "word-pair-defaults": "e8448b6f374882e7d14d19a709fe9165492d9cb4dce100c89155a1df2341fdd9",
     "word-pair-model": "11ce915808957ed0785a88b4916d128320afb88ffb4eb880110ae15f41d35433",
 }
 
@@ -351,16 +366,35 @@ def _write_run_inputs():
     return items
 
 
-@pytest.mark.parametrize("name", sorted(CLI_RUNS))
-def test_cli_subcommand_stdout_is_pinned(name, tmp_path, monkeypatch):
+def _run_case(name, tmp_path, monkeypatch, move_to_config=False):
+    """SHA-256 of the stdout of CLI_RUNS[name], run in ``tmp_path``; with
+    ``move_to_config`` every --flag of the case goes into a --config file."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROXYCAUSE_SEED", raising=False)
     _write_run_inputs()
     setup, argv = CLI_RUNS[name]
     for step in setup:
         assert _cli_stdout(step)[0] == 0, step
+    if move_to_config:
+        flags_at = next(i for i, token in enumerate(argv) if token.startswith("--"))
+        argv, flags = argv[:flags_at], argv[flags_at:]
+        with open("case.cfg", "w", encoding="utf-8") as fh:
+            for flag, value in zip(flags[::2], flags[1::2]):
+                fh.write(f"{flag[2:]} = {value}\n")
+        argv = argv + ["--config", "case.cfg"]
     code, out = _cli_stdout(argv)
     assert code == 0, name
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_RUN_STDOUT[name], name
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_subcommand_stdout_is_pinned(name, tmp_path, monkeypatch):
+    assert _run_case(name, tmp_path, monkeypatch) == CLI_RUN_STDOUT[name], name
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_options_from_a_config_file_give_the_same_stdout(name, tmp_path, monkeypatch):
+    assert _run_case(name, tmp_path, monkeypatch, move_to_config=True) == CLI_RUN_STDOUT[name], name
 
 
 # SHA-256 of the file save_model writes for rcc_train on the criterion-8

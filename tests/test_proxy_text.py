@@ -407,7 +407,6 @@ def test_vocab_sample_uniform_is_seeded(tiny_index):
 def crafted_embedding():
     return EmbeddingModel(
         words=("a", "b"),
-        word_rows={"a": 0, "b": 1},
         input_matrix=np.array([[1.0, 2.0], [3.0, 4.0]]),
         output_matrix=np.array([[5.0, 6.0], [7.0, 8.0]]),
     )
@@ -654,7 +653,6 @@ def test_load_embeddings_rejects_mismatched_vocabularies(tmp_path):
     save_embeddings(emb, tmp_path / "vi.txt", tmp_path / "vo.txt")
     other = EmbeddingModel(
         words=("a", "z"),
-        word_rows={"a": 0, "z": 1},
         input_matrix=np.eye(2),
         output_matrix=np.eye(2),
     )
@@ -668,6 +666,16 @@ def test_load_embeddings_rejects_duplicate_words(tmp_path):
     (tmp_path / "vo.txt").write_text("2 2\na 5.0 6.0\na 7.0 8.0\n")
     with pytest.raises(ValueError, match="duplicate words"):
         load_embeddings(tmp_path / "vi.txt", tmp_path / "vo.txt")
+    # The constructor holds the same check, and derives each word's row
+    # from its place in words, so no caller can pass rows that disagree
+    # with the order save_embeddings writes.
+    with pytest.raises(ValueError, match="duplicate words"):
+        EmbeddingModel(words=("a", "a"), input_matrix=np.eye(2), output_matrix=np.eye(2))
+    with pytest.raises(TypeError):
+        EmbeddingModel(words=("a", "b"), word_rows={"a": 1, "b": 0}, input_matrix=np.eye(2), output_matrix=np.eye(2))
+    emb = crafted_embedding()
+    assert emb.word_rows == {"a": 0, "b": 1}
+    assert emb.input_vector("a").tolist() == [1.0, 2.0]
 
 
 def test_load_embeddings_rejects_rows_past_the_header_count(tmp_path):
@@ -717,16 +725,21 @@ def test_embedding_loaders_give_a_model_or_value_error(fuzz_dir, first, second):
     vi_path, vo_path = fuzz_dir / "vi.txt", fuzz_dir / "vo.txt"
     vi_path.write_text(first, encoding="utf-8")
     vo_path.write_text(second, encoding="utf-8")
+    duplicated = False
     try:
         words, rows = _read_table(vi_path)
     except ValueError:
         pass
     else:
-        assert rows.shape[0] == len(words) == len(set(words))
+        # The table reader passes duplicate words on; the EmbeddingModel
+        # constructor rejects them, so load_embeddings must raise below.
+        assert rows.shape[0] == len(words)
+        duplicated = len(set(words)) != len(words)
     try:
         emb = load_embeddings(vi_path, vo_path)
     except ValueError:
         return
+    assert not duplicated
     assert len(set(emb.words)) == len(emb.words) == emb.input_matrix.shape[0]
     assert emb.input_matrix.shape == emb.output_matrix.shape
     assert np.all(np.isfinite(emb.input_matrix)) and np.all(np.isfinite(emb.output_matrix))
