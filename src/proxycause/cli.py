@@ -406,6 +406,8 @@ def cmd_model(o):
             "trees": model.forest.num_trees,
             "feature_width": model.forest.num_features,
         }
+    if action is None:
+        raise ValueError("model action is required (want train, predict, or inspect)")
     raise ValueError(f"unknown model action {action!r} (want train, predict, or inspect)")
 
 

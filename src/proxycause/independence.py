@@ -174,8 +174,9 @@ def _check_permutations(num_permutations) -> None:
 def _permutation_schedule(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """``count`` permutations of ``range(n)``, one per row: the same rows,
     and the same generator state after, as ``count`` calls of
-    ``rng.permutation(n)``, drawn in one call."""
-    return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    ``rng.permutation(n)``, drawn in one call and shuffled in place."""
+    perms = np.tile(np.arange(n), (count, 1))
+    return rng.permuted(perms, axis=1, out=perms)
 
 
 # Permutations scored per batched product.  Larger blocks were no faster at

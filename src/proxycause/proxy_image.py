@@ -43,11 +43,7 @@ class Image:
 
     def __post_init__(self):
         arr = np.asarray(self.pixels, dtype=np.float64)
-        if arr.ndim == 2:
-            pass
-        elif arr.ndim == 3 and arr.shape[2] == 3:
-            pass
-        else:
+        if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError("pixels must be (h, w) or (h, w, 3)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("image must have at least one pixel")
@@ -161,34 +157,46 @@ def save_image(img: Image, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def sample_masks(width: int, height: int, k: int, n: int, seed: SeedSpec | int = 0) -> list:
-    """n independent uniform patch positions; top in [0, h-k], left in [0, w-k]."""
+def _anchors(width: int, height: int, k: int, n: int, seed: SeedSpec | int) -> tuple:
+    """(tops, lefts) as int lists: the anchors that sample_masks draws and checks."""
     if k > min(width, height):
         raise ValueError(f"patch size {k} exceeds image dimensions {width}x{height}")
     if n < 1:
         raise ValueError("need at least one mask")
+    if k < 1:
+        raise ValueError("patch size must be positive")
     rng = as_spec(seed).rng("image.masks")
     tops = rng.integers(0, height - k + 1, n)
     lefts = rng.integers(0, width - k + 1, n)
-    return [PatchMask(int(t), int(l), k) for t, l in zip(tops, lefts)]
+    return tops.tolist(), lefts.tolist()
+
+
+def _patch_means(img: Image, tops, lefts, k: int) -> np.ndarray:
+    """Mean intensity of each k-by-k patch: np.sum's one add.reduce per patch, one division."""
+    pixels = img.pixels
+    sums = np.array([np.add.reduce(pixels[t : t + k, l : l + k], None) for t, l in zip(tops, lefts)])
+    return sums / (k * k * img.channels)
+
+
+def sample_masks(width: int, height: int, k: int, n: int, seed: SeedSpec | int = 0) -> list:
+    """n independent uniform patch positions; top in [0, h-k], left in [0, w-k]."""
+    tops, lefts = _anchors(width, height, k, n, seed)
+    return [PatchMask(t, l, k) for t, l in zip(tops, lefts)]
 
 
 def patch_projection(img: Image, mask: PatchMask) -> float:
     """Mean intensity over the patch (all channels), a value in [0, 1]."""
     if mask.top + mask.size > img.height or mask.left + mask.size > img.width:
         raise ValueError("patch out of bounds")
-    patch = img.pixels[mask.top : mask.top + mask.size, mask.left : mask.left + mask.size]
-    return float(np.sum(patch) / (mask.size * mask.size * img.channels))
+    return float(_patch_means(img, (mask.top,), (mask.left,), mask.size)[0])
 
 
 def image_pair_scatter(x: Image, y: Image, n: int = 1024, k: int = 10, seed: SeedSpec | int = 0) -> ScatterSample:
     """Project both images through the same n random patches."""
     if (x.height, x.width) != (y.height, y.width):
         raise ValueError("images must have identical dimensions")
-    masks = sample_masks(x.width, x.height, k, n, seed)
-    a = np.array([patch_projection(x, m) for m in masks])
-    b = np.array([patch_projection(y, m) for m in masks])
-    return ScatterSample.from_ab(a, b)
+    tops, lefts = _anchors(x.width, x.height, k, n, seed)
+    return ScatterSample.from_ab(_patch_means(x, tops, lefts, k), _patch_means(y, tops, lefts, k))
 
 
 def image_pair_direction(
@@ -246,7 +254,6 @@ def order_from_matrix(matrix) -> tuple:
     ready = [i for i in range(f) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []
-    indeg = indeg.copy()
     while ready:
         i = heapq.heappop(ready)
         order.append(i)

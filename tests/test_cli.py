@@ -263,6 +263,14 @@ def test_model_train_predict_inspect(tmp_path, capsys):
     assert code == 1 and "unknown model action" in err
 
 
+def test_model_without_an_action_names_the_choices(capsys, tmp_path):
+    code, out, err = run(capsys, "model", "--model", str(tmp_path / "m.json"))
+    error = err.strip().splitlines()[-1]
+    assert code == 1 and out == ""
+    assert error.startswith("error: model action is required") and "None" not in error
+    assert all(choice in error for choice in ("train", "predict", "inspect"))
+
+
 def test_word_pair_with_model_engine(tmp_path, capsys, corpus_file):
     items = [synth_anm_pair(40, seed=300 + i) for i in range(10)]
     data_path = str(tmp_path / "train.jsonl")

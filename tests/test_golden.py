@@ -278,6 +278,25 @@ def test_cli_stdout_is_pinned_for_any_jobs(name, cli_inputs):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT[name], (name, jobs)
 
 
+# SHA-256 of frames-order's standard output at full depth (n=512, k=10,
+# 4999 permutations, the sizes of the frames benchmark) on the 64-px,
+# 8-frame stack that synth writes at seed 5.  Recorded with one
+# patch_projection call per patch and a copied permutation schedule.
+FULL_FRAMES_ORDER = "724ee9c9edcda916dddbc36f48db114b38381c533d8ab16cc453f464e26c4bba"
+
+
+def test_full_depth_frames_order_stdout_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROXYCAUSE_SEED", raising=False)
+    synth = ["synth", "--what", "frames", "--size", "64", "--frames", "8", "--seed", "5", "--out-dir", "frames"]
+    assert _cli_stdout(synth)[0] == 0
+    argv = ["frames-order", "--dir", "frames", "--n", "512", "--k", "10", "--permutations", "4999", "--seed", "5"]
+    for jobs in (1, 2):
+        code, out = _cli_stdout(argv + ["--jobs", str(jobs)])
+        assert code == 0, jobs
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FULL_FRAMES_ORDER, jobs
+
+
 # SHA-256 of the CLI's standard output for one run of every other
 # subcommand at criterion-8 sizes, recorded before the option table and
 # the engine ``judge`` method.  Each case runs in its own empty directory

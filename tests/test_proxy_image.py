@@ -135,6 +135,46 @@ def test_image_pair_scatter_shares_masks():
     assert np.array_equal(sc.a, sc.b)
 
 
+def oracle_projection(img, mask):
+    """The per-patch expression the projections must reproduce bit for bit."""
+    patch = img.pixels[mask.top : mask.top + mask.size, mask.left : mask.left + mask.size]
+    return float(np.sum(patch) / (mask.size * mask.size * img.channels))
+
+
+# k = 1, k = 10, k = min(h, w), and a k past numpy's 8192-element reduction
+# buffer (91 * 91 gray, 53 * 53 * 3 color), where summing many patches in
+# one call stops matching the per-patch sum.
+@pytest.mark.parametrize("shape, k", [
+    ((100, 120), 1), ((100, 120), 10), ((100, 120), 91), ((100, 120), 100),
+    ((60, 70, 3), 1), ((60, 70, 3), 10), ((60, 70, 3), 53), ((60, 70, 3), 60),
+])
+def test_projections_equal_the_per_patch_oracle(shape, k):
+    rng = np.random.default_rng(k)
+    x, y = Image(rng.random(shape)), Image(rng.random(shape))
+    seed = SeedSpec(40 + k)
+    # sample_masks draws the anchors the scatter reads
+    masks = sample_masks(shape[1], shape[0], k, 60, seed)
+    a = np.array([oracle_projection(x, m) for m in masks])
+    b = np.array([oracle_projection(y, m) for m in masks])
+    sc = image_pair_scatter(x, y, n=60, k=k, seed=seed)
+    assert np.array_equal(sc.a, a) and np.array_equal(sc.b, b)
+    assert [patch_projection(x, m) for m in masks] == a.tolist()
+    assert [patch_projection(y, m) for m in masks] == b.tolist()
+
+
+def test_patch_draws_keep_their_errors():
+    x = Image(np.zeros((20, 30)))
+    for k, n, message in ((0, 5, "patch size must be positive"),
+                          (21, 5, "patch size 21 exceeds image dimensions 30x20"),
+                          (5, 0, "need at least one mask")):
+        with pytest.raises(ValueError, match=message):
+            sample_masks(30, 20, k, n)
+        with pytest.raises(ValueError, match=message):
+            image_pair_scatter(x, x, n=n, k=k)
+    with pytest.raises(ValueError, match="images must have identical dimensions"):
+        image_pair_scatter(x, Image(np.zeros((20, 31))), n=5, k=3)
+
+
 def test_image_pair_direction_recovers_stylization():
     spec = SeedSpec(81)
     base = synth_base_image(120, seed=spec.child("base"))
