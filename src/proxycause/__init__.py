@@ -4,129 +4,28 @@ A pair of static objects (two images, two words) has no sampling
 distribution of its own.  Projecting both through a shared random proxy
 (random image patches, random vocabulary words) yields a two-dimensional
 sample whose causal footprint standard observational engines can read.
+
+Each module's ``__all__`` is the one statement of what it makes public;
+the package exports exactly their concatenation.
 """
 
-from .anm import AnmConfig, Regressor, anm_direction, kernel_ridge_fit, residuals
-from .core import (
-    Direction,
-    LabeledScatterDataset,
-    ScatterSample,
-    SeedSpec,
-    Verdict,
-    derive_seed,
-    load_dataset,
-    load_scatter,
-    save_dataset,
-    save_scatter,
-)
-from .experiments import (
-    EvalReport,
-    LocalMechanism,
-    WordPairRecord,
-    binomial_significance,
-    bundled_data_path,
-    confidence_curve,
-    evaluate_distribution_method,
-    evaluate_feature_method,
-    evaluate_scatter_dataset,
-    filter_consensus,
-    load_word_pairs,
-    random_mechanism,
-    synth_anm_pair,
-    synth_base_image,
-    synth_diffusion_frames,
-    synth_stylized_pair,
-)
-from .independence import KernelSpec, gram_matrix, hsic_pvalue, hsic_statistic, median_heuristic
-from .proxy_image import (
-    FrameOrder,
-    Image,
-    PatchMask,
-    frames_order,
-    image_pair_direction,
-    image_pair_scatter,
-    load_image,
-    patch_projection,
-    sample_masks,
-    save_image,
-)
-from .proxy_text import (
-    CorpusIndex,
-    EmbeddingModel,
-    ProjectionKind,
-    VocabSample,
-    baseline_scores,
-    build_index,
-    projection_vector,
-    sgns_train,
-    vocab_sample,
-    word_pair_scatter,
-)
-from .rcc import RCCModel, RFFSpec, featurize_scatter, forest_train, rcc_predict, rcc_train
+from . import anm, core, experiments, independence, proxy_image, proxy_text, rcc
+from .anm import *  # noqa: F403
+from .core import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .independence import *  # noqa: F403
+from .proxy_image import *  # noqa: F403
+from .proxy_text import *  # noqa: F403
+from .rcc import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnmConfig",
-    "CorpusIndex",
-    "Direction",
-    "EmbeddingModel",
-    "EvalReport",
-    "FrameOrder",
-    "Image",
-    "KernelSpec",
-    "LabeledScatterDataset",
-    "LocalMechanism",
-    "PatchMask",
-    "ProjectionKind",
-    "RCCModel",
-    "RFFSpec",
-    "Regressor",
-    "ScatterSample",
-    "SeedSpec",
-    "Verdict",
-    "VocabSample",
-    "WordPairRecord",
-    "anm_direction",
-    "baseline_scores",
-    "binomial_significance",
-    "build_index",
-    "bundled_data_path",
-    "confidence_curve",
-    "derive_seed",
-    "evaluate_distribution_method",
-    "evaluate_feature_method",
-    "evaluate_scatter_dataset",
-    "featurize_scatter",
-    "filter_consensus",
-    "forest_train",
-    "frames_order",
-    "gram_matrix",
-    "hsic_pvalue",
-    "hsic_statistic",
-    "image_pair_direction",
-    "image_pair_scatter",
-    "kernel_ridge_fit",
-    "load_dataset",
-    "load_image",
-    "load_scatter",
-    "load_word_pairs",
-    "median_heuristic",
-    "patch_projection",
-    "projection_vector",
-    "random_mechanism",
-    "rcc_predict",
-    "rcc_train",
-    "residuals",
-    "sample_masks",
-    "save_dataset",
-    "save_image",
-    "save_scatter",
-    "sgns_train",
-    "synth_anm_pair",
-    "synth_base_image",
-    "synth_diffusion_frames",
-    "synth_stylized_pair",
-    "vocab_sample",
-    "word_pair_scatter",
+    *core.__all__,
+    *independence.__all__,
+    *anm.__all__,
+    *rcc.__all__,
+    *proxy_image.__all__,
+    *proxy_text.__all__,
+    *experiments.__all__,
 ]

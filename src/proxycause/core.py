@@ -26,13 +26,8 @@ __all__ = [
     "ScatterSample",
     "LabeledScatterDataset",
     "SeedSpec",
-    "derive_seed",
-    "scatter_dumps",
-    "scatter_loads",
     "save_scatter",
     "load_scatter",
-    "dataset_dumps",
-    "dataset_loads",
     "save_dataset",
     "load_dataset",
     "parallel_map",
@@ -172,7 +167,11 @@ class SeedSpec:
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
     def seed(self, task_id: str) -> int:
-        return derive_seed(self, task_id)
+        """The 64-bit stream seed of ``task_id``, by the derivation above."""
+        if not task_id:
+            raise ValueError("task_id must be non-empty")
+        payload = self.master_seed.to_bytes(8, "little") + task_id.encode("utf-8")
+        return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
     def rng(self, task_id: str) -> np.random.Generator:
         return np.random.default_rng(self.seed(task_id))
@@ -204,15 +203,6 @@ def _standardize(v: np.ndarray) -> np.ndarray:
     if sd == 0.0:
         raise ValueError("constant variable")
     return d / sd
-
-
-def derive_seed(spec: SeedSpec, task_id: str) -> int:
-    """Mix a master seed with a task-id string into a 64-bit stream seed."""
-    if not task_id:
-        raise ValueError("task_id must be non-empty")
-    payload = spec.master_seed.to_bytes(8, "little") + task_id.encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 # ---------------------------------------------------------------------------

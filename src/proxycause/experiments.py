@@ -28,15 +28,12 @@ __all__ = [
     "EvalReport",
     "bundled_data_path",
     "load_word_pairs",
-    "save_word_pairs",
     "filter_consensus",
     "synth_anm_pair",
     "synth_base_image",
     "random_mechanism",
     "synth_stylized_pair",
-    "diffusion_step",
     "synth_diffusion_frames",
-    "evaluate_scatter_dataset",
     "evaluate_distribution_method",
     "evaluate_feature_method",
     "binomial_significance",
@@ -123,14 +120,6 @@ def load_word_pairs(path) -> list:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return records
-
-
-def save_word_pairs(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_WORD_PAIR_FIELDS)
-        for r in records:
-            writer.writerow([r.x, r.y, r.votes_xy, r.votes_yx, r.votes_none])
 
 
 def filter_consensus(records, min_votes: int, total: int = 20) -> list:
@@ -504,35 +493,6 @@ def _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees)
         return [predictor(model, samples[i]).verdict for i in test_idx]
 
     return judge
-
-
-def evaluate_scatter_dataset(
-    samples,
-    labels,
-    names=None,
-    trainer=None,
-    predictor=rcc_predict,
-    split: float = 0.75,
-    repeats: int = 10,
-    num_features: int = 100,
-    num_trees: int = 500,
-    seed: SeedSpec | int = 0,
-) -> EvalReport:
-    """Repeated random-split evaluation of a scatter-direction engine.
-
-    Per repeat: seeded shuffle, train on the first `split` share, verdicts
-    on the rest.  `trainer(train_data, spec)` and `predictor(model,
-    sample)` are injectable so oracle and baseline engines can be scored
-    by the same harness; the default is the embedding classifier.
-    """
-    samples = list(samples)
-    labels = list(labels)
-    if len(samples) != len(labels):
-        raise ValueError("samples and labels must align")
-    if names is None:
-        names = [str(i) for i in range(len(samples))]
-    judge = _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees)
-    return _repeated_splits(labels, names, (), judge, split, repeats, seed)
 
 
 def evaluate_distribution_method(

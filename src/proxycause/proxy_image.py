@@ -22,15 +22,11 @@ from .rcc import RCCModel
 
 __all__ = [
     "Image",
-    "PatchMask",
     "FrameOrder",
     "load_image",
     "save_image",
-    "sample_masks",
-    "patch_projection",
     "image_pair_scatter",
     "image_pair_direction",
-    "order_from_matrix",
     "frames_order",
 ]
 
@@ -66,21 +62,6 @@ class Image:
     @property
     def channels(self) -> int:
         return 1 if self.pixels.ndim == 2 else 3
-
-
-@dataclass(frozen=True)
-class PatchMask:
-    """A k-by-k square patch anchored at (top, left)."""
-
-    top: int
-    left: int
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("patch size must be positive")
-        if self.top < 0 or self.left < 0:
-            raise ValueError("patch anchor must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +139,7 @@ def save_image(img: Image, path) -> None:
 
 
 def _anchors(width: int, height: int, k: int, n: int, seed: SeedSpec | int) -> tuple:
-    """(tops, lefts) as int lists: the anchors that sample_masks draws and checks."""
+    """(tops, lefts) as int lists of n uniform anchors: top in [0, h-k], left in [0, w-k]."""
     if k > min(width, height):
         raise ValueError(f"patch size {k} exceeds image dimensions {width}x{height}")
     if n < 1:
@@ -176,19 +157,6 @@ def _patch_means(img: Image, tops, lefts, k: int) -> np.ndarray:
     pixels = img.pixels
     sums = np.array([np.add.reduce(pixels[t : t + k, l : l + k], None) for t, l in zip(tops, lefts)])
     return sums / (k * k * img.channels)
-
-
-def sample_masks(width: int, height: int, k: int, n: int, seed: SeedSpec | int = 0) -> list:
-    """n independent uniform patch positions; top in [0, h-k], left in [0, w-k]."""
-    tops, lefts = _anchors(width, height, k, n, seed)
-    return [PatchMask(t, l, k) for t, l in zip(tops, lefts)]
-
-
-def patch_projection(img: Image, mask: PatchMask) -> float:
-    """Mean intensity over the patch (all channels), a value in [0, 1]."""
-    if mask.top + mask.size > img.height or mask.left + mask.size > img.width:
-        raise ValueError("patch out of bounds")
-    return float(_patch_means(img, (mask.top,), (mask.left,), mask.size)[0])
 
 
 def image_pair_scatter(x: Image, y: Image, n: int = 1024, k: int = 10, seed: SeedSpec | int = 0) -> ScatterSample:

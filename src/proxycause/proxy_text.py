@@ -552,9 +552,16 @@ def word_pair_scatter(
     index: CorpusIndex,
     emb: EmbeddingModel | None = None,
 ) -> ScatterSample:
-    """Pair the two projection vectors entrywise over the proxy vocabulary."""
+    """Pair the two projection vectors entrywise over the proxy vocabulary.
+
+    A constant vector has no direction to read, so it raises a ValueError
+    that names its word and the kind."""
+    kind = _coerce_kind(kind)
     a = projection_vector(kind, x_word, vocab, index, emb)
     b = projection_vector(kind, y_word, vocab, index, emb)
+    for word, v in ((x_word, a), (y_word, b)):
+        if v.min() == v.max():
+            raise ValueError(f"constant projection of {word!r} ({kind.value})")
     return ScatterSample.from_ab(a, b)
 
 

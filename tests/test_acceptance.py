@@ -31,9 +31,10 @@ from proxycause.core import (
     save_scatter,
 )
 from proxycause.experiments import (
+    _repeated_splits,
+    _scatter_judge,
     binomial_significance,
     bundled_data_path,
-    evaluate_scatter_dataset,
     random_mechanism,
     synth_anm_pair,
     synth_base_image,
@@ -220,8 +221,9 @@ def test_criterion_5_rcc_engine():
 def test_criterion_6_nlp_pipeline(tmp_path):
     """End-to-end on the bundled corpus and pairs: every projection scored
     both ways, all 10 baselines, a confidence curve, byte-identical across
-    runs and --jobs; the harness itself scores a perfect oracle at 1.0 and
-    a coin flip within binomial bounds."""
+    runs and --jobs, the w2v and prec kinds above their accuracy floors;
+    the harness itself scores a perfect oracle at 1.0 and a coin flip
+    within binomial bounds."""
     start = time.perf_counter()
     vi = str(tmp_path / "vi.txt")
     vo = str(tmp_path / "vo.txt")
@@ -258,6 +260,25 @@ def test_criterion_6_nlp_pipeline(tmp_path):
     for block in doc["distribution"].values():
         assert 0.0 <= block["mean"] <= 1.0
 
+    # Accuracy floors.  Each kind is scored on 24 test verdicts (3 repeats
+    # of the 8 held-out pairs of 33).  A floor is its family's pooled mean
+    # at seed 7 minus two binomial standard errors of a 24-verdict
+    # accuracy, taken at p = 1/2 where they are largest: 2 * sqrt(0.25 /
+    # 24) = 0.204.  counts and pmi get no floor: co-occurrence is
+    # symmetric, so they read 0.42-0.54, near chance.
+    margin = 2 * (0.25 / 24) ** 0.5
+    pooled = {  # kinds of a family -> method -> mean over them at seed 7
+        ("w2vii", "w2vio", "w2voi"): {"distribution": 64 / 72, "feature": 1.0},
+        ("prec_counts", "prec_pmi"): {"distribution": 41 / 48, "feature": 1.0},
+    }
+    for family, means in pooled.items():
+        for method, mean in means.items():
+            for kind in family:
+                block = doc[method][kind]
+                assert (block["num_pairs"], len(block["accuracies"])) == (33, 3)
+                assert block["mean"] >= mean - margin, (method, kind, block["mean"])
+    lowest = min(doc[m][k]["mean"] for family in pooled for m in ("distribution", "feature") for k in family)
+
     samples, labels = [], []
     for i in range(120):
         sample, label = synth_anm_pair(24, seed=7000 + i)
@@ -273,13 +294,17 @@ def test_criterion_6_nlp_pipeline(tmp_path):
         bit = zlib.crc32(sample.a.tobytes()) & 1
         return Direction(Verdict.X_TO_Y if bit else Verdict.Y_TO_X, 1.0)
 
-    stub = lambda data, spec: None
-    oracle_report = evaluate_scatter_dataset(samples, labels, trainer=stub, predictor=oracle, seed=0)
-    coin_report = evaluate_scatter_dataset(samples, labels, trainer=stub, predictor=coin, seed=0)
+    def harness(predictor):
+        """The repeated-split loop of every evaluation, with a trainer that fits nothing."""
+        judge = _scatter_judge(samples, labels, lambda data, spec: None, predictor, 100, 500)
+        return _repeated_splits(labels, [str(i) for i in range(120)], (), judge, 0.75, 10, 0)
+
+    oracle_report = harness(oracle)
+    coin_report = harness(coin)
     elapsed = time.perf_counter() - start
     report(
         6,
-        f"deterministic across jobs, oracle {oracle_report.mean:.2f}, "
+        f"deterministic across jobs, lowest floored mean {lowest:.2f}, oracle {oracle_report.mean:.2f}, "
         f"coin {coin_report.mean:.2f}, {elapsed:.0f}s",
     )
     assert oracle_report.mean == 1.0

@@ -336,6 +336,31 @@ def test_nlp_eval_is_job_invariant(capsys):
         assert raw == raw2
 
 
+def test_a_constant_projection_costs_one_pair(tmp_path, capsys):
+    """With 'erosion''s input row zeroed, nlp-eval lists its pair as
+    excluded and scores the rest; word-pair names the word and the kind."""
+    index = proxy_text.build_index(bundled_data_path("mini_corpus.txt"))
+    rng = np.random.default_rng(0)
+    vi = rng.standard_normal((len(index.words), 8))
+    vi[index.words.index("erosion")] = 0.0
+    emb = proxy_text.EmbeddingModel(index.words, vi, rng.standard_normal(vi.shape))
+    paths = str(tmp_path / "vi.txt"), str(tmp_path / "vo.txt")
+    proxy_text.save_embeddings(emb, *paths)
+    data = ("--corpus", bundled_data_path("mini_corpus.txt"), "--emb-input", paths[0], "--emb-output", paths[1])
+    doc, _ = run_json(
+        capsys,
+        "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), *data,
+        "--min-votes", "14", "--kinds", "w2vii", "--methods", "distribution",
+        "--trees", "10", "--m", "10", "--repeats", "1",
+    )
+    block = doc["distribution"]["w2vii"]
+    assert block["excluded"] == [["erosion,overgrazing", "constant projection of 'erosion' (w2vii)"]]
+    assert block["num_pairs"] == 32
+    code, out, err = run(capsys, "word-pair", "--x", "erosion", "--y", "overgrazing", "--kind", "w2vii", *data)
+    assert code == 1 and out == ""
+    assert "error: constant projection of 'erosion' (w2vii)" in err
+
+
 @pytest.mark.parametrize("command", ["nlp-eval", "baselines", "frames-order"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):

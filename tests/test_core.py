@@ -21,7 +21,6 @@ from proxycause.core import (
     _standardize,
     dataset_dumps,
     dataset_loads,
-    derive_seed,
     load_dataset,
     load_scatter,
     parallel_map,
@@ -43,7 +42,7 @@ DERIVE_SEED_ORACLE = [
 
 def test_derive_seed_matches_frozen_oracle():
     for master, task, expected in DERIVE_SEED_ORACLE:
-        assert derive_seed(SeedSpec(master), task) == expected
+        assert SeedSpec(master).seed(task) == expected
 
 
 def test_derive_seed_matches_reference_construction():
@@ -51,12 +50,12 @@ def test_derive_seed_matches_reference_construction():
         for task in ("x", "hsic", "nested.task.id"):
             digest = hashlib.sha256(master.to_bytes(8, "little") + task.encode()).digest()
             want = int.from_bytes(digest[:8], "big")
-            assert derive_seed(SeedSpec(master), task) == want
+            assert SeedSpec(master).seed(task) == want
 
 
 def test_derive_seed_rejects_empty_task():
     with pytest.raises(ValueError):
-        derive_seed(SeedSpec(0), "")
+        SeedSpec(0).seed("")
 
 
 def test_seedspec_validates_range():

@@ -17,17 +17,17 @@ from proxycause.experiments import (
     EvalReport,
     LocalMechanism,
     WordPairRecord,
+    _repeated_splits,
+    _scatter_judge,
     binomial_significance,
     bundled_data_path,
     confidence_curve,
     diffusion_step,
     evaluate_distribution_method,
     evaluate_feature_method,
-    evaluate_scatter_dataset,
     filter_consensus,
     load_word_pairs,
     random_mechanism,
-    save_word_pairs,
     synth_anm_pair,
     synth_base_image,
     synth_diffusion_frames,
@@ -45,6 +45,15 @@ def test_word_pair_record_validation():
         WordPairRecord("a", "b", -1, 2, 0)
     with pytest.raises(ValueError, match="sum to zero"):
         WordPairRecord("a", "b", 0, 0, 0)
+
+
+def save_word_pairs(records, path):
+    """Write ``records`` in the annotated-pairs CSV format load_word_pairs reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "votes_xy", "votes_yx", "votes_none"])
+        for r in records:
+            writer.writerow([r.x, r.y, r.votes_xy, r.votes_yx, r.votes_none])
 
 
 def test_word_pairs_csv_round_trip(tmp_path):
@@ -287,6 +296,15 @@ def _oracle_predictor(samples, labels):
     return predict
 
 
+def evaluate_scatters(samples, labels, predictor, names=None, split=0.75, repeats=10, seed=0):
+    """The repeated-split harness on labelled scatters, with a trainer that
+    fits nothing and ``predictor`` for the verdicts."""
+    if names is None:
+        names = [str(i) for i in range(len(samples))]
+    judge = _scatter_judge(samples, labels, lambda data, spec: None, predictor, 100, 500)
+    return _repeated_splits(labels, names, (), judge, split, repeats, seed)
+
+
 def _coin_predictor(model, sample):
     bit = zlib.crc32(sample.a.tobytes()) & 1
     return Direction(Verdict.X_TO_Y if bit else Verdict.Y_TO_X, 1.0)
@@ -294,14 +312,7 @@ def _coin_predictor(model, sample):
 
 def test_evaluate_scatter_dataset_oracle_scores_one():
     samples, labels = _labeled_samples(40)
-    report = evaluate_scatter_dataset(
-        samples,
-        labels,
-        trainer=lambda data, spec: None,
-        predictor=_oracle_predictor(samples, labels),
-        repeats=5,
-        seed=0,
-    )
+    report = evaluate_scatters(samples, labels, _oracle_predictor(samples, labels), repeats=5)
     assert report.accuracies == (1.0,) * 5
     assert report.mean == 1.0 and report.std == 0.0
     assert report.num_pairs == 40
@@ -310,29 +321,14 @@ def test_evaluate_scatter_dataset_oracle_scores_one():
 
 def test_evaluate_scatter_dataset_coin_flip_is_near_half():
     samples, labels = _labeled_samples(120)
-    report = evaluate_scatter_dataset(
-        samples,
-        labels,
-        trainer=lambda data, spec: None,
-        predictor=_coin_predictor,
-        repeats=10,
-        seed=0,
-    )
+    report = evaluate_scatters(samples, labels, _coin_predictor, repeats=10)
     assert 0.35 <= report.mean <= 0.65
 
 
 def test_evaluate_scatter_dataset_predictions_recount():
     samples, labels = _labeled_samples(20)
     names = [f"pair{i}" for i in range(20)]
-    report = evaluate_scatter_dataset(
-        samples,
-        labels,
-        names=names,
-        trainer=lambda data, spec: None,
-        predictor=_coin_predictor,
-        repeats=4,
-        seed=3,
-    )
+    report = evaluate_scatters(samples, labels, _coin_predictor, names=names, repeats=4, seed=3)
     assert len(report.predictions) == 4
     for acc, preds in zip(report.accuracies, report.predictions):
         assert len(preds) == 5  # 20 pairs, 0.75 split
@@ -346,12 +342,10 @@ def test_evaluate_scatter_dataset_predictions_recount():
 
 def test_evaluate_scatter_dataset_validation():
     samples, labels = _labeled_samples(10)
-    with pytest.raises(ValueError, match="align"):
-        evaluate_scatter_dataset(samples, labels[:-1])
     with pytest.raises(ValueError, match="at least 8"):
-        evaluate_scatter_dataset(samples[:4], labels[:4])
+        evaluate_scatters(samples[:4], labels[:4], _coin_predictor)
     with pytest.raises(ValueError, match="split"):
-        evaluate_scatter_dataset(samples, labels, split=1.0)
+        evaluate_scatters(samples, labels, _coin_predictor, split=1.0)
 
 
 def _separable_nlp_fixture(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxycause.anm import AnmConfig
-from proxycause.core import SeedSpec, Verdict
+from proxycause.core import SeedSpec, Verdict, as_spec
 from proxycause.experiments import (
     random_mechanism,
     synth_base_image,
@@ -17,14 +17,11 @@ from proxycause.experiments import (
 )
 from proxycause.proxy_image import (
     Image,
-    PatchMask,
     frames_order,
     image_pair_direction,
     image_pair_scatter,
     load_image,
     order_from_matrix,
-    patch_projection,
-    sample_masks,
     save_image,
 )
 
@@ -95,19 +92,37 @@ def test_load_image_header_handling(tmp_path):
         load_image(bad)
 
 
+def oracle_anchors(width, height, k, n, seed):
+    """The patch anchors image_pair_scatter must read: n tops, then n lefts,
+    drawn uniformly from the ``image.masks`` stream of ``seed``."""
+    rng = as_spec(seed).rng("image.masks")
+    return rng.integers(0, height - k + 1, n), rng.integers(0, width - k + 1, n)
+
+
+def oracle_projection(img, top, left, k):
+    """The per-patch expression the projections must reproduce bit for bit."""
+    patch = img.pixels[top : top + k, left : left + k]
+    return float(np.sum(patch) / (k * k * img.channels))
+
+
+def scatter_anchors(width, height, k, n, seed):
+    """The anchors image_pair_scatter draws, read back off two ramps: the
+    mean row (column) index of a patch is its top (left) plus (k - 1) / 2."""
+    rows, cols = np.indices((height, width), dtype=np.float64)
+    sc = image_pair_scatter(Image(rows / height), Image(cols / width), n=n, k=k, seed=seed)
+    shift = (k - 1) / 2
+    return np.rint(sc.a * height - shift).astype(int), np.rint(sc.b * width - shift).astype(int)
+
+
 def test_sample_masks_bounds_and_determinism():
-    masks = sample_masks(30, 20, 5, 200, seed=SeedSpec(3))
-    assert len(masks) == 200
-    for m in masks:
-        assert 0 <= m.top <= 15
-        assert 0 <= m.left <= 25
-        assert m.size == 5
-    again = sample_masks(30, 20, 5, 200, seed=SeedSpec(3))
-    assert masks == again
-    with pytest.raises(ValueError):
-        sample_masks(4, 4, 5, 10)
-    with pytest.raises(ValueError):
-        sample_masks(30, 20, 5, 0)
+    tops, lefts = scatter_anchors(30, 20, 5, 200, SeedSpec(3))
+    assert len(tops) == len(lefts) == 200
+    assert 0 <= tops.min() and tops.max() <= 15
+    assert 0 <= lefts.min() and lefts.max() <= 25
+    again = scatter_anchors(30, 20, 5, 200, SeedSpec(3))
+    assert np.array_equal(tops, again[0]) and np.array_equal(lefts, again[1])
+    want = oracle_anchors(30, 20, 5, 200, SeedSpec(3))
+    assert np.array_equal(tops, want[0]) and np.array_equal(lefts, want[1])
 
 
 def test_patch_projection_hand_oracle():
@@ -115,17 +130,23 @@ def test_patch_projection_hand_oracle():
     pix[0, 0] = 1.0
     pix[0, 1] = 0.5
     img = Image(pix)
-    assert patch_projection(img, PatchMask(0, 0, 2)) == pytest.approx(1.5 / 4)
-    assert patch_projection(img, PatchMask(2, 2, 2)) == 0.0
-    with pytest.raises(ValueError, match="out of bounds"):
-        patch_projection(img, PatchMask(3, 3, 2))
+    sc = image_pair_scatter(img, img, n=60, k=2, seed=SeedSpec(2))
+    tops, lefts = oracle_anchors(4, 4, 2, 60, SeedSpec(2))
+    # a 2x2 patch covers pixel (0, 0) only from anchor (0, 0), and pixel
+    # (0, 1) from anchors (0, 0) and (0, 1); every other patch is black
+    want = [((t, l) == (0, 0)) * 1.0 / 4 + (t == 0 and l <= 1) * 0.5 / 4 for t, l in zip(tops, lefts)]
+    assert sc.a == pytest.approx(want)
+    assert {(t, l) for t, l in zip(tops, lefts)} >= {(0, 0), (0, 1), (2, 2)}
 
 
 def test_patch_projection_color_averages_channels():
     pix = np.zeros((2, 2, 3))
     pix[0, 0] = [1.0, 0.5, 0.0]
     img = Image(pix)
-    assert patch_projection(img, PatchMask(0, 0, 1)) == pytest.approx(0.5)
+    sc = image_pair_scatter(img, img, n=20, k=1, seed=SeedSpec(1))
+    tops, lefts = oracle_anchors(2, 2, 1, 20, SeedSpec(1))
+    assert sc.a == pytest.approx([0.5 if (t, l) == (0, 0) else 0.0 for t, l in zip(tops, lefts)])
+    assert (0, 0) in set(zip(tops, lefts))
 
 
 def test_image_pair_scatter_shares_masks():
@@ -133,12 +154,6 @@ def test_image_pair_scatter_shares_masks():
     sc = image_pair_scatter(base, base, n=50, k=4, seed=SeedSpec(6))
     assert sc.n == 50
     assert np.array_equal(sc.a, sc.b)
-
-
-def oracle_projection(img, mask):
-    """The per-patch expression the projections must reproduce bit for bit."""
-    patch = img.pixels[mask.top : mask.top + mask.size, mask.left : mask.left + mask.size]
-    return float(np.sum(patch) / (mask.size * mask.size * img.channels))
 
 
 # k = 1, k = 10, k = min(h, w), and a k past numpy's 8192-element reduction
@@ -152,14 +167,11 @@ def test_projections_equal_the_per_patch_oracle(shape, k):
     rng = np.random.default_rng(k)
     x, y = Image(rng.random(shape)), Image(rng.random(shape))
     seed = SeedSpec(40 + k)
-    # sample_masks draws the anchors the scatter reads
-    masks = sample_masks(shape[1], shape[0], k, 60, seed)
-    a = np.array([oracle_projection(x, m) for m in masks])
-    b = np.array([oracle_projection(y, m) for m in masks])
+    anchors = list(zip(*oracle_anchors(shape[1], shape[0], k, 60, seed)))
+    a = np.array([oracle_projection(x, t, l, k) for t, l in anchors])
+    b = np.array([oracle_projection(y, t, l, k) for t, l in anchors])
     sc = image_pair_scatter(x, y, n=60, k=k, seed=seed)
     assert np.array_equal(sc.a, a) and np.array_equal(sc.b, b)
-    assert [patch_projection(x, m) for m in masks] == a.tolist()
-    assert [patch_projection(y, m) for m in masks] == b.tolist()
 
 
 def test_patch_draws_keep_their_errors():
@@ -167,8 +179,6 @@ def test_patch_draws_keep_their_errors():
     for k, n, message in ((0, 5, "patch size must be positive"),
                           (21, 5, "patch size 21 exceeds image dimensions 30x20"),
                           (5, 0, "need at least one mask")):
-        with pytest.raises(ValueError, match=message):
-            sample_masks(30, 20, k, n)
         with pytest.raises(ValueError, match=message):
             image_pair_scatter(x, x, n=n, k=k)
     with pytest.raises(ValueError, match="images must have identical dimensions"):

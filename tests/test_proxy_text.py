@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxycause.core import Direction, SeedSpec, Verdict
+from proxycause.experiments import bundled_data_path
 from proxycause.proxy_text import (
     BASELINE_KINDS,
     BaselineScores,
@@ -535,6 +536,28 @@ def test_word_pair_scatter_pairs_the_vectors(tiny_index):
     assert sc.n == 4
     assert np.array_equal(sc.a, projection_vector("counts", "rain", vocab, tiny_index))
     assert np.array_equal(sc.b, projection_vector("counts", "wet", vocab, tiny_index))
+
+
+def test_word_pair_scatter_names_a_constant_projection():
+    index = build_index(bundled_data_path("mini_corpus.txt"))
+    # a uniform 20-word proxy sample that precedes neither 'flooding' nor 'smoke'
+    vocab = vocab_sample(index, 20, "uniform", seed=0)
+    assert not projection_vector("prec_counts", "flooding", vocab, index).any()
+    with pytest.raises(ValueError, match=r"constant projection of 'flooding' \(prec_counts\)"):
+        word_pair_scatter("flooding", "rain", "prec_counts", vocab, index)
+    with pytest.raises(ValueError, match=r"constant projection of 'smoke' \(prec_pmi\)"):
+        word_pair_scatter("fire", "smoke", ProjectionKind.PREC_PMI, vocab, index)
+    # random embedding tables but for a zero input row of 'erosion'
+    rng = np.random.default_rng(0)
+    vi = rng.standard_normal((len(index.words), 8))
+    vi[index.words.index("erosion")] = 0.0
+    emb = EmbeddingModel(index.words, vi, rng.standard_normal(vi.shape))
+    top = vocab_sample(index, 50)
+    with pytest.raises(ValueError, match=r"constant projection of 'erosion' \(w2vii\)"):
+        word_pair_scatter("erosion", "overgrazing", "w2vii", top, index, emb)
+    with pytest.raises(ValueError, match=r"constant projection of 'erosion' \(w2vii\)"):
+        word_pair_scatter("overgrazing", "erosion", "w2vii", top, index, emb)
+    assert word_pair_scatter("erosion", "overgrazing", "w2vio", top, index, emb).n == 50
 
 
 def test_projection_kind_coercion():
