@@ -259,7 +259,8 @@ def cmd_nlp_eval(o):
 
     for (method, kind), out in zip(tasks, parallel_map(run, tasks, o.jobs)):
         if method == "baselines":
-            block = {"accuracy": out["accuracy"], "ties": out["ties"], "count": len(pairs)}
+            block = {key: value for key, value in out.items() if key != "pairs"}
+            block["count"] = len(out["pairs"])
             result.setdefault("baselines", {})[kind] = block
         elif method == "curve":
             result["confidence_curve"] = _curve_doc(out, pairs)
@@ -282,23 +283,31 @@ def _curve_doc(report, pairs) -> list:
 
 
 def _score_baseline(bkind, pairs, index, vocab) -> dict:
-    """Accuracy, tie count and per-pair scores of one count baseline."""
+    """Accuracy, tie count and per-pair scores of one count baseline over the
+    pairs it can score; the others are listed under `excluded`, when any."""
+    scored, labels, names, excluded = xp._project_pairs(
+        pairs, lambda record: baseline_scores(bkind, record.x, record.y, index, vocab)
+    )
+    if not scored:
+        raise ValueError(f"baseline {bkind}: no pair could be scored ({excluded[0][1]})")
     per_pair = []
     correct = 0
     ties = 0
-    for record, label in pairs:
-        scores = baseline_scores(bkind, record.x, record.y, index, vocab)
+    for scores, label, name in zip(scored, labels, names):
         predicted = 1 if scores.direction().verdict.value == "x->y" else -1
         ok = predicted == label
         correct += ok
         ties += scores.tie
         per_pair.append({
-            "pair": f"{record.x},{record.y}",
+            "pair": name,
             "s_xy": scores.s_xy,
             "s_yx": scores.s_yx,
             "correct": bool(ok),
         })
-    return {"accuracy": correct / len(pairs), "ties": ties, "pairs": per_pair}
+    block = {"accuracy": correct / len(scored), "ties": ties, "pairs": per_pair}
+    if excluded:
+        block["excluded"] = [list(e) for e in excluded]
+    return block
 
 
 def cmd_baselines(o):

@@ -40,9 +40,6 @@ class Verdict(enum.Enum):
     X_TO_Y = "x->y"
     Y_TO_X = "y->x"
 
-    def flipped(self) -> "Verdict":
-        return Verdict.Y_TO_X if self is Verdict.X_TO_Y else Verdict.X_TO_Y
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -63,9 +60,6 @@ class Direction:
     @property
     def tie(self) -> bool:
         return self.score == 0.0
-
-    def flipped(self) -> "Direction":
-        return Direction(self.verdict.flipped(), self.score)
 
     @staticmethod
     def compare(s_xy: float, s_yx: float, score: float) -> "Direction":
@@ -144,9 +138,6 @@ class LabeledScatterDataset:
     def __iter__(self):
         return iter(self.items)
 
-    def labels(self) -> np.ndarray:
-        return np.array([label for _, label in self.items], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -200,7 +191,9 @@ def _standardize(v: np.ndarray) -> np.ndarray:
         sd = float(np.sqrt(np.sum(d * d) / v.size))
     if not np.isfinite(sd):
         raise ValueError("standard deviation is not finite: values too large to standardize")
-    if sd == 0.0:
+    # A constant whose float mean is not exactly its value leaves d equal and
+    # nonzero, so sd alone would pass it as all -1 or all +1.
+    if sd == 0.0 or v.min() == v.max():
         raise ValueError("constant variable")
     return d / sd
 

@@ -42,6 +42,8 @@ __all__ = [
 
 ANM_MECHANISMS = ("identity", "linear", "cubic", "tanh", "piecewise")
 ANM_NOISES = ("gaussian", "uniform", "none")
+# Noise standard deviation of synth_anm_pair, relative to the effect's spread.
+_ANM_NOISE = 0.2
 CONFIDENCE_THRESHOLDS = (0, 20, 40, 50, 60, 70, 80, 90)
 
 
@@ -144,7 +146,6 @@ def synth_anm_pair(
     mechanism: str = "cubic",
     noise: str = "gaussian",
     seed: SeedSpec | int = 0,
-    noise_scale: float = 0.2,
 ):
     """(ScatterSample, true label) from a seeded additive-noise mechanism.
 
@@ -187,9 +188,9 @@ def synth_anm_pair(
     if scale == 0.0:
         scale = 1.0
     if noise == "gaussian":
-        effect = effect + rng.standard_normal(n) * noise_scale * scale
+        effect = effect + rng.standard_normal(n) * _ANM_NOISE * scale
     elif noise == "uniform":
-        half = noise_scale * scale * np.sqrt(3.0)
+        half = _ANM_NOISE * scale * np.sqrt(3.0)
         effect = effect + rng.uniform(-half, half, n)
     effect = _standardize(effect)
 
@@ -269,28 +270,20 @@ def random_mechanism(
     return LocalMechanism(k=k, beta=beta, row_constant=row_constant, g=g, noise_scale=noise_scale)
 
 
-def synth_base_image(
-    size: int,
-    seed: SeedSpec | int = 0,
-    cells: int = 2,
-    low: float = 0.15,
-    high: float = 1.0,
-) -> Image:
-    """Smooth random grayscale field: bilinear upsampling of a coarse
-    uniform grid, normalized to span [low, high].
+def synth_base_image(size: int, seed: SeedSpec | int = 0) -> Image:
+    """Smooth random grayscale field: bilinear upsampling of a 2x2 uniform
+    grid, normalized to span [0.15, 1].
 
-    The default floor of 0.15 keeps pixel values away from the hard clip
-    at zero, so additive noise applied downstream is rarely truncated.
+    The floor of 0.15 keeps pixel values away from the hard clip at zero,
+    so additive noise applied downstream is rarely truncated.
     """
-    if size < 2 or cells < 2:
-        raise ValueError("size and cells must be at least 2")
-    if not 0.0 <= low < high <= 1.0:
-        raise ValueError("need 0 <= low < high <= 1")
+    if size < 2:
+        raise ValueError("size must be at least 2")
     rng = as_spec(seed).rng("base.image")
-    coarse = rng.random((cells, cells))
-    src = np.linspace(0.0, cells - 1.0, size)
+    coarse = rng.random((2, 2))
+    src = np.linspace(0.0, 1.0, size)
     i0 = np.floor(src).astype(int)
-    i1 = np.minimum(i0 + 1, cells - 1)
+    i1 = np.minimum(i0 + 1, 1)
     frac = src - i0
     top = coarse[np.ix_(i0, i0)] * (1 - frac[None, :]) + coarse[np.ix_(i0, i1)] * frac[None, :]
     bot = coarse[np.ix_(i1, i0)] * (1 - frac[None, :]) + coarse[np.ix_(i1, i1)] * frac[None, :]
@@ -298,7 +291,7 @@ def synth_base_image(
     lo, hi = field.min(), field.max()
     if hi == lo:
         raise ValueError("degenerate base image")
-    return Image(low + (high - low) * (field - lo) / (hi - lo))
+    return Image(0.15 + 0.85 * (field - lo) / (hi - lo))
 
 
 def synth_stylized_pair(base: Image, mech: LocalMechanism, seed: SeedSpec | int = 0):
@@ -358,7 +351,8 @@ def _blur_schedule(r2: float, blur: float, gaps: int, lam: float) -> list:
 
 # The diffusion stack: _NUM_BLOBS identical blobs of radius _RADIUS at
 # least _SEP apart inside a _MARGIN border, amplitude _AMP on a _PEDESTAL,
-# each gap shrinking the peaks by _BLUR under heat steps of size _LAM.
+# each gap shrinking the peaks by _BLUR under heat steps of size _LAM, with
+# iid pixel noise of standard deviation _NOISE after every gap.
 _NUM_BLOBS = 34
 _RADIUS = 8.0
 _SEP = 32.0
@@ -368,11 +362,10 @@ _MARGIN = 0.12
 _BLUR = 0.85
 _LAM = 0.2
 _LEAD_IN = 3
+_NOISE = 0.04
 
 
-def synth_diffusion_frames(
-    size: int, num_frames: int = 8, seed: SeedSpec | int = 0, noise_scale: float = 0.04
-) -> list:
+def synth_diffusion_frames(size: int, num_frames: int = 8, seed: SeedSpec | int = 0) -> list:
     """Frames of identical sparse blobs spreading under the heat stencil,
     with iid pixel noise added after every recorded or lead-in gap.
 
@@ -411,8 +404,7 @@ def synth_diffusion_frames(
     for gap, m in enumerate(schedule):
         for _ in range(m):
             field = diffusion_step(field, _LAM)
-        if noise_scale > 0.0:
-            field = field + rng.normal(0.0, noise_scale, field.shape)
+        field = field + rng.normal(0.0, _NOISE, field.shape)
         field = np.clip(field, 0.0, 1.0)
         if gap >= _LEAD_IN - 1:
             frames.append(Image(field))
@@ -480,19 +472,21 @@ def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> Ev
     )
 
 
-def _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees):
-    """Train ``trainer`` (the embedding classifier when None) on the
-    training scatters and call ``predictor`` on each test scatter."""
-    if trainer is None:
-
-        def trainer(data: LabeledScatterDataset, spec: SeedSpec):
-            return rcc_train(data, num_features=num_features, num_trees=num_trees, seed=spec)
-
-    def judge(train_idx, test_idx, spec):
-        model = trainer(LabeledScatterDataset(tuple((samples[i], labels[i]) for i in train_idx)), spec)
-        return [predictor(model, samples[i]).verdict for i in test_idx]
-
-    return judge
+def _project_pairs(pairs, project):
+    """(values, labels, names, excluded) of the (record, label) pairs, each
+    value ``project(record)``.  A pair whose projection raises a ValueError
+    goes to `excluded` as (name, reason) rather than being silently dropped."""
+    values, labels, names, excluded = [], [], [], []
+    for record, label in pairs:
+        name = f"{record.x},{record.y}"
+        try:
+            values.append(project(record))
+        except ValueError as exc:
+            excluded.append((name, str(exc)))
+            continue
+        labels.append(label)
+        names.append(name)
+    return values, labels, names, excluded
 
 
 def evaluate_distribution_method(
@@ -501,8 +495,6 @@ def evaluate_distribution_method(
     vocab,
     index,
     emb=None,
-    trainer=None,
-    predictor=rcc_predict,
     split: float = 0.75,
     repeats: int = 10,
     num_features: int = 100,
@@ -511,22 +503,18 @@ def evaluate_distribution_method(
 ) -> EvalReport:
     """Score one projection with the scatter-direction engine.
 
-    `pairs` is the (record, label) list from filter_consensus.  Pairs whose
-    projection fails (out-of-vocabulary or degenerate) are excluded and
-    listed in the report rather than silently dropped.
+    `pairs` is the (record, label) list from filter_consensus; a pair whose
+    scatter fails is listed under the report's `excluded`.
     """
-    samples, labels, names, excluded = [], [], [], []
-    for record, label in pairs:
-        name = f"{record.x},{record.y}"
-        try:
-            sample = word_pair_scatter(record.x, record.y, kind, vocab, index, emb)
-        except ValueError as exc:
-            excluded.append((name, str(exc)))
-            continue
-        samples.append(sample)
-        labels.append(label)
-        names.append(name)
-    judge = _scatter_judge(samples, labels, trainer, predictor, num_features, num_trees)
+    samples, labels, names, excluded = _project_pairs(
+        pairs, lambda record: word_pair_scatter(record.x, record.y, kind, vocab, index, emb)
+    )
+
+    def judge(train_idx, test_idx, spec):
+        data = LabeledScatterDataset(tuple((samples[i], labels[i]) for i in train_idx))
+        model = rcc_train(data, num_features=num_features, num_trees=num_trees, seed=spec)
+        return [rcc_predict(model, samples[i]).verdict for i in test_idx]
+
     return _repeated_splits(labels, names, excluded, judge, split, repeats, seed)
 
 
@@ -541,19 +529,15 @@ def evaluate_feature_method(
     repeats: int = 10,
     seed: SeedSpec | int = 0,
 ) -> EvalReport:
-    """Score one projection with a forest on concatenated (x, y) vectors."""
-    features, labels, names, excluded = [], [], [], []
-    for record, label in pairs:
-        name = f"{record.x},{record.y}"
-        try:
-            px = projection_vector(kind, record.x, vocab, index, emb)
-            py = projection_vector(kind, record.y, vocab, index, emb)
-        except ValueError as exc:
-            excluded.append((name, str(exc)))
-            continue
-        features.append(np.concatenate([px, py]))
-        labels.append(label)
-        names.append(name)
+    """Score one projection with a forest on concatenated (x, y) vectors;
+    a pair whose projection fails is listed under the report's `excluded`."""
+
+    def project(record):
+        px = projection_vector(kind, record.x, vocab, index, emb)
+        py = projection_vector(kind, record.y, vocab, index, emb)
+        return np.concatenate([px, py])
+
+    features, labels, names, excluded = _project_pairs(pairs, project)
     # np.array, not np.stack: with no usable pair, the count check in
     # _repeated_splits reports it.
     X, y = np.array(features), np.array(labels)
@@ -592,9 +576,9 @@ def binomial_significance(accuracy: float, n: int, p0: float = 0.5) -> float:
     return float(tail)
 
 
-def confidence_curve(records, correct, thresholds=CONFIDENCE_THRESHOLDS) -> list:
-    """Accuracy restricted to pairs with consensus >= each threshold (in
-    percent); empty buckets report accuracy None.
+def confidence_curve(records, correct) -> list:
+    """Accuracy restricted to pairs with consensus >= each of the
+    CONFIDENCE_THRESHOLDS (in percent); empty buckets report accuracy None.
 
     `records` and `correct` align: one verdict-correctness flag per pair.
     """
@@ -603,7 +587,7 @@ def confidence_curve(records, correct, thresholds=CONFIDENCE_THRESHOLDS) -> list
     if len(records) != len(correct):
         raise ValueError("records and correctness flags must align")
     curve = []
-    for t in thresholds:
+    for t in CONFIDENCE_THRESHOLDS:
         hits = [c for r, c in zip(records, correct) if r.consensus * 100.0 >= t]
         if hits:
             curve.append((t, sum(hits) / len(hits), len(hits)))

@@ -112,39 +112,32 @@ def _center(K: np.ndarray) -> np.ndarray:
     return K
 
 
-def _inputs(u, v, ku: KernelSpec | None, kv: KernelSpec | None):
-    """u, v as float vectors of one length >= 5, kernels median-heuristic by default."""
+def _inputs(u, v):
+    """u, v as float vectors of one length >= 5, with their median-heuristic kernels."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.size != v.size:
         raise ValueError(f"length mismatch: {u.size} vs {v.size}")
     if u.size < 5:
         raise ValueError("HSIC needs at least 5 points")
-    return u, v, ku or KernelSpec(median_heuristic(u)), kv or KernelSpec(median_heuristic(v))
+    return u, v, KernelSpec(median_heuristic(u)), KernelSpec(median_heuristic(v))
 
 
-def hsic_statistic(u, v, ku: KernelSpec | None = None, kv: KernelSpec | None = None) -> float:
+def hsic_statistic(u, v) -> float:
     """Biased V-statistic HSIC = trace(K H L H) / n^2.
 
-    Kernel bandwidths default to the median heuristic on each argument.
+    Kernel bandwidths are the median heuristic on each argument.
     Non-negative up to floating-point round-off.
     """
-    u, v, ku, kv = _inputs(u, v, ku, kv)
+    u, v, ku, kv = _inputs(u, v)
     K = gram_matrix(u, ku)
     L = gram_matrix(v, kv)
     n = u.size
     return float(np.sum(_center(K) * L)) / (n * n)
 
 
-def hsic_pvalue(
-    u,
-    v,
-    num_permutations: int = 499,
-    seed: SeedSpec | int = 0,
-    ku: KernelSpec | None = None,
-    kv: KernelSpec | None = None,
-) -> float:
-    """Permutation p-value for HSIC independence, permuting ``v`` only.
+def hsic_pvalue(u, v, num_permutations: int = 499, seed: SeedSpec | int = 0) -> float:
+    """Permutation p-value for HSIC independence under median-heuristic kernels, permuting ``v`` only.
 
     p = (1 + #{permuted statistic >= observed}) / (1 + num_permutations).
     The permutation schedule is drawn up front from the seed, so the result
@@ -158,7 +151,7 @@ def hsic_pvalue(
     one from computing every permuted statistic directly.
     """
     _check_permutations(num_permutations)
-    u, v, ku, kv = _inputs(u, v, ku, kv)
+    u, v, ku, kv = _inputs(u, v)
     perms = _permutation_schedule(as_spec(seed).rng("hsic.permutation"), u.size, num_permutations)
     return _permutation_pvalue(u, v, ku, kv, perms)
 

@@ -266,7 +266,10 @@ def frames_order(
     def judge(pair):
         i, j = pair
         pair_spec = spec.child(f"frames.pair.{i}.{j}")
-        return image_pair_direction(frames[i], frames[j], n=n, k=k, engine=engine, seed=pair_spec)
+        try:
+            return image_pair_direction(frames[i], frames[j], n=n, k=k, engine=engine, seed=pair_spec)
+        except ValueError as exc:
+            raise ValueError(f"frames {i} and {j}: {exc}") from None
 
     verdicts = parallel_map(judge, pairs, jobs)
     matrix = np.zeros((f, f), dtype=np.int64)

@@ -103,9 +103,6 @@ class CorpusIndex:
         object.__setattr__(self, "vocabulary", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_groups", [_grouped(self.prec[:, side], size) for side in (0, 1)])
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocabulary
-
     def require(self, word: str) -> int:
         """The id of word; ValueError when it is out of vocabulary."""
         if word not in self.vocabulary:

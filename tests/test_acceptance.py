@@ -32,7 +32,6 @@ from proxycause.core import (
 )
 from proxycause.experiments import (
     _repeated_splits,
-    _scatter_judge,
     binomial_significance,
     bundled_data_path,
     random_mechanism,
@@ -286,17 +285,20 @@ def test_criterion_6_nlp_pipeline(tmp_path):
         labels.append(label)
     truth = {s.a.tobytes(): lab for s, lab in zip(samples, labels)}
 
-    def oracle(model, sample):
+    def oracle(sample):
         lab = truth[sample.a.tobytes()]
         return Direction(Verdict.X_TO_Y if lab == 1 else Verdict.Y_TO_X, 1.0)
 
-    def coin(model, sample):
+    def coin(sample):
         bit = zlib.crc32(sample.a.tobytes()) & 1
         return Direction(Verdict.X_TO_Y if bit else Verdict.Y_TO_X, 1.0)
 
     def harness(predictor):
-        """The repeated-split loop of every evaluation, with a trainer that fits nothing."""
-        judge = _scatter_judge(samples, labels, lambda data, spec: None, predictor, 100, 500)
+        """The repeated-split loop of every evaluation, with a judge that trains nothing."""
+
+        def judge(train_idx, test_idx, spec):
+            return [predictor(samples[i]).verdict for i in test_idx]
+
         return _repeated_splits(labels, [str(i) for i in range(120)], (), judge, 0.75, 10, 0)
 
     oracle_report = harness(oracle)

@@ -10,6 +10,7 @@ from proxycause import proxy_text
 from proxycause.cli import main
 from proxycause.core import LabeledScatterDataset, SeedSpec, load_scatter, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair
+from proxycause.proxy_image import Image, save_image
 
 
 def run(capsys, *argv):
@@ -236,6 +237,14 @@ def test_frames_order_command(tmp_path, capsys):
         assert raw == raw2
 
 
+def test_frames_order_names_the_frame_pair_it_cannot_judge(tmp_path, capsys):
+    for i in range(3):
+        save_image(Image(np.full((32, 32), 0.5)), str(tmp_path / f"frame_{i}.pgm"))
+    code, out, err = run(capsys, "frames-order", "--dir", str(tmp_path), "--n", "64", "--k", "4")
+    assert code == 1 and out == ""
+    assert "error: frames 0 and 1: constant variable" in err
+
+
 def test_model_train_predict_inspect(tmp_path, capsys):
     items = []
     for i in range(12):
@@ -359,6 +368,44 @@ def test_a_constant_projection_costs_one_pair(tmp_path, capsys):
     code, out, err = run(capsys, "word-pair", "--x", "erosion", "--y", "overgrazing", "--kind", "w2vii", *data)
     assert code == 1 and out == ""
     assert "error: constant projection of 'erosion' (w2vii)" in err
+
+
+def test_an_out_of_vocabulary_pair_costs_one_pair_in_every_method(tmp_path, capsys):
+    """Each method lists the pair it cannot score under `excluded` and scores
+    the rest; a baseline's other figures are those of a run without it."""
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(open(bundled_data_path("word_pairs.csv")).read() + "zzzunknown,rain,20,0,0\n")
+    data = ("--corpus", bundled_data_path("mini_corpus.txt"), "--min-votes", "14", "--n-vocab", "60")
+    methods = ("--kinds", "counts", "--trees", "5", "--m", "10", "--repeats", "1")
+    doc, _ = run_json(capsys, "nlp-eval", "--pairs", str(pairs), *data, *methods,
+                      "--methods", "distribution,feature,baselines")
+    clean, _ = run_json(capsys, "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), *data, *methods,
+                        "--methods", "baselines")
+    excluded = [["zzzunknown,rain", "out of vocabulary: 'zzzunknown'"]]
+    assert doc["filtered_pairs"] == 34
+    for method in ("distribution", "feature"):
+        assert doc[method]["counts"]["excluded"] == excluded
+        assert doc[method]["counts"]["num_pairs"] == 33
+    assert len(doc["baselines"]) == 10
+    for kind, block in doc["baselines"].items():
+        assert block.pop("excluded") == excluded
+        assert block == clean["baselines"][kind] and block["count"] == 33
+
+    doc, _ = run_json(capsys, "baselines", "--pairs", str(pairs), *data, "--kinds", "frequency,pmi_ws")
+    clean, _ = run_json(capsys, "baselines", "--pairs", bundled_data_path("word_pairs.csv"), *data,
+                        "--kinds", "frequency,pmi_ws")
+    for kind, block in doc["baselines"].items():
+        assert block.pop("excluded") == excluded
+        assert block == clean["baselines"][kind] and len(block["pairs"]) == 33
+
+
+def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("x,y,votes_xy,votes_yx,votes_none\nzzzunknown,rain,20,0,0\n")
+    argv = ("baselines", "--pairs", str(pairs), "--corpus", bundled_data_path("mini_corpus.txt"), "--kinds", "frequency")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error: baseline frequency: no pair could be scored (out of vocabulary: 'zzzunknown')" in err
 
 
 @pytest.mark.parametrize("command", ["nlp-eval", "baselines", "frames-order"])

@@ -76,15 +76,15 @@ def test_seedspec_streams_are_deterministic_and_distinct():
 
 
 def test_verdict_flip():
-    assert Verdict.X_TO_Y.flipped() is Verdict.Y_TO_X
-    assert Verdict.Y_TO_X.flipped() is Verdict.X_TO_Y
+    # two members, so a verdict's flip is the one verdict that is not it
+    assert list(Verdict) == [Verdict.X_TO_Y, Verdict.Y_TO_X]
     assert Verdict.X_TO_Y.value == "x->y"
+    assert Verdict.Y_TO_X.value == "y->x"
 
 
 def test_direction_validation_and_tie():
     d = Direction(Verdict.X_TO_Y, 1.5)
     assert not d.tie
-    assert d.flipped() == Direction(Verdict.Y_TO_X, 1.5)
     assert Direction(Verdict.Y_TO_X, 0.0).tie
     with pytest.raises(ValueError):
         Direction(Verdict.X_TO_Y, -0.1)
@@ -105,7 +105,7 @@ def test_direction_compare_is_the_three_way_verdict_rule():
     rng = np.random.default_rng(3)
     for a, b in rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-8, 8, size=(50, 2)):
         d, e = Direction.compare(a, b, abs(a - b)), Direction.compare(b, a, abs(b - a))
-        assert e.verdict is d.verdict.flipped() and repr(e.score) == repr(d.score)
+        assert e.verdict is not d.verdict and repr(e.score) == repr(d.score)
 
 
 def test_standardize_equals_mean_and_std_expression():
@@ -127,6 +127,17 @@ def test_standardize_equals_mean_and_std_expression():
                 _standardize(v)
         with pytest.raises(ValueError, match="constant variable"):
             _standardize(np.full(5, 0.3))
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7])
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_standardize_refuses_a_constant_whose_mean_is_inexact(value, n):
+    """The float mean of these columns is not exactly their value, so the
+    centered column is equal and nonzero; it must still read as constant."""
+    v = np.full(n, value)
+    assert (v - np.sum(v) / n).all()
+    with pytest.raises(ValueError, match="constant variable"):
+        _standardize(v)
 
 
 def test_scatter_sample_shape_and_immutability():
@@ -156,7 +167,7 @@ def test_labeled_dataset_validation():
     s = ScatterSample.from_ab([0.0, 1.0], [1.0, 0.0])
     data = LabeledScatterDataset(((s, 1), (s, -1)))
     assert len(data) == 2
-    assert data.labels().tolist() == [1, -1]
+    assert [label for _, label in data] == [1, -1]
     with pytest.raises(ValueError):
         LabeledScatterDataset(())
     with pytest.raises(ValueError):
@@ -259,7 +270,7 @@ def test_loaders_keep_integer_coordinates():
     sample = scatter_loads('{"a": 1, "b": 2}\n{"a": -3, "b": 0.5}\n')
     assert sample.points.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
     data = dataset_loads('{"label": -1, "points": %s}\n' % POINTS)
-    assert data.labels().tolist() == [-1]
+    assert [label for _, label in data] == [-1]
     assert data.items[0][0].points.tolist() == [[1.0, 2.0], [2.5, -1.0]]
 
 

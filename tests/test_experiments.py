@@ -18,7 +18,6 @@ from proxycause.experiments import (
     LocalMechanism,
     WordPairRecord,
     _repeated_splits,
-    _scatter_judge,
     binomial_significance,
     bundled_data_path,
     confidence_curve,
@@ -229,12 +228,8 @@ def test_synth_base_image_spans_requested_range():
     assert img.pixels.shape == (64, 64)
     assert img.pixels.min() == pytest.approx(0.15)
     assert img.pixels.max() == pytest.approx(1.0)
-    wide = synth_base_image(32, seed=2, low=0.0, high=0.5)
-    assert wide.pixels.max() == pytest.approx(0.5)
     with pytest.raises(ValueError, match="at least 2"):
         synth_base_image(1)
-    with pytest.raises(ValueError, match="low < high"):
-        synth_base_image(16, low=0.6, high=0.4)
 
 
 def test_synth_stylized_pair_identity_mechanism_is_identity():
@@ -265,12 +260,12 @@ def test_diffusion_step_conserves_total():
             diffusion_step(field, bad)
 
 
-def test_synth_diffusion_frames_variance_decreases_without_noise():
-    frames = synth_diffusion_frames(32, num_frames=6, seed=7, noise_scale=0.0)
+def test_synth_diffusion_frames_variance_decreases():
+    frames = synth_diffusion_frames(32, num_frames=6, seed=7)
     assert len(frames) == 6
     variances = [f.pixels.var() for f in frames]
     assert all(a > b for a, b in zip(variances, variances[1:]))
-    again = synth_diffusion_frames(32, num_frames=6, seed=7, noise_scale=0.0)
+    again = synth_diffusion_frames(32, num_frames=6, seed=7)
     for f, g in zip(frames, again):
         assert np.array_equal(f.pixels, g.pixels)
     with pytest.raises(ValueError, match="two frames"):
@@ -289,7 +284,7 @@ def _labeled_samples(count, points=24):
 def _oracle_predictor(samples, labels):
     truth = {s.a.tobytes(): lab for s, lab in zip(samples, labels)}
 
-    def predict(model, sample):
+    def predict(sample):
         lab = truth[sample.a.tobytes()]
         return Direction(Verdict.X_TO_Y if lab == 1 else Verdict.Y_TO_X, 1.0)
 
@@ -297,15 +292,18 @@ def _oracle_predictor(samples, labels):
 
 
 def evaluate_scatters(samples, labels, predictor, names=None, split=0.75, repeats=10, seed=0):
-    """The repeated-split harness on labelled scatters, with a trainer that
-    fits nothing and ``predictor`` for the verdicts."""
+    """The repeated-split harness on labelled scatters, with a judge that
+    trains nothing and calls ``predictor`` on each test scatter."""
     if names is None:
         names = [str(i) for i in range(len(samples))]
-    judge = _scatter_judge(samples, labels, lambda data, spec: None, predictor, 100, 500)
+
+    def judge(train_idx, test_idx, spec):
+        return [predictor(samples[i]).verdict for i in test_idx]
+
     return _repeated_splits(labels, names, (), judge, split, repeats, seed)
 
 
-def _coin_predictor(model, sample):
+def _coin_predictor(sample):
     bit = zlib.crc32(sample.a.tobytes()) & 1
     return Direction(Verdict.X_TO_Y if bit else Verdict.Y_TO_X, 1.0)
 
@@ -391,14 +389,7 @@ def test_evaluate_distribution_method_reports_exclusions(tmp_path):
     oov = WordPairRecord("zzz", "y0", 20, 0, 0)
     pairs = pairs + [(oov, 1)]
     report = evaluate_distribution_method(
-        pairs,
-        "counts",
-        vocab,
-        index,
-        trainer=lambda data, spec: None,
-        predictor=_coin_predictor,
-        repeats=2,
-        seed=0,
+        pairs, "counts", vocab, index, repeats=2, num_features=10, num_trees=5, seed=0
     )
     assert report.num_pairs == 16
     assert len(report.excluded) == 1
@@ -437,10 +428,12 @@ def test_binomial_significance_validation():
 
 
 def test_confidence_curve():
-    records = [WordPairRecord("a", "b", 20, 0, 0), WordPairRecord("c", "d", 12, 8, 0)]
+    records = [WordPairRecord("a", "b", 17, 3, 0), WordPairRecord("c", "d", 11, 9, 0)]
     correct = [True, False]
-    curve = confidence_curve(records, correct, thresholds=(0, 50, 61, 101))
-    assert curve == [(0, 0.5, 2), (50, 0.5, 2), (61, 1.0, 1), (101, None, 0)]
+    curve = confidence_curve(records, correct)
+    assert [t for t, _, _ in curve] == [0, 20, 40, 50, 60, 70, 80, 90]
+    assert curve[:5] == [(0, 0.5, 2), (20, 0.5, 2), (40, 0.5, 2), (50, 0.5, 2), (60, 1.0, 1)]
+    assert curve[5:] == [(70, 1.0, 1), (80, 1.0, 1), (90, None, 0)]
     with pytest.raises(ValueError, match="align"):
         confidence_curve(records, [True])
 
@@ -457,6 +450,6 @@ def test_bundled_data_is_consistent():
     assert labels == {1, -1}
     index = build_index(corpus_path)
     for record, _ in filtered:
-        assert record.x in index and record.y in index
+        assert record.x in index.vocabulary and record.y in index.vocabulary
     with pytest.raises(FileNotFoundError):
         bundled_data_path("nope.bin")

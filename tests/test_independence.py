@@ -44,9 +44,8 @@ def brute_force_hsic(u, v, bu, bv):
 def test_hsic_statistic_matches_brute_force_on_8_points():
     u = np.array([0.1, -0.4, 1.3, 2.2, -1.7, 0.8, 0.0, 3.1])
     v = np.array([1.0, 0.2, -0.3, 0.9, 2.5, -1.1, 0.4, 1.8])
-    ku, kv = KernelSpec(0.7), KernelSpec(1.3)
-    got = hsic_statistic(u, v, ku, kv)
-    want = brute_force_hsic(u, v, 0.7, 1.3)
+    got = hsic_statistic(u, v)
+    want = brute_force_hsic(u, v, median_heuristic(u), median_heuristic(v))
     assert abs(got - want) < 1e-10
 
 
@@ -55,8 +54,8 @@ def test_hsic_statistic_brute_force_across_sizes():
     for n in (5, 9, 17):
         u = rng.normal(size=n)
         v = 0.5 * u + rng.normal(size=n)
-        got = hsic_statistic(u, v, KernelSpec(1.0), KernelSpec(1.0))
-        want = brute_force_hsic(u, v, 1.0, 1.0)
+        got = hsic_statistic(u, v)
+        want = brute_force_hsic(u, v, median_heuristic(u), median_heuristic(v))
         assert abs(got - want) < 1e-10
 
 
@@ -248,19 +247,17 @@ def test_permutation_pvalue_matches_direct_recomputation():
     rng = np.random.default_rng(33)
     u = rng.normal(size=30)
     v = rng.normal(size=30)
-    ku = KernelSpec(median_heuristic(u))
-    kv = KernelSpec(median_heuristic(v))
-    observed = hsic_statistic(u, v, ku, kv)
+    observed = hsic_statistic(u, v)
     spec = SeedSpec(12)
     perm_rng = spec.rng("hsic.permutation")
     exceed = 0
     B = 99
     perms = [perm_rng.permutation(30) for _ in range(B)]
     for p in perms:
-        if hsic_statistic(u, v[p], ku, kv) >= observed - 1e-15:
+        if hsic_statistic(u, v[p]) >= observed - 1e-15:
             exceed += 1
     direct = (1 + exceed) / (1 + B)
-    got = hsic_pvalue(u, v, num_permutations=B, seed=spec, ku=ku, kv=kv)
+    got = hsic_pvalue(u, v, num_permutations=B, seed=spec)
     # ties at the observed value can straddle the 1e-15 guard; allow one count
     assert abs(got - direct) <= 1.01 / (1 + B)
 

@@ -269,6 +269,15 @@ def test_frames_order_validation():
         frames_order([a, b])
 
 
+def test_frames_order_error_names_the_frame_pair():
+    """A pair that cannot be judged cannot be left out of an order, so its
+    error names the two frames; the lowest failing pair is the one named."""
+    frames = [Image(np.full((32, 32), 0.5)) for _ in range(3)]
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=r"^frames 0 and 1: constant variable$"):
+            frames_order(frames, n=64, k=4, jobs=jobs)
+
+
 header_tokens = st.sampled_from([b"P5", b"P6", b"P4", b"2", b"3", b"0", b"255", b"256", b"-1", b"+2", b"9" * 30, b"x"])
 separators = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b"", b" #", b"\r\n"])
 

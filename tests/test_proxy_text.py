@@ -158,8 +158,8 @@ def test_index_requires_known_words(tiny_index):
     with pytest.raises(ValueError, match="out of vocabulary"):
         tiny_index.cooc_row("banana")
     assert tiny_index.require("rain") == 1
-    assert "rain" in tiny_index
-    assert "banana" not in tiny_index
+    assert "rain" in tiny_index.vocabulary
+    assert "banana" not in tiny_index.vocabulary
 
 
 def test_build_index_rejects_empty_corpus(tmp_path):
