@@ -147,7 +147,7 @@ def cmd_index_corpus(o):
     result = {
         "sentences": index.sentence_count,
         "vocabulary": len(index.vocabulary),
-        "cooc_pairs": len(index.cooc_entries()),
+        "cooc_pairs": len(proxy_text._cooc_pairs(index)[0]),
     }
     if o.out is not None:
         save_index(index, o.out)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _standardize, as_spec
+from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _is_integer, _standardize, as_spec
 from .proxy_image import Image
 from .proxy_text import projection_vector, word_pair_scatter
 from .rcc import _vote_direction, forest_predict, forest_train, rcc_predict, rcc_train
@@ -126,13 +126,14 @@ def load_word_pairs(path) -> list:
 
 def filter_consensus(records, min_votes: int, total: int = 20) -> list:
     """Keep records whose majority direction got at least min_votes votes;
-    returns (record, label) with label +1 when votes_xy >= votes_yx."""
+    returns (record, label) with label +1 when votes_xy > votes_yx.  A tie
+    names no direction, so a tied record is dropped."""
     if min_votes > total:
         raise ValueError("min_votes cannot exceed the annotator total")
     kept = []
     for r in records:
-        if max(r.votes_xy, r.votes_yx) >= min_votes:
-            kept.append((r, 1 if r.votes_xy >= r.votes_yx else -1))
+        if r.votes_xy != r.votes_yx and max(r.votes_xy, r.votes_yx) >= min_votes:
+            kept.append((r, 1 if r.votes_xy > r.votes_yx else -1))
     return kept
 
 
@@ -442,6 +443,8 @@ def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> Ev
         raise ValueError("need at least 8 labeled pairs")
     if not 0.0 < split < 1.0:
         raise ValueError("split must be in (0, 1)")
+    if not _is_integer(repeats) or repeats < 1:
+        raise ValueError("repeats must be an integer of at least 1")
     spec = as_spec(seed)
     n_train = min(max(int(round(split * n)), 1), n - 1)
     accuracies = []

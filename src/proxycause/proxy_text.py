@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 INDEX_FORMAT = "corpus-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 _CHUNK = 2048  # sentences per pass of _index_of: bounds its pair arrays on a large corpus
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -130,22 +130,6 @@ class CorpusIndex:
         row[wid] = self.unigram[wid]
         return row
 
-    def cooc_entries(self) -> np.ndarray:
-        """The cooc entries of an index file: one (w, x, cooc(w, x)) id row
-        per co-occurring pair, w's word sorting before x's, rows in word order."""
-        size, rank = len(self.words), _word_ranks(self.words)
-        low, high = np.sort(rank[self.prec[:, :2]], axis=1).T
-        keys, where = np.unique(low * size + high, return_inverse=True)
-        total = np.zeros(keys.size, dtype=np.int64)
-        np.add.at(total, where, self.prec[:, 2])
-        order = np.argsort(rank)
-        return np.stack([order[keys // size], order[keys % size], total], axis=1)
-
-
-def _word_ranks(words) -> np.ndarray:
-    """Each id's position in the code-point order of the words."""
-    return np.argsort(sorted(range(len(words)), key=words.__getitem__))
-
 
 def build_index(corpus_path) -> CorpusIndex:
     """One pass over a one-sentence-per-line text file."""
@@ -177,17 +161,15 @@ def _index_of(vocabulary, sentences) -> CorpusIndex:
 
 
 def save_index(index: CorpusIndex, path) -> None:
-    words, rank, cooc = index.words, _word_ranks(index.words), index.cooc_entries()
-    prec = index.prec[np.argsort(rank[index.prec[:, 0]] * len(words) + rank[index.prec[:, 1]])]
-    names = np.array(words, dtype=object)  # rows as (w, x, count) tuples, which the collector untracks
+    """The index as it is held: the words and unigram counts in id order,
+    and prec as one flat i0, j0, c0, i1, ... list of its sorted id rows."""
     doc = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "sentence_count": index.sentence_count,
-        "vocabulary": list(words),
-        "unigram": dict(zip(words, index.unigram.tolist())),
-        "cooc": list(zip(*names[cooc[:, :2]].T.tolist(), cooc[:, 2].tolist())),
-        "prec": list(zip(*names[prec[:, :2]].T.tolist(), prec[:, 2].tolist())),
+        "vocabulary": list(index.words),
+        "unigram": index.unigram.tolist(),
+        "prec": index.prec.ravel().tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True))
@@ -198,29 +180,17 @@ def _is_count(value) -> bool:
     return type(value) is int and 0 < value < 2**63
 
 
-def _columns(entries):
-    """The w, x and count columns of [w, x, count] list entries, checked a column at a time; else None."""
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
-        return None
-    w, x, counts = ([e[k] for e in entries] for k in range(3))
-    well_formed = set(map(type, w + x)) == {str} and set(map(type, counts)) == {int}
-    return (w, x, counts) if well_formed and 0 < min(counts) <= max(counts) < 2**63 else None
+def _is_prec_list(flat) -> bool:
+    """Whether a flat (i, j, count) list holds ints in [0, 2**63), checked
+    before np.array sees them, with every count positive."""
+    return not flat or (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < 2**63 and min(flat[2::3]) > 0)
 
 
-def _pair_columns(entries, name, path, ids) -> np.ndarray:
-    """(w, x, count) id rows of distinct [w, x, count] entries; unknown words get ids from len(ids)."""
-    if not isinstance(entries, list):
-        raise ValueError(f"{name} must be a list in {path}")
-    columns = _columns(entries) if entries else ((), (), ())
-    if columns is None:
-        bad = next(e for e in entries if _columns([e]) is None)
-        raise ValueError(f"malformed {name} entry {bad!r} in {path}")
-    w, x, counts = columns
-    lookup = {**ids, **{word: len(ids) + k for k, word in enumerate(set(w).union(x) - ids.keys())}}
-    w, x = (np.fromiter(map(lookup.__getitem__, words), np.int64, len(words)) for words in (w, x))
-    if np.any(np.diff(np.sort(w * len(lookup) + x)) == 0):
-        raise ValueError(f"duplicate {name} pairs in {path}")
-    return np.stack([w, x, np.array(counts, dtype=np.int64)], axis=1)
+def _cooc_pairs(index: CorpusIndex):
+    """The co-occurring unordered pairs as sorted low * size + high keys,
+    and for each prec row the position of its pair among them."""
+    low, high = np.sort(index.prec[:, :2], axis=1).T
+    return np.unique(low * len(index.words) + high, return_inverse=True)
 
 
 def load_index(path) -> CorpusIndex:
@@ -230,41 +200,39 @@ def load_index(path) -> CorpusIndex:
     if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file: {path}")
     if doc.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {doc.get('version')}")
-    missing = sorted({"vocabulary", "sentence_count", "unigram", "cooc", "prec"} - doc.keys())
+        raise ValueError(f"unsupported index version {doc.get('version')!r}: rebuild it with index-corpus")
+    missing = sorted({"vocabulary", "sentence_count", "unigram", "prec"} - doc.keys())
     if missing:
         raise ValueError(f"malformed {INDEX_FORMAT} file {path}: missing {', '.join(missing)}")
-    words = doc["vocabulary"]
+    words, unigram, flat = doc["vocabulary"], doc["unigram"], doc["prec"]
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
         raise ValueError(f"vocabulary must be a list of words in {path}")
     if len(set(words)) != len(words):
         raise ValueError(f"duplicate vocabulary words in {path}")
     if not _is_count(doc["sentence_count"]):
         raise ValueError(f"sentence_count must be a positive integer in {path}")
-    unigram = doc["unigram"]
-    if not (isinstance(unigram, dict) and all(_is_count(c) for c in unigram.values())):
-        raise ValueError(f"unigram must map words to positive counts in {path}")
-    if unigram.keys() != set(words):
-        raise ValueError(f"unigram words differ from the vocabulary in {path}")
-    size, ids = len(words), {w: i for i, w in enumerate(words)}
-    cooc = _pair_columns(doc["cooc"], "cooc", path, ids)
-    prec = _pair_columns(doc["prec"], "prec", path, ids)
-    if np.any(cooc[:, :2] >= size) or np.any(prec[:, :2] >= size):
-        raise ValueError(f"count entries name words outside the vocabulary in {path}")
+    if not (isinstance(unigram, list) and len(unigram) == len(words) and all(map(_is_count, unigram))):
+        raise ValueError(f"unigram must map each word id to a positive count in {path}")
+    if not (isinstance(flat, list) and len(flat) % 3 == 0):
+        raise ValueError(f"prec must be a flat list of (i, j, count) triples in {path}")
+    if not _is_prec_list(flat):
+        bad = next(e for e in (flat[k : k + 3] for k in range(0, len(flat), 3)) if not _is_prec_list(e))
+        raise ValueError(f"malformed prec entry {bad!r} in {path}")
+    size, prec = len(words), np.array(flat, dtype=np.int64).reshape(-1, 3)
+    if np.any(prec[:, :2] >= size):
+        raise ValueError(f"prec entries name words outside the vocabulary in {path}")
     if np.any(prec[:, 0] == prec[:, 1]):
         raise ValueError(f"prec pairs a word with itself in {path}")
-    index = CorpusIndex(
-        words=tuple(words),
-        sentence_count=doc["sentence_count"],
-        unigram=np.array([unigram[w] for w in words], dtype=np.int64),
-        prec=prec[np.argsort(prec[:, 0] * size + prec[:, 1])],
-    )
-    entries, rank = index.cooc_entries(), _word_ranks(index.words)
-    if not np.array_equal(cooc[np.argsort(rank[cooc[:, 0]] * size + rank[cooc[:, 1]])], entries):
-        raise ValueError(f"cooc counts differ from prec summed over both orders in {path}")
+    if np.any(np.diff(prec[:, 0] * size + prec[:, 1]) <= 0):
+        raise ValueError(f"prec pairs must be distinct and sorted by (i, j) in {path}")
+    index = CorpusIndex(tuple(words), doc["sentence_count"], np.array(unigram, dtype=np.int64), prec)
     if np.any(index.unigram > index.sentence_count):
         raise ValueError(f"a unigram count exceeds sentence_count in {path}")
-    if np.any(entries[:, 2] > np.minimum(index.unigram[entries[:, 0]], index.unigram[entries[:, 1]])):
+    # prec(w, x) + prec(x, w) summed in uint64, where two counts below 2**63 cannot overflow.
+    pairs, where = _cooc_pairs(index)
+    cooc = np.zeros(pairs.size, dtype=np.uint64)
+    np.add.at(cooc, where, index.prec[:, 2].astype(np.uint64))
+    if np.any(cooc > np.minimum(index.unigram[pairs // size], index.unigram[pairs % size]).astype(np.uint64)):
         raise ValueError(f"a cooc count exceeds a word's unigram count in {path}")
     return index
 

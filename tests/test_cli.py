@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,25 @@ def test_an_out_of_vocabulary_pair_costs_one_pair_in_every_method(tmp_path, caps
     for kind, block in doc["baselines"].items():
         assert block.pop("excluded") == excluded
         assert block == clean["baselines"][kind] and len(block["pairs"]) == 33
+
+
+def test_nlp_eval_needs_at_least_one_repeat(capsys):
+    argv = ("nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), "--corpus", bundled_data_path("mini_corpus.txt"),
+            "--min-votes", "14", "--kinds", "counts", "--methods", "distribution", "--repeats", "0")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and caught == []
+    assert err.endswith("error: repeats must be an integer of at least 1\n")
+
+
+def test_a_version_1_index_is_refused_with_the_rebuild_command(tmp_path, capsys):
+    index = tmp_path / "v1.json"
+    index.write_text(json.dumps({"format": "corpus-index", "version": 1, "sentence_count": 1, "vocabulary": ["rain"],
+                                 "unigram": {"rain": 1}, "cooc": [], "prec": []}))
+    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--index", str(index))
+    assert code == 1 and out == ""
+    assert "error: unsupported index version 1: rebuild it with index-corpus" in err
 
 
 def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):

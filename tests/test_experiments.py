@@ -139,9 +139,10 @@ def test_filter_consensus():
     reverse = WordPairRecord("smoke", "fire", 0, 20, 0)
     out = filter_consensus([strong, weak, reverse], 18)
     assert out == [(strong, 1), (reverse, -1)]
-    # ties break toward the stated order
-    tie = WordPairRecord("a", "b", 10, 10, 0)
-    assert filter_consensus([tie], 10) == [(tie, 1)]
+    # a tie names no direction, whatever the threshold
+    for tie, min_votes in ((WordPairRecord("a", "b", 10, 10, 0), 10), (WordPairRecord("a", "b", 7, 7, 6), 5),
+                           (WordPairRecord("a", "b", 0, 0, 20), 0)):
+        assert filter_consensus([tie, strong], min_votes) == [(strong, 1)]
     with pytest.raises(ValueError, match="cannot exceed"):
         filter_consensus([strong], 21)
 
@@ -321,6 +322,15 @@ def test_evaluate_scatter_dataset_coin_flip_is_near_half():
     samples, labels = _labeled_samples(120)
     report = evaluate_scatters(samples, labels, _coin_predictor, repeats=10)
     assert 0.35 <= report.mean <= 0.65
+
+
+@pytest.mark.parametrize("repeats", [0, -1, 2.0, True, None])
+def test_repeats_must_be_an_integer_of_at_least_one(repeats):
+    samples, labels = _labeled_samples(20)
+    calls = []
+    with pytest.raises(ValueError, match="repeats must be an integer of at least 1"):
+        evaluate_scatters(samples, labels, lambda sample: calls.append(sample), repeats=repeats)
+    assert calls == []
 
 
 def test_evaluate_scatter_dataset_predictions_recount():

@@ -6,6 +6,9 @@ smaller implementation has to reproduce them exactly: a single permutation
 count that moves changes a p-value, and with it a score's repr.  The forest
 values were recorded with the per-feature split loop and the per-tree
 prediction walk, and the embedding tables with the per-position SGNS loop.
+
+The pins were recorded on Python 3.11.7 with numpy 2.4.6 and its bundled
+scipy-openblas 0.3.31 on one BLAS thread.
 """
 
 import contextlib
@@ -199,8 +202,9 @@ def test_sgns_tables_are_pinned():
 
 
 # SHA-256 of the file save_index writes for the bundled corpus: the
-# corpus-index format the CLI's --index reads.
-SAVED_INDEX = "0f21be02728db93397358cb9e1a29911826424ad10f7d2fe0fa378a82f24cdaf"
+# version-2 corpus-index format the CLI's --index reads, equal to the bytes
+# of the test's dict writer (tests/test_proxy_text.py::oracle_index_bytes).
+SAVED_INDEX = "81ce44e7202bba00260bddd027097b44ff0c33fc357618582240c34a47e0f7e2"
 
 
 def test_saved_index_bytes_are_pinned(tmp_path):

@@ -3,6 +3,7 @@
 import inspect
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,25 +224,26 @@ def test_index_and_count_projections_equal_the_dict_oracle(fuzz_dir, lines):
 
 
 def oracle_index_bytes(oracle):
-    """The bytes of the dict and ``sorted`` index writer the array one
-    replaced, over the dict oracle: what save_index must write."""
-    words = list(oracle.vocabulary)
+    """The bytes of a version-2 index file written with dicts and ``sorted``
+    over the dict oracle: what save_index must write."""
+    words, ids = list(oracle.vocabulary), oracle.vocabulary
+    rows = sorted([ids[w], ids[x], c] for (w, x), c in oracle.prec_counts.items())
     doc = {
         "format": "corpus-index",
-        "version": 1,
+        "version": 2,
         "sentence_count": oracle.sentence_count,
         "vocabulary": words,
-        "unigram": {w: oracle.unigram[w] for w in words},
-        "cooc": [[w, x, c] for (w, x), c in sorted(oracle.cooc_counts.items())],
-        "prec": sorted([w, x, c] for (w, x), c in oracle.prec_counts.items()),
+        "unigram": [oracle.unigram[w] for w in words],
+        "prec": [value for row in rows for value in row],
     }
     out = io.StringIO()
     json.dump(doc, out, sort_keys=True)
     return out.getvalue().encode("utf-8")
 
 
-# Non-ASCII words whose code-point order (b < ä < ß < é < ω < 日) is not
-# the order they first appear in, repeated within a line, one-token lines.
+# Non-ASCII words, which the file escapes, whose code-point order
+# (b < ä < ß < é < ω < 日) is not their id order, repeated within a line,
+# one-token lines.
 scripts = st.lists(
     st.lists(st.sampled_from(["zé", "b", "ä", "a", "Ωmega", "日本", "ß", "b2", "é"]), min_size=1, max_size=5).map(" ".join),
     min_size=1,
@@ -253,6 +255,8 @@ scripts = st.lists(
 @given(lines=scripts)
 @example(lines=["é", "a a", "日本", "é"])  # no pair at all
 @example(lines=["zé b zé", "b", "ä b a ä"])
+# The bundled corpus, whose file tests/test_golden.py pins as SAVED_INDEX.
+@example(lines=Path(bundled_data_path("mini_corpus.txt")).read_text(encoding="utf-8").splitlines())
 def test_saved_index_bytes_equal_the_dict_writer(fuzz_dir, lines):
     path = fuzz_dir / "corpus.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -293,24 +297,25 @@ def put(key, value):
     return lambda doc: {**doc, key: value}
 
 
-def put_entry(key, entry):
-    return lambda doc: {**doc, key: [entry] + doc[key][1:]}
+def put_at(key, position, value):
+    return lambda doc: {**doc, key: doc[key][:position] + [value] + doc[key][position + 1 :]}
 
 
-def swap_entry(key, old, new):
-    return lambda doc: {**doc, key: [new if e == old else e for e in doc[key]]}
+def put_entry(entry):
+    """The first prec triple replaced by entry."""
+    return lambda doc: {**doc, "prec": entry + doc["prec"][3:]}
 
 
-def without_unigram(word):
-    return lambda doc: {**doc, "unigram": {w: c for w, c in doc["unigram"].items() if w != word}}
-
-
+# The tiny index has 9 words (the, rain, made, street, wet, again,
+# everywhere, dry, heat: ids 0-8, each seen in 1 or 2 of its 4 sentences)
+# and 15 prec rows, the first (the, rain) and the last (dry, heat).
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (lambda doc: [doc], "not a corpus-index"),
+        (put("version", 1), "unsupported index version 1: rebuild it with index-corpus"),
         (drop("vocabulary"), "missing vocabulary"),
-        (drop("cooc"), "missing cooc"),
+        (drop("prec"), "missing prec"),
         (put("vocabulary", "rain street"), "vocabulary must be a list of words"),
         (put("vocabulary", ["rain", 3]), "vocabulary must be a list of words"),
         (put("vocabulary", ["rain", "rain"]), "duplicate vocabulary"),
@@ -318,44 +323,44 @@ def without_unigram(word):
         (put("sentence_count", "4"), "sentence_count"),
         (put("sentence_count", True), "sentence_count"),
         (put("sentence_count", 2**63), "sentence_count"),
-        (put("unigram", [["rain", 2]]), "unigram must map"),
-        (put("unigram", {"rain": 2.5}), "unigram must map"),
-        (lambda doc: {**doc, "unigram": {**doc["unigram"], "rain": 0}}, "unigram must map"),
-        (without_unigram("heat"), "unigram words differ"),
-        (lambda doc: {**doc, "unigram": {**doc["unigram"], "banana": 1}}, "unigram words differ"),
-        (put("cooc", {"rain": 1}), "cooc must be a list"),
-        (put_entry("cooc", ["rain"]), "malformed cooc entry"),
-        (put_entry("cooc", ["rain", "wet", 1, 2]), "malformed cooc entry"),
-        (put_entry("cooc", ["rain", 7, 1]), "malformed cooc entry"),
-        (put_entry("prec", ["rain", "wet", 1.0]), "malformed prec entry"),
-        (put_entry("prec", ["rain", "wet", -1]), "malformed prec entry"),
-        (put_entry("prec", ["dry", "heat", 0]), "malformed prec entry"),
-        (put_entry("prec", ["dry", "heat", 2**63]), "malformed prec entry"),
-        (put_entry("prec", "rain wet 1"), "malformed prec entry"),
-        (lambda doc: {**doc, "cooc": doc["cooc"] + doc["cooc"][:1]}, "duplicate cooc pairs"),
-        (put_entry("cooc", ["again", "banana", 1]), "outside the vocabulary"),
-        (put_entry("prec", ["banana", "heat", 1]), "outside the vocabulary"),
-        (put_entry("prec", ["dry", "dry", 1]), "with itself"),
-        (swap_entry("cooc", ["rain", "wet", 1], ["wet", "rain", 1]), "cooc counts differ"),
-        (swap_entry("cooc", ["rain", "wet", 1], ["rain", "wet", 2]), "cooc counts differ"),
-        (lambda doc: {**doc, "cooc": doc["cooc"][1:]}, "cooc counts differ"),
-        (lambda doc: {**doc, "prec": doc["prec"][1:]}, "cooc counts differ"),
-        (lambda doc: {**doc, "prec": doc["prec"][:2] + [["rain", "wet", True]]}, r"entry \['rain', 'wet', True\]"),
+        (lambda doc: {**doc, "unigram": dict(zip(doc["vocabulary"], doc["unigram"]))}, "unigram must map"),
+        (put_at("unigram", 1, 2.5), "unigram must map"),
+        (put_at("unigram", 1, 0), "unigram must map"),
+        (lambda doc: {**doc, "unigram": doc["unigram"][:-1]}, "unigram must map"),
+        (lambda doc: {**doc, "unigram": doc["unigram"] + [1]}, "unigram must map"),
+        (put("prec", {"rain": 1}), "prec must be a flat list"),
+        (lambda doc: {**doc, "prec": doc["prec"][:-1]}, "prec must be a flat list"),
+        (lambda doc: {**doc, "prec": doc["prec"] + [1]}, "prec must be a flat list"),
+        (put_entry([0, 1, 1.0]), "malformed prec entry"),
+        (put_entry([0, 1, -1]), "malformed prec entry"),
+        (put_entry([0, 1, 0]), "malformed prec entry"),
+        (put_entry([0, 1, 2**63]), "malformed prec entry"),
+        (lambda doc: {**doc, "prec": [doc["prec"][k : k + 3] for k in range(0, 45, 3)]}, "malformed prec entry"),
+        (put_entry(["the", "rain", 1]), "malformed prec entry"),
+        (put_entry([-(2**70), 1, 5]), r"malformed prec entry \[-1180591620717411303424, 1, 5\]"),
+        (put_entry([2**63, 1, 1]), "malformed prec entry"),
+        (put_entry([True, 1, 1]), "malformed prec entry"),
+        (put_at("prec", 20, True), r"entry \[1, 4, True\]"),
+        (put_entry([0, 9, 1]), "outside the vocabulary"),
+        (put_entry([9, 8, 1]), "outside the vocabulary"),
+        (put_entry([0, 0, 1]), "with itself"),
+        (lambda doc: {**doc, "prec": doc["prec"][:3] + doc["prec"]}, "prec pairs must be distinct and sorted"),
+        (lambda doc: {**doc, "prec": doc["prec"][3:6] + doc["prec"][:3] + doc["prec"][6:]}, "must be distinct and sorted"),
         (put("sentence_count", 1), "a unigram count exceeds sentence_count"),
-        (
-            lambda doc: swap_entry("prec", ["dry", "heat", 1], ["dry", "heat", 2])(
-                swap_entry("cooc", ["dry", "heat", 1], ["dry", "heat", 2])(doc)
-            ),
-            "a cooc count exceeds a word's unigram count",
-        ),
+        (put_at("prec", 44, 2), "a cooc count exceeds a word's unigram count"),
+        # street, wet: prec 1 in each order and unigram 2 each, so 2 + 1 > 2.
+        (put_at("prec", 32, 2), "a cooc count exceeds a word's unigram"),
+        # Two counts whose int64 sum wraps to -2.
+        (lambda doc: put_at("prec", 32, 2**63 - 1)(put_at("prec", 38, 2**63 - 1)(doc)), "a cooc count exceeds"),
     ],
 )
 def test_load_index_rejects_malformed_files(tiny_index, tmp_path, corrupt, message):
     doc = index_doc(tiny_index, tmp_path)
-    assert ["rain", "wet", 1] in doc["cooc"] and doc["prec"][0] == ["dry", "heat", 1]
+    assert doc["prec"][:3] == [0, 1, 1] and doc["prec"][-3:] == [7, 8, 1] and len(doc["prec"]) == 45
+    assert doc["prec"][18:21] == [1, 4, 1] and doc["prec"][30:33] + doc["prec"][36:39] == [3, 4, 1, 4, 3, 1]
     path = tmp_path / "index.json"
     path.write_text(json.dumps(doc))
-    assert np.array_equal(load_index(path).cooc_entries(), tiny_index.cooc_entries())
+    assert_same_index(load_index(path), tiny_index)
     path.write_text(json.dumps(corrupt(doc)))
     with pytest.raises(ValueError, match=message):
         load_index(path)
@@ -371,10 +376,10 @@ json_values = st.recursive(
 @st.composite
 def index_texts(draw):
     """Index-file text: arbitrary characters, arbitrary JSON, a consistent
-    index, or one that is consistent except where the draw breaks it (a key
-    dropped or replaced, a word or count of the wrong type, a short or long
-    entry, a self-pair, an unknown word, a cooc count that is not the prec
-    sum)."""
+    version-2 index, or one that is consistent except where the draw breaks
+    it (a key dropped or replaced, a value of the wrong type or range, a
+    short or long entry, a self-pair, an unknown id, a swapped pair, a count
+    above the unigram counts)."""
     kind = draw(st.integers(0, 4))
     if kind == 0:
         return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
@@ -385,30 +390,27 @@ def index_texts(draw):
         return good if kind == 2 else draw(st.sampled_from((good,) * 6 + bad))
 
     words = draw(st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=4, unique=True))
-    word = st.sampled_from(words or ["a"])
-    prec = draw(st.dictionaries(st.tuples(word, word).filter(lambda p: p[0] != p[1]), st.integers(1, 5), max_size=4))
-    cooc = {}
-    for (w, x), c in prec.items():
-        key = (min(w, x), max(w, x))
-        cooc[key] = cooc.get(key, 0) + c
+    size = len(words)
+    ids = st.integers(0, max(size - 1, 0))
+    # Counts of 1 or 2 per order stay within unigram counts of 4 or more.
+    prec = draw(st.dictionaries(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), st.integers(1, 2), max_size=4))
     doc = {
         "format": mostly("corpus-index", "other"),
-        "version": mostly(1, 2, "1"),
-        "sentence_count": mostly(draw(st.integers(1, 9)), 0, -1, 2.0, "3", None, 2**63),
+        "version": mostly(2, 1, "2"),
+        "sentence_count": mostly(draw(st.integers(9, 12)), 0, -1, 2.0, "3", None, 2**63, 1),
         "vocabulary": mostly(words, words + words[:1], "a b", [1]),
-        "unigram": mostly({w: draw(st.integers(1, 5)) for w in words}, [["a", 1]], {"a": 1.5}, {"a": -2}, {"z": 1}),
+        "unigram": mostly(draw(st.lists(st.integers(4, 9), min_size=size, max_size=size)), {"a": 4}, [4.5], [-2], [4] * (size + 1)),
     }
-    for key, table in (("cooc", cooc), ("prec", prec)):
-        entries = [[w, x, c] for (w, x), c in table.items()]
-        for e in entries:
-            broken = mostly(
-                None, e[:1], e + [0], [e[0], 3, e[2]], [e[0], e[1], float(e[2])], [e[0], e[1], True],
-                [e[1], e[0], e[2]], [e[0], e[0], e[2]], [e[0], "z", e[2]], [e[0], e[1], e[2] + 1],
-                [e[0], e[1], 0], [e[0], e[1], 2**63],
-            )
-            if broken is not None:
-                e[:] = broken
-        doc[key] = mostly(entries, {}, "x", None)
+    entries = [[i, j, c] for (i, j), c in sorted(prec.items())]
+    for e in entries:
+        broken = mostly(
+            None, e[:1], e + [0], ["a", e[1], e[2]], [e[0], e[1], float(e[2])], [e[0], e[1], True],
+            [e[1], e[0], e[2]], [e[0], e[0], e[2]], [e[0], size, e[2]], [e[0], e[1], 9],
+            [e[0], e[1], 0], [e[0], e[1], 2**63], [-(2**70), e[1], e[2]],
+        )
+        if broken is not None:
+            e[:] = broken
+    doc["prec"] = mostly([v for e in entries for v in e], entries, {}, "x", None)
     for key in list(doc):
         action = mostly("keep", "drop", "junk")
         if action == "drop":
