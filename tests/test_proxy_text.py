@@ -344,7 +344,11 @@ def put_entry(entry):
         (put_entry([0, 9, 1]), "outside the vocabulary"),
         (put_entry([9, 8, 1]), "outside the vocabulary"),
         (put_entry([0, 0, 1]), "with itself"),
-        (lambda doc: {**doc, "prec": doc["prec"][:3] + doc["prec"]}, "prec pairs must be distinct and sorted"),
+        pytest.param(
+            lambda doc: {**doc, "prec": doc["prec"][:3] + doc["prec"]},
+            "prec pairs must be distinct and sorted",
+            id="duplicate prec pairs",
+        ),
         (lambda doc: {**doc, "prec": doc["prec"][3:6] + doc["prec"][:3] + doc["prec"][6:]}, "must be distinct and sorted"),
         (put("sentence_count", 1), "a unigram count exceeds sentence_count"),
         (put_at("prec", 44, 2), "a cooc count exceeds a word's unigram count"),
