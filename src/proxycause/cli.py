@@ -216,6 +216,7 @@ def cmd_nlp_eval(o):
     kinds = list(PROJECTION_NAMES) if o.kinds == "all" else _names(o.kinds, PROJECTION_NAMES, "projection kind")
     methods = _names(o.methods, METHODS, "method")
     curve_kind = _name(o.curve_kind, PROJECTION_NAMES, "curve kind")
+    xp._check_splits(o.split, o.repeats)
 
     pairs = _filtered_pairs(o)
     need_emb_kinds = kinds + ([curve_kind] if "curve" in methods else [])

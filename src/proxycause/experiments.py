@@ -430,6 +430,14 @@ class EvalReport:
     significance: float
 
 
+def _check_splits(split, repeats) -> None:
+    """The split share and the repeat count of every evaluation."""
+    if not 0.0 < split < 1.0:
+        raise ValueError("split must be in (0, 1)")
+    if not _is_integer(repeats) or repeats < 1:
+        raise ValueError("repeats must be an integer of at least 1")
+
+
 def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> EvalReport:
     """The repeated-split loop of every evaluation.
 
@@ -441,10 +449,7 @@ def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> Ev
     n = len(labels)
     if n < 8:
         raise ValueError("need at least 8 labeled pairs")
-    if not 0.0 < split < 1.0:
-        raise ValueError("split must be in (0, 1)")
-    if not _is_integer(repeats) or repeats < 1:
-        raise ValueError("repeats must be an integer of at least 1")
+    _check_splits(split, repeats)
     spec = as_spec(seed)
     n_train = min(max(int(round(split * n)), 1), n - 1)
     accuracies = []

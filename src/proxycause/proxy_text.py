@@ -43,6 +43,7 @@ __all__ = [
 INDEX_FORMAT = "corpus-index"
 INDEX_VERSION = 2
 _CHUNK = 2048  # sentences per pass of _index_of: bounds its pair arrays on a large corpus
+_SGNS_BLOCK = 8  # center positions per deferred SGNS update; 16 diverges (ROADMAP dead ends)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -320,23 +321,6 @@ class EmbeddingModel:
         return self.output_matrix[self._row(word)]
 
 
-def _sentence_plan(sent: np.ndarray, window: int, negatives: int):
-    """(centers, contexts, bounds) of one sentence, or None for a one-word
-    sentence: every word id as a center, the context ids of all centers
-    concatenated (left of the center, then right), and where each center's
-    block of rows (one per context word, each followed by its negatives)
-    starts and ends."""
-    length = sent.size
-    reach = min(window, length - 1)
-    if reach == 0:
-        return None
-    offsets = np.concatenate([np.arange(-reach, 0), np.arange(1, reach + 1)])
-    pos = np.arange(length)[:, None] + offsets
-    inside = (pos >= 0) & (pos < length)
-    bounds = np.concatenate([[0], np.cumsum(inside.sum(axis=1))]) * (negatives + 1)
-    return sent.tolist(), sent[pos[inside]], bounds.tolist()
-
-
 def sgns_train(
     corpus_path,
     d: int = 300,
@@ -349,9 +333,11 @@ def sgns_train(
     """Skip-gram embeddings by SGD on the negative-sampling objective.
 
     Single-threaded with a fixed pass order, so results are a pure
-    function of (corpus, hyperparameters, seed).  Updates are applied
-    once per center position, batched over its context words; negatives
-    are drawn from the unigram token distribution raised to 0.75.
+    function of (corpus, hyperparameters, seed).  Each epoch takes the
+    center positions in corpus order in blocks of 8, which may span two
+    sentences: every gradient of a block is computed from the tables as
+    they stood at its start, and their sum is applied once, at its end.
+    Negatives are drawn from the unigram token distribution raised to 0.75.
     """
     return _sgns_train(lambda: _read_corpus(corpus_path), d, epochs, window, negatives, learning_rate, seed)
 
@@ -373,40 +359,56 @@ def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.02
     spec = as_spec(seed)
 
     vocabulary, sentences = read()
-    num_words = len(vocabulary)
-    noise = np.bincount(np.concatenate(sentences)) ** 0.75
+    num_words, tokens = len(vocabulary), np.concatenate(sentences)
+    noise = np.bincount(tokens) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
-    rng_init = spec.rng("sgns.init")
-    vi = (rng_init.random((num_words, d)) - 0.5) / d
+    vi = (spec.rng("sgns.init").random((num_words, d)) - 0.5) / d
     vo = np.zeros((num_words, d))
-    vo_flat = vo.reshape(-1)
     rng_neg = spec.rng("sgns.negatives")
 
-    # Drawing one sentence's negatives at once consumes the stream exactly
-    # as per-position draws would, and the flat scatter-add applies
-    # duplicate rows in order, so the tables match a per-position loop bit
-    # for bit.  The sigmoid takes exp of -|z| only, so it cannot overflow.
-    plans = [p for p in (_sentence_plan(s, window, negatives) for s in sentences) if p is not None]
-    labels = np.zeros((min(2 * window, max(s.size for s in sentences) - 1), negatives + 1))
-    labels[:, 0] = 1.0
-    labels = labels.ravel()
-    columns = np.arange(d)
+    # The center positions are the tokens with a context.  Each owns a run of
+    # context ids (left of it, then right), built in place to keep one copy;
+    # owners holds each context's center as an index into its block's centers.
+    lengths = np.array([s.size for s in sentences])
+    pos = np.arange(tokens.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    left = np.minimum(pos, window)
+    count = left + np.minimum(np.repeat(lengths, lengths) - 1 - pos, window)
+    at = np.flatnonzero(count)
+    left, count = left[at], count[at]
+    first = np.cumsum(count) - count
+    contexts = np.arange(count.sum())
+    contexts += contexts >= np.repeat(first + left, count)
+    contexts += np.repeat(at - left - first, count)
+    contexts = tokens[contexts]
+    block = np.arange(at.size) // _SGNS_BLOCK * num_words
+    centers, local = np.unique(block + tokens[at], return_inverse=True)
+    owners = np.repeat(local - np.searchsorted(centers, block), count)
+    bounds = np.append(first[::_SGNS_BLOCK], contexts.size).tolist()
+    center_bounds = np.searchsorted(centers, np.arange(len(bounds)) * num_words).tolist()
+    centers %= num_words
 
+    # A block's draw consumes the negatives stream as per-position draws
+    # would.  u_out holds its distinct rows, each at the position whose
+    # index stayed in place; m sums the gradients of each (center, row).
+    # The sigmoid takes exp of -|z| only, so it cannot overflow.
+    labels = np.eye(1, negatives + 1)
+    place, slots = np.empty(num_words, dtype=np.intp), np.arange(max(np.diff(bounds), default=0) * (negatives + 1))
     for _ in range(epochs):
-        for centers, contexts, bounds in plans:
-            negs = np.searchsorted(noise_cdf, rng_neg.random((contexts.size, negatives)))
-            rows = np.concatenate([contexts[:, None], negs], axis=1).ravel()
-            flat = (rows[:, None] * d + columns).ravel()
-            for center, lo, hi in zip(centers, bounds, bounds[1:]):
-                v = vi[center]
-                out = vo.take(rows[lo:hi], axis=0)
-                z = out @ v
-                e = np.exp(-np.abs(z))
-                grad = learning_rate * (labels[: hi - lo] - np.where(z >= 0, 1.0, e) / (1.0 + e))
-                grad_center = grad @ out
-                np.add.at(vo_flat, flat[lo * d : hi * d], np.multiply.outer(grad, v).ravel())
-                v += grad_center
+        for lo, hi, c_lo, c_hi in zip(bounds, bounds[1:], center_bounds, center_bounds[1:]):
+            negs = np.searchsorted(noise_cdf, rng_neg.random((hi - lo, negatives)))
+            rows = np.concatenate([contexts[lo:hi, None], negs], axis=1)
+            place[rows.ravel()] = slots[: rows.size]
+            u_out = rows.ravel()[place[rows.ravel()] == slots[: rows.size]]
+            place[u_out] = slots[: u_out.size]
+            u_in, oi, ro = centers[c_lo:c_hi], owners[lo:hi, None], place[rows]
+            a, b = vi[u_in], vo[u_out]
+            z = (a @ b.T)[oi, ro]
+            e = np.exp(-np.abs(z))
+            grad = learning_rate * (labels - np.where(z >= 0, 1.0, e) / (1.0 + e))
+            m = np.bincount((oi * u_out.size + ro).ravel(), grad.ravel(), u_in.size * u_out.size).reshape(u_in.size, -1)
+            vi[u_in] = a + m @ b
+            vo[u_out] = b + m.T @ a
 
     return EmbeddingModel(words=tuple(vocabulary), input_matrix=vi, output_matrix=vo)
 

@@ -410,6 +410,20 @@ def test_nlp_eval_needs_at_least_one_repeat(capsys):
     assert err.endswith("error: repeats must be an integer of at least 1\n")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--repeats", "0", "repeats must be an integer of at least 1"),
+    ("--split", "1.5", "split must be in (0, 1)"),
+], ids=["repeats", "split"])
+def test_nlp_eval_checks_repeats_and_split_before_any_work(capsys, flag, value, message):
+    """With the default kinds, the run would train embeddings before the
+    first evaluation looked at either value."""
+    code, out, err = run(capsys, "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"),
+                         "--corpus", bundled_data_path("mini_corpus.txt"), flag, value)
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: {message}\n")
+    assert "training embeddings on the fly" not in err
+
+
 def test_a_version_1_index_is_refused_with_the_rebuild_command(tmp_path, capsys):
     index = tmp_path / "v1.json"
     index.write_text(json.dumps({"format": "corpus-index", "version": 1, "sentence_count": 1, "vocabulary": ["rain"],

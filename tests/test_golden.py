@@ -5,7 +5,9 @@ permuted HSIC statistic summed from the full Gram matrices).  A faster or
 smaller implementation has to reproduce them exactly: a single permutation
 count that moves changes a p-value, and with it a score's repr.  The forest
 values were recorded with the per-feature split loop and the per-tree
-prediction walk, and the embedding tables with the per-position SGNS loop.
+prediction walk.  The embedding tables, and the two CLI outputs that
+train embeddings (nlp-eval and word-pair-defaults), were re-recorded with
+the SGNS loop that updates once per block of 8 center positions.
 
 The pins were recorded on Python 3.11.7 with numpy 2.4.6 and its bundled
 scipy-openblas 0.3.31 on one BLAS thread.
@@ -191,8 +193,8 @@ def test_rcc_forest_and_verdicts_are_pinned():
 
 # SHA-256 of input_matrix.tobytes() + output_matrix.tobytes() for
 # sgns_train on the bundled corpus with d=16, 1 epoch, window 3, 3
-# negatives and seed 7.
-SGNS_TABLES = "c47c7eced0c9fdae6a31cb6c11be97573245620f23d9e14ae1ee2d2595928a6f"
+# negatives and seed 7, with one update per block of 8 center positions.
+SGNS_TABLES = "40258941ce4af4e315380a26b5832e0995633b5b62c127690dc88a6988159407"
 
 
 def test_sgns_tables_are_pinned():
@@ -219,7 +221,7 @@ def test_saved_index_bytes_are_pinned(tmp_path):
 # subcommand, recorded with the serial loop.  Every --jobs value must give
 # the same bytes: 1, 2, and more jobs than the machine has CPUs.
 CLI_STDOUT = {
-    "nlp-eval": "2ac34ca51cf721151cc1b2a2bbb6c17eee254d65933db9680fcd950e06084a2b",
+    "nlp-eval": "10ee5cf123763cd7e993e21702475cdc6b3738ff738628127caa055570cc64f8",
     "baselines": "3dbe5af3a6ba2da8747f0f3b4a02aaf2b2168e04e8bbeeeb07f613540b9e30f0",
     "frames-order": "6316801cfd25c987537cd72f5cdf6a63d7d46282f44982c6f5208a91974c8c48",
 }
@@ -374,7 +376,7 @@ CLI_RUN_STDOUT = {
     "synth-stylized": "9b3ee9ad7d811034bce320692d541dd14675052e652f6acb1226caaa040ff870",
     "synth-stylized-defaults": "b27c88544382b721e88466a0b8951feb4d773b87fc934a393e590369023accae",
     "word-pair-anm": "61f2a8ae733fedd0b79fb5581598a9874e45a91ed53bf803835e0f6dc655e649",
-    "word-pair-defaults": "e8448b6f374882e7d14d19a709fe9165492d9cb4dce100c89155a1df2341fdd9",
+    "word-pair-defaults": "db172ae82d1f44cf1453ddea2b8934c31cc8fba1694fecda58c483887b5454b2",
     "word-pair-model": "11ce915808957ed0785a88b4916d128320afb88ffb4eb880110ae15f41d35433",
 }
 

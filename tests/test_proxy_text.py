@@ -3,6 +3,7 @@
 import inspect
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from proxycause.proxy_text import (
     baseline_scores,
     build_index,
     load_embeddings,
+    _SGNS_BLOCK,
     _read_table,
     _sgns_train,
     load_index,
@@ -380,47 +382,57 @@ json_values = st.recursive(
 @st.composite
 def index_texts(draw):
     """Index-file text: arbitrary characters, arbitrary JSON, a consistent
-    version-2 index, or one that is consistent except where the draw breaks
-    it (a key dropped or replaced, a value of the wrong type or range, a
-    short or long entry, a self-pair, an unknown id, a swapped pair, a count
-    above the unigram counts)."""
-    kind = draw(st.integers(0, 4))
-    if kind == 0:
+    version-2 index, or a consistent one with exactly one thing broken.
+    That is one key (dropped, replaced by arbitrary JSON, or given a value
+    of the wrong type or range) or one prec entry (short, long, of the wrong
+    type or range, a self-pair, an unknown id, a duplicate, or a count above
+    the unigram counts)."""
+    # Each break kind is drawn twice as often as the others, so that a
+    # 1,000-draw run reaches every check of load_index.
+    kind = draw(st.sampled_from(["text", "json", "consistent", "key", "key", "entry", "entry"]))
+    if kind == "text":
         return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
-    if kind == 1:
+    if kind == "json":
         return json.dumps(draw(json_values))
-
-    def mostly(good, *bad):
-        return good if kind == 2 else draw(st.sampled_from((good,) * 6 + bad))
-
-    words = draw(st.lists(st.sampled_from(["a", "b", "c", "é"]), max_size=4, unique=True))
+    broken = kind != "consistent"
+    # Only the consistent kind may be empty: a break needs an entry to break.
+    words = draw(st.lists(st.sampled_from(["a", "b", "c", "é"]), min_size=2 * broken, max_size=4, unique=True))
     size = len(words)
     ids = st.integers(0, max(size - 1, 0))
-    # Counts of 1 or 2 per order stay within unigram counts of 4 or more.
-    prec = draw(st.dictionaries(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), st.integers(1, 2), max_size=4))
-    doc = {
-        "format": mostly("corpus-index", "other"),
-        "version": mostly(2, 1, "2"),
-        "sentence_count": mostly(draw(st.integers(9, 12)), 0, -1, 2.0, "3", None, 2**63, 1),
-        "vocabulary": mostly(words, words + words[:1], "a b", [1]),
-        "unigram": mostly(draw(st.lists(st.integers(4, 9), min_size=size, max_size=size)), {"a": 4}, [4.5], [-2], [4] * (size + 1)),
-    }
+    # Counts of 1 or 2 per order stay within unigram counts of 4 to 9.
+    pairs = st.tuples(ids, ids).filter(lambda p: p[0] != p[1])
+    prec = draw(st.dictionaries(pairs, st.integers(1, 2), min_size=broken, max_size=4))
     entries = [[i, j, c] for (i, j), c in sorted(prec.items())]
-    for e in entries:
-        broken = mostly(
-            None, e[:1], e + [0], ["a", e[1], e[2]], [e[0], e[1], float(e[2])], [e[0], e[1], True],
-            [e[1], e[0], e[2]], [e[0], e[0], e[2]], [e[0], size, e[2]], [e[0], e[1], 9],
-            [e[0], e[1], 0], [e[0], e[1], 2**63], [-(2**70), e[1], e[2]],
-        )
-        if broken is not None:
-            e[:] = broken
-    doc["prec"] = mostly([v for e in entries for v in e], entries, {}, "x", None)
-    for key in list(doc):
-        action = mostly("keep", "drop", "junk")
-        if action == "drop":
+    if kind == "entry":
+        at = draw(st.integers(0, len(entries) - 1))
+        i, j, c = entries[at]
+        entries[at : at + 1] = draw(st.sampled_from([
+            [[i]], [[i, j, c, 0]], [["a", j, c]], [[i, j, float(c)]], [[i, j, True]], [[-(2**70), j, c]],
+            [[i, j, 0]], [[i, j, 2**63]], [[i, size, c]], [[i, i, c]], [[i, j, c], [i, j, c]], [[i, j, 10]],
+        ]))
+    doc = {
+        "format": "corpus-index",
+        "version": 2,
+        "sentence_count": draw(st.integers(9, 12)),
+        "vocabulary": words,
+        "unigram": draw(st.lists(st.integers(4, 9), min_size=size, max_size=size)),
+        "prec": [v for e in entries for v in e],
+    }
+    if kind == "key":
+        bad = {
+            "format": ["other"],
+            "version": [1, "2"],
+            "sentence_count": [0, -1, 2.0, "3", None, 2**63, 1],
+            "vocabulary": [words + words[:1], "a b", [1]],
+            "unigram": [{"a": 4}, [4.5] * size, [-2] * size, [4] * (size + 1), [13] * size],
+            "prec": [entries, {}, "x", None, doc["prec"][:-1]],
+        }
+        key = draw(st.sampled_from(sorted(doc)))
+        value = draw(st.sampled_from(["drop", "junk", *bad[key]]))
+        if value == "drop":
             del doc[key]
-        elif action == "junk":
-            doc[key] = draw(json_values)
+        else:
+            doc[key] = draw(json_values) if value == "junk" else value
     return json.dumps(doc)
 
 
@@ -448,6 +460,30 @@ def test_index_loader_gives_an_index_or_value_error(fuzz_dir, text):
         for w, other in enumerate(index.words):
             if w != x:
                 assert cooc_row[w] == prec_row[w] + index.prec_row(other)[x]
+
+
+def test_index_fuzz_reaches_every_load_index_check(fuzz_dir):
+    """Over a derandomized 1,000-draw run of index_texts, every message that
+    load_index can raise is raised at least once."""
+    source = inspect.getsource(load_index)
+    templates = re.findall(r'raise ValueError\(f"(.*?)"\)', source)
+    checks = [re.compile(".*".join(map(re.escape, re.split(r"\{.*?\}", t))) + "$") for t in templates]
+    hits = [0] * len(checks)
+    path = fuzz_dir / "coverage.json"
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(text=index_texts())
+    def run(text):
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_index(path)
+        except ValueError as err:
+            for k, check in enumerate(checks):
+                hits[k] += bool(check.match(str(err)))
+
+    run()
+    assert len(templates) == source.count("raise ValueError") == 14
+    assert all(hits), [t for t, n in zip(templates, hits) if not n]
 
 
 def test_vocab_sample_top_ranks_by_count_then_word(tiny_index):
@@ -600,9 +636,12 @@ def test_sgns_learns_cooccurrence_structure(tmp_path):
 
 
 def per_position_sgns(corpus_path, d, epochs, window, negatives, learning_rate, seed):
-    """The original SGNS loop, one update per center position with its own
-    negative draw and a 2-D np.add.at: the oracle the trainer must match
-    bit for bit."""
+    """SGNS one center position at a time, each with its own negative draw
+    and a 2-D np.add.at, with every update deferred: a position's gradients
+    are computed from the tables as they stood at the start of its block of
+    ``_SGNS_BLOCK`` center positions (counted across sentences, skipping
+    positions with no context) and added at the block's end.  The oracle
+    the block trainer must match to rounding."""
 
     def sigmoid(z):
         out = np.empty_like(z)
@@ -635,6 +674,7 @@ def per_position_sgns(corpus_path, d, epochs, window, negatives, learning_rate, 
     vo = np.zeros((len(vocabulary), d))
     rng_neg = spec.rng("sgns.negatives")
     for _ in range(epochs):
+        dvi, dvo, taken = np.zeros_like(vi), np.zeros_like(vo), 0
         for sent in sentences:
             for t in range(sent.size):
                 lo = max(0, t - window)
@@ -650,9 +690,13 @@ def per_position_sgns(corpus_path, d, epochs, window, negatives, learning_rate, 
                 labels = labels.ravel()
                 out = vo[rows]
                 grad = learning_rate * (labels - sigmoid(out @ vi[center]))
-                grad_center = grad @ out
-                np.add.at(vo, rows, grad[:, None] * vi[center][None, :])
-                vi[center] += grad_center
+                dvi[center] += grad @ out
+                np.add.at(dvo, rows, grad[:, None] * vi[center][None, :])
+                taken += 1
+                if taken == _SGNS_BLOCK:
+                    vi, vo = vi + dvi, vo + dvo
+                    dvi, dvo, taken = np.zeros_like(vi), np.zeros_like(vo), 0
+        vi, vo = vi + dvi, vo + dvo
     return vi, vo
 
 
@@ -689,8 +733,29 @@ def test_sgns_equals_per_position_loop(tmp_path, d, epochs, window, negatives, l
         path, d=d, epochs=epochs, window=window, negatives=negatives, learning_rate=learning_rate, seed=seed
     )
     vi, vo = per_position_sgns(path, d, epochs, window, negatives, learning_rate, seed)
-    assert np.array_equal(emb.input_matrix, vi)
-    assert np.array_equal(emb.output_matrix, vo)
+    # The two sum each block's gradients in different orders, so they agree
+    # to rounding: relative to each table's largest entry, within 1e-12.
+    for got, want in ((emb.input_matrix, vi), (emb.output_matrix, vo)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sgns_tables_stay_bounded_at_the_default_learning_rate(tmp_path):
+    """Blocks of 8 positions stay stable on lines that repeat a few words,
+    where whole-sentence blocks do not (a max entry of 1.5e6 on the
+    alternating line): d=50, 5 epochs, the default learning rate."""
+    rng = np.random.default_rng(0)
+    words = np.array([f"w{i}" for i in range(50)])
+    share = np.full(50, 0.3 / 47)
+    share[:3] = 0.7 / 3
+    corpora = {
+        "alternating": " ".join(["a", "b"] * 100) + "\n",
+        "three words": "".join(" ".join(words[rng.choice(50, 300, p=share)]) + "\n" for _ in range(20)),
+    }
+    for name, text in corpora.items():
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        emb = sgns_train(path, d=50, epochs=5, seed=0)
+        assert max(np.abs(emb.input_matrix).max(), np.abs(emb.output_matrix).max()) < 10, name
 
 
 def test_sgns_defaults_are_those_of_the_shared_trainer():
