@@ -36,6 +36,7 @@ from .core import (
     save_scatter,
 )
 from .proxy_image import (
+    IMAGE_FIT_FRACTION,
     frames_order,
     image_pair_direction,
     load_image,
@@ -127,10 +128,10 @@ def _report_doc(report: xp.EvalReport) -> dict:
     }
 
 
-def _pick_engine(o):
-    """AnmConfig or a loaded model, per --engine / --model."""
+def _pick_engine(o, **anm):
+    """AnmConfig (``anm`` overriding its defaults) or a loaded model, per --engine / --model."""
     if o.engine == "anm":
-        return AnmConfig(num_permutations=o.permutations)
+        return AnmConfig(num_permutations=o.permutations, **anm)
     if o.engine == "model":
         _need(o, "model")
         return load_model(o.model)
@@ -320,7 +321,7 @@ def cmd_baselines(o):
 
 
 def cmd_image_pair(o):
-    engine = _pick_engine(o)
+    engine = _pick_engine(o, fit_fraction=IMAGE_FIT_FRACTION)
     direction = image_pair_direction(load_image(o.x), load_image(o.y), n=o.n, k=o.k, engine=engine, seed=o.seed)
     result = _direction_doc(direction)
     result.update({"x": o.x, "y": o.y, "n": o.n, "k": o.k, "seed": o.seed})
@@ -332,7 +333,7 @@ def cmd_frames_order(o):
     if len(paths) < 2:
         raise ValueError(f"found {len(paths)} frames matching {o.pattern!r} in {o.dir}")
     frames = [load_image(p) for p in paths]
-    engine = _pick_engine(o)
+    engine = _pick_engine(o, fit_fraction=IMAGE_FIT_FRACTION)
     order = frames_order(frames, n=o.n, k=o.k, engine=engine, seed=o.seed, jobs=o.jobs)
     return {
         "frames": [os.path.basename(p) for p in paths],

@@ -3,13 +3,12 @@
 A pair of same-sized images becomes a two-column sample by drawing random
 square patches and recording each image's mean brightness under the same
 patch.  Direction engines then operate on that sample.  For a list of
-frames the pairwise verdicts assemble into a tournament matrix that is
-topologically sorted into a temporal order.
+frames the pairwise verdicts assemble into a tournament matrix, and the
+frames are ordered by how many of their pairs they win.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,12 @@ __all__ = [
     "image_pair_direction",
     "frames_order",
 ]
+
+# The ANM fit fraction of every image engine.  Overlapping patches leak weak
+# grid structure into the residuals; a test part of 25% keeps the
+# independence test from latching onto that artifact, while the genuine
+# backward-direction dependence stays easy to detect.
+IMAGE_FIT_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -178,14 +183,11 @@ def image_pair_direction(
     """Direction between two images: patch scatter fed to the chosen engine.
 
     ``engine`` is an AnmConfig (default) or a trained RCCModel; its
-    ``judge`` gets the child seed ``image.anm``.  The default
-    config fits on 75% of the patches rather than 50%: overlapping patches
-    leak weak grid structure into the residuals, and a smaller test half
-    keeps the independence test from latching onto that artifact while the
-    genuine backward-direction dependence stays easy to detect.
+    ``judge`` gets the child seed ``image.anm``.  The default config fits
+    on ``IMAGE_FIT_FRACTION`` (75%) of the patches rather than 50%.
     """
     if engine is None:
-        engine = AnmConfig(fit_fraction=0.75)
+        engine = AnmConfig(fit_fraction=IMAGE_FIT_FRACTION)
     if not isinstance(engine, (AnmConfig, RCCModel)):
         raise TypeError(f"engine must be AnmConfig or RCCModel, got {type(engine).__name__}")
     spec = as_spec(seed)
@@ -208,33 +210,19 @@ class FrameOrder:
 
 
 def order_from_matrix(matrix) -> tuple:
-    """(order, cyclic) for a 0/1 verdict digraph over frame indices.
+    """(order, cyclic) for a tournament: one 0/1 verdict per pair of frames.
 
-    Acyclic graphs get the lexicographically least topological order.
-    Cyclic graphs fall back to descending Copeland score (out-degree minus
-    in-degree), stable by index, with cyclic=True.
+    The frames go by descending wins (row sums), ties in index order.  A
+    tournament has a cycle exactly when two frames win equally often, so
+    ``cyclic`` says so; without one, this is its only topological order.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    f = m.shape[0]
-    indeg = m.sum(axis=0).astype(int)
-    ready = [i for i in range(f) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in range(f):
-            if m[i, j]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
-    if len(order) == f:
-        return tuple(order), False
-    copeland = m.sum(axis=1).astype(int) - m.sum(axis=0).astype(int)
-    by_score = sorted(range(f), key=lambda i: (-copeland[i], i))
-    return tuple(by_score), True
+    if not (np.isin(m, (0, 1)).all() and np.array_equal(m + m.T, 1 - np.eye(len(m), dtype=int))):
+        raise ValueError("matrix must be a tournament: one 0/1 verdict per pair, none on the diagonal")
+    wins = m.sum(axis=1).tolist()
+    return tuple(sorted(range(len(wins)), key=lambda i: (-wins[i], i))), len(set(wins)) < len(wins)
 
 
 def frames_order(
@@ -245,7 +233,10 @@ def frames_order(
     seed: SeedSpec | int = 0,
     jobs: int = 1,
 ) -> FrameOrder:
-    """Order frames by pairwise direction calls plus topological sort.
+    """Order frames by how many of their pairwise direction calls they win.
+
+    Frames that win equally often stay in index order and set ``cyclic``
+    (:func:`order_from_matrix`).
 
     Each unordered pair (i, j) is judged once under a seed derived from
     (master seed, i, j), so the pairs can be judged in any order and on any

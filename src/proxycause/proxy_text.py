@@ -44,6 +44,11 @@ INDEX_FORMAT = "corpus-index"
 INDEX_VERSION = 2
 _CHUNK = 2048  # sentences per pass of _index_of: bounds its pair arrays on a large corpus
 _SGNS_BLOCK = 8  # center positions per deferred SGNS update; 16 diverges (ROADMAP dead ends)
+# The largest table entry an SGNS epoch may leave.  Healthy runs stay near 1
+# (1.89 on the bundled corpus at d=50); a diverging one grows by orders of
+# magnitude per epoch (2.5e17 after one epoch on a 200-token "a b" line at
+# learning rate 0.05).
+_SGNS_BOUND = 1e4
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -394,7 +399,7 @@ def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.02
     # The sigmoid takes exp of -|z| only, so it cannot overflow.
     labels = np.eye(1, negatives + 1)
     place, slots = np.empty(num_words, dtype=np.intp), np.arange(max(np.diff(bounds), default=0) * (negatives + 1))
-    for _ in range(epochs):
+    for epoch in range(epochs):
         for lo, hi, c_lo, c_hi in zip(bounds, bounds[1:], center_bounds, center_bounds[1:]):
             negs = np.searchsorted(noise_cdf, rng_neg.random((hi - lo, negatives)))
             rows = np.concatenate([contexts[lo:hi, None], negs], axis=1)
@@ -409,6 +414,12 @@ def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.02
             m = np.bincount((oi * u_out.size + ro).ravel(), grad.ravel(), u_in.size * u_out.size).reshape(u_in.size, -1)
             vi[u_in] = a + m @ b
             vo[u_out] = b + m.T @ a
+        peak = max(np.abs(vi).max(), np.abs(vo).max())
+        if not peak <= _SGNS_BOUND:
+            raise ValueError(
+                f"SGNS diverged at learning rate {learning_rate}: a table entry reached {peak:.3g} "
+                f"in epoch {epoch + 1} (bound {_SGNS_BOUND:g}); try a smaller learning rate"
+            )
 
     return EmbeddingModel(words=tuple(vocabulary), input_matrix=vi, output_matrix=vo)
 
@@ -471,12 +482,6 @@ class ProjectionKind(Enum):
     PREC_PMI = "prec_pmi"
 
 
-def _coerce_kind(kind) -> ProjectionKind:
-    if isinstance(kind, ProjectionKind):
-        return kind
-    return ProjectionKind(str(kind).replace("-", "_"))
-
-
 def projection_vector(
     kind,
     word: str,
@@ -491,7 +496,7 @@ def projection_vector(
     p(w, word) / (p(w) p(word)) itself, not its logarithm, so
     never-co-occurring pairs give exactly 0.
     """
-    kind = _coerce_kind(kind)
+    kind = ProjectionKind(kind)
     target = index.require(word)
     if kind in (ProjectionKind.W2VII, ProjectionKind.W2VIO, ProjectionKind.W2VOI):
         if emb is None:
@@ -523,7 +528,7 @@ def word_pair_scatter(
 
     A constant vector has no direction to read, so it raises a ValueError
     that names its word and the kind."""
-    kind = _coerce_kind(kind)
+    kind = ProjectionKind(kind)
     a = projection_vector(kind, x_word, vocab, index, emb)
     b = projection_vector(kind, y_word, vocab, index, emb)
     for word, v in ((x_word, a), (y_word, b)):
@@ -548,17 +553,6 @@ BASELINE_KINDS = (
     "prec_pmi_entropy",
     "prec_pmi_ws",
 )
-
-_BASELINE_PROJECTION = {
-    "counts_entropy": ProjectionKind.COUNTS,
-    "counts_ws": ProjectionKind.COUNTS,
-    "prec_counts_entropy": ProjectionKind.PREC_COUNTS,
-    "prec_counts_ws": ProjectionKind.PREC_COUNTS,
-    "pmi_entropy": ProjectionKind.PMI,
-    "pmi_ws": ProjectionKind.PMI,
-    "prec_pmi_entropy": ProjectionKind.PREC_PMI,
-    "prec_pmi_ws": ProjectionKind.PREC_PMI,
-}
 
 
 @dataclass(frozen=True)
@@ -606,8 +600,10 @@ def baseline_scores(
     index: CorpusIndex,
     vocab: VocabSample | None = None,
 ) -> BaselineScores:
-    """Directional scores (S_xy, S_yx); the verdict is x->y iff S_xy > S_yx."""
-    kind = str(kind).replace("-", "_")
+    """Directional scores (S_xy, S_yx); the verdict is x->y iff S_xy > S_yx.
+
+    A kind ``<projection>_entropy`` or ``<projection>_ws`` scores the
+    projection its name starts with."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
     x_id = index.require(x_word)
@@ -618,7 +614,7 @@ def baseline_scores(
         return BaselineScores(float(index.prec_row(y_word)[x_id]), float(index.prec_row(x_word)[y_id]))
     if vocab is None:
         raise ValueError(f"baseline {kind} needs a vocabulary sample")
-    proj = _BASELINE_PROJECTION[kind]
+    proj = ProjectionKind(kind.rpartition("_")[0])
     px = projection_vector(proj, x_word, vocab, index)
     py = projection_vector(proj, y_word, vocab, index)
     if kind.endswith("_entropy"):

@@ -1,5 +1,6 @@
 """Image IO, patch proxies, and frame ordering."""
 
+import itertools
 import os
 
 import numpy as np
@@ -215,20 +216,69 @@ def test_order_from_matrix_chain_and_cycle():
     cycle = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     order, cyclic = order_from_matrix(cycle)
     assert cyclic
-    assert order == (0, 1, 2)  # all Copeland scores 0, stable by index
+    assert order == (0, 1, 2)  # every frame wins once: index order
 
     with pytest.raises(ValueError):
         order_from_matrix(np.zeros((2, 3)))
 
 
-def test_order_from_matrix_prefers_lexicographic_topo_order():
-    # two connected components: 1->3 and 2->0; many valid orders exist
-    m = np.zeros((4, 4), dtype=int)
-    m[1, 3] = 1
-    m[2, 0] = 1
+def test_order_from_matrix_refuses_a_matrix_that_is_not_a_tournament():
+    # two edges over four frames (1->3 and 2->0): four pairs have no verdict
+    gaps = np.zeros((4, 4), dtype=int)
+    gaps[1, 3] = gaps[2, 0] = 1
+    both = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0]])  # 0->1 and 1->0
+    diagonal = np.array([[1, 1, 1], [0, 0, 1], [0, 0, 0]])
+    two = np.array([[0, 2, 1], [0, 0, 1], [0, 0, 0]])
+    signed = np.array([[0, 2], [-1, 0]])  # sums to 1 over the pair
+    for m in (gaps, both, diagonal, two, signed):
+        with pytest.raises(ValueError, match="tournament"):
+            order_from_matrix(m)
+
+
+def _check_order_rule(m):
+    """The order goes by descending wins, ties in index order.  Distinct
+    win counts: not cyclic, and every verdict edge points forward in the
+    order.  Otherwise: cyclic, and some three frames beat each other in a
+    ring (a nonzero trace of m^3)."""
     order, cyclic = order_from_matrix(m)
-    assert not cyclic
-    assert order == (1, 2, 0, 3)
+    wins = m.sum(axis=1)
+    assert order == tuple(sorted(range(len(m)), key=lambda i: (-wins[i], i)))
+    assert isinstance(cyclic, bool)
+    if len(set(wins.tolist())) == len(m):
+        assert not cyclic
+        place = np.argsort(order)
+        assert all(place[i] < place[j] for i, j in zip(*np.nonzero(m)))
+    else:
+        assert cyclic
+        assert np.trace(m @ m @ m) > 0
+
+
+def _tournament(f, bits):
+    """The f-frame tournament whose pair (i, j), i < j, in row order, goes i->j iff its bit is 1."""
+    m = np.zeros((f, f), dtype=np.int64)
+    for (i, j), bit in zip(itertools.combinations(range(f), 2), bits):
+        m[i, j], m[j, i] = bit, 1 - bit
+    return m
+
+
+def test_order_rule_on_every_small_tournament():
+    count = 0
+    for f in range(2, 6):
+        for bits in itertools.product((0, 1), repeat=f * (f - 1) // 2):
+            _check_order_rule(_tournament(f, bits))
+            count += 1
+    assert count == 1098
+
+
+def _drawn_tournaments(f):
+    pairs = f * (f - 1) // 2
+    return st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs).map(lambda bits: _tournament(f, bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(_drawn_tournaments))
+def test_order_rule_on_drawn_tournaments(m):
+    _check_order_rule(m)
 
 
 def test_frames_order_on_diffusion_sequence():

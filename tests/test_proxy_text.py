@@ -608,6 +608,28 @@ def test_projection_kind_coercion():
     assert vec_kinds == {"w2vii", "w2vio", "w2voi", "counts", "prec_counts", "pmi", "prec_pmi"}
 
 
+def test_kinds_are_taken_as_a_member_or_its_value(tiny_index):
+    """projection_vector takes a ProjectionKind or its value; each
+    projection baseline scores the projection its name starts with.  Only
+    the command line reads '-' as '_'."""
+    vocab = vocab_sample(tiny_index, 4)
+    for kind in COUNT_KINDS:
+        member = ProjectionKind(kind)
+        px = projection_vector(member, "rain", vocab, tiny_index)
+        py = projection_vector(kind, "wet", vocab, tiny_index)
+        assert np.array_equal(px, projection_vector(kind, "rain", vocab, tiny_index))
+        assert np.array_equal(py, projection_vector(member, "wet", vocab, tiny_index))
+        entropy = baseline_scores(f"{kind}_entropy", "rain", "wet", tiny_index, vocab)
+        assert (entropy.s_xy, entropy.s_yx) == (shannon_entropy(px), shannon_entropy(py))
+        ws = baseline_scores(f"{member.value}_ws", "rain", "wet", tiny_index, vocab)
+        want = (weeds_precision(px, py), weeds_precision(py, px)) if px.any() and py.any() else (0.0, 0.0)
+        assert (ws.s_xy, ws.s_yx) == want
+    with pytest.raises(ValueError, match="prec-counts"):
+        projection_vector("prec-counts", "rain", vocab, tiny_index)
+    with pytest.raises(ValueError, match="unknown baseline"):
+        baseline_scores("prec-counts-ws", "rain", "wet", tiny_index, vocab)
+
+
 def test_sgns_train_is_deterministic(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("one two three four five\n" * 30)
@@ -756,6 +778,16 @@ def test_sgns_tables_stay_bounded_at_the_default_learning_rate(tmp_path):
         path.write_text(text)
         emb = sgns_train(path, d=50, epochs=5, seed=0)
         assert max(np.abs(emb.input_matrix).max(), np.abs(emb.output_matrix).max()) < 10, name
+
+
+def test_sgns_refuses_a_diverged_table(tmp_path):
+    """The alternating line that holds at the default rate diverges at
+    0.05 (a largest entry of 2.5e17 after one epoch), which raises instead
+    of returning tables."""
+    path = tmp_path / "c.txt"
+    path.write_text(" ".join(["a", "b"] * 100) + "\n")
+    with pytest.raises(ValueError, match=r"diverged at learning rate 0\.05: .* in epoch 1 "):
+        sgns_train(path, d=50, epochs=5, learning_rate=0.05, seed=0)
 
 
 def test_sgns_defaults_are_those_of_the_shared_trainer():
