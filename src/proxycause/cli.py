@@ -19,7 +19,6 @@ echoes every resolved option of the subcommand.
 from __future__ import annotations
 
 import argparse
-import functools
 import glob
 import json
 import os
@@ -172,12 +171,10 @@ def cmd_embed_train(o):
 
 def _corpus_artifacts(o, kinds):
     """(index, vocab, emb) resolved from flags; emb only when needed."""
-    # The index and on-the-fly embeddings share one read of the corpus.
-    tokens = functools.cache(lambda: proxy_text._read_corpus(o.corpus))
     if o.index is not None:
         index = load_index(o.index)
     elif o.corpus is not None:
-        index = proxy_text._index_of(*tokens())
+        index = build_index(o.corpus)
     else:
         raise ValueError("need --corpus or --index")
     n_vocab = min(o.n_vocab, len(index.vocabulary))
@@ -192,7 +189,7 @@ def _corpus_artifacts(o, kinds):
     if o.corpus is None:
         raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
     _log("training embeddings on the fly")
-    emb = proxy_text._sgns_train(tokens, d=o.d, epochs=o.epochs, seed=SeedSpec(o.seed).child("cli.embed"))
+    emb = sgns_train(o.corpus, d=o.d, epochs=o.epochs, seed=SeedSpec(o.seed).child("cli.embed"))
     return index, vocab, emb
 
 
@@ -532,8 +529,9 @@ def _row(command):
 def _resolve(args, config) -> argparse.Namespace:
     """Every option of ``args.command`` resolved: flag, then config file,
     then PROXYCAUSE_SEED (seed only), then the default.  A required option
-    left without a value, or --jobs below 1, raises ValueError; the resolved
-    values are echoed on one stderr line."""
+    left without a value, one of --emb-input and --emb-output without the
+    other, or --jobs below 1, raises ValueError; the resolved values are
+    echoed on one stderr line."""
     values, required = {}, []
     for name, need, default in _row(args.command):
         value = getattr(args, name.replace("-", "_"))
@@ -546,6 +544,9 @@ def _resolve(args, config) -> argparse.Namespace:
             required.append(name)
     o = argparse.Namespace(**{name.replace("-", "_"): value for name, value in values.items()})
     _need(o, *required)
+    if "emb-input" in values and (o.emb_input is None) != (o.emb_output is None):
+        given, missing = ("emb-input", "emb-output") if o.emb_output is None else ("emb-output", "emb-input")
+        raise ValueError(f"--{given} needs --{missing}")
     if o.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {o.jobs}")
     _log(f"{args.command} config: " + " ".join(f"{name}={value}" for name, value in values.items()))

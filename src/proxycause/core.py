@@ -216,7 +216,7 @@ def scatter_loads(text: str) -> ScatterSample:
             continue
         try:
             points.append(_json_point(json.loads(line)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed scatter record at line {lineno}: {exc}") from None
     if not points:
         raise ValueError("empty sample")
@@ -265,7 +265,7 @@ def dataset_loads(text: str) -> LabeledScatterDataset:
                 raise ValueError(f"label must be the JSON integer 1 or -1, got {label!r}")
             pts = np.array([_json_point(p) for p in rec["points"]])
             items.append((ScatterSample(pts), label))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed dataset record at line {lineno}: {exc}") from None
     if not items:
         raise ValueError("empty dataset")
@@ -299,35 +299,30 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     and exceptions travel back.  Results come in item order and the
     lowest-index failure is raised, as in the serial loop.  While mapping,
     BLAS runs on one thread in the caller and in every worker.  Otherwise,
-    and inside a worker, this is the serial loop.
+    and inside a task of another map (in the caller or a worker), this is
+    the serial loop.
     """
+    global _task
     if not _is_integer(jobs) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     items = list(items)
     workers = min(int(jobs), len(items), _usable_cpus())
-    if workers > 1 and _worker_task is None:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _forked_map(fn, items, workers, multiprocessing.get_context("fork"))
-    return [fn(item) for item in items]
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _forked_map(fn, items, workers, context) -> list:
+    if workers < 2 or _task is not None:
+        return [fn(item) for item in items]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # The workers fork after BLAS is down to one thread, so they start on one.
-    with _one_blas_thread(), ProcessPoolExecutor(
-        workers - 1, mp_context=context, initializer=_start_worker, initargs=(fn, items, workers)
-    ) as pool:
-        futures = [pool.submit(_worker_share, start) for start in range(1, workers)]
-        shares = [_share(fn, items, 0, workers)] + [f.result() for f in futures]
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    # The workers fork after _task is set and BLAS is down to one thread, so
+    # they start with the task and on one thread.
+    _task = (fn, items, workers)
+    try:
+        with _one_blas_thread(), ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_share, start) for start in range(1, workers)]
+            shares = [_share(0)] + [f.result() for f in futures]
+    finally:
+        _task = None
     out = []
     for i in range(len(items)):
         results, error = shares[i % workers]
@@ -337,8 +332,20 @@ def _forked_map(fn, items, workers, context) -> list:
     return out
 
 
-def _share(fn, items, start, step):
-    """fn over items[start::step] up to the first failure: (results, error)."""
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (fn, items, step) of the map in progress, set in the caller before the
+# workers fork; None when no map runs.
+_task = None
+
+
+def _share(start):
+    """fn over items[start::step] of ``_task`` up to the first failure: (results, error)."""
+    fn, items, step = _task
     results = []
     for item in items[start::step]:
         try:
@@ -346,19 +353,6 @@ def _share(fn, items, start, step):
         except Exception as exc:
             return results, exc
     return results, None
-
-
-_worker_task = None
-
-
-def _start_worker(fn, items, step):
-    global _worker_task
-    _worker_task = (fn, items, step)
-
-
-def _worker_share(start):
-    fn, items, step = _worker_task
-    return _share(fn, items, start, step)
 
 
 @functools.lru_cache(maxsize=None)

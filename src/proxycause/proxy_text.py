@@ -42,7 +42,7 @@ __all__ = [
 
 INDEX_FORMAT = "corpus-index"
 INDEX_VERSION = 2
-_CHUNK = 2048  # sentences per pass of _index_of: bounds its pair arrays on a large corpus
+_CHUNK = 2048  # sentences per pass of build_index: bounds its pair arrays on a large corpus
 _SGNS_BLOCK = 8  # center positions per deferred SGNS update; 16 diverges (ROADMAP dead ends)
 # The largest table entry an SGNS epoch may leave.  Healthy runs stay near 1
 # (1.89 on the bundled corpus at d=50); a diverging one grows by orders of
@@ -138,12 +138,8 @@ class CorpusIndex:
 
 
 def build_index(corpus_path) -> CorpusIndex:
-    """One pass over a one-sentence-per-line text file."""
-    return _index_of(*_read_corpus(corpus_path))
-
-
-def _index_of(vocabulary, sentences) -> CorpusIndex:
-    """The index of a corpus as ``_read_corpus`` gives it, ``_CHUNK`` sentences at a time."""
+    """One pass over a one-sentence-per-line text file, ``_CHUNK`` sentences at a time."""
+    vocabulary, sentences = _read_corpus(corpus_path)
     size = len(vocabulary)
     unigram = np.zeros(size, dtype=np.int64)
     keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)  # prec rows as sorted i * size + j
@@ -202,7 +198,10 @@ def _cooc_pairs(index: CorpusIndex):
 def load_index(path) -> CorpusIndex:
     """Read an index file; a malformed or inconsistent one raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed {INDEX_FORMAT} file {path}: nested too deeply to parse") from None
     if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
         raise ValueError(f"not a {INDEX_FORMAT} file: {path}")
     if doc.get("version") != INDEX_VERSION:
@@ -344,11 +343,6 @@ def sgns_train(
     they stood at its start, and their sum is applied once, at its end.
     Negatives are drawn from the unigram token distribution raised to 0.75.
     """
-    return _sgns_train(lambda: _read_corpus(corpus_path), d, epochs, window, negatives, learning_rate, seed)
-
-
-def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.025, seed=0) -> EmbeddingModel:
-    """``sgns_train`` on the corpus ``read()`` gives, read once the checks pass."""
     if not all(_is_integer(v) for v in (d, epochs, window, negatives)):
         raise ValueError("d, epochs, window and negatives must be integers")
     if d < 2:
@@ -363,7 +357,7 @@ def _sgns_train(read, d=300, epochs=5, window=5, negatives=5, learning_rate=0.02
         raise ValueError("learning rate must be finite and positive")
     spec = as_spec(seed)
 
-    vocabulary, sentences = read()
+    vocabulary, sentences = _read_corpus(corpus_path)
     num_words, tokens = len(vocabulary), np.concatenate(sentences)
     noise = np.bincount(tokens) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())

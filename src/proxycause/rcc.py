@@ -527,7 +527,10 @@ def load_model(path) -> RCCModel:
     unchanged: the seeds were never used for prediction.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"malformed {MODEL_FORMAT} file {path}: nested too deeply to parse") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:

@@ -173,24 +173,13 @@ def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
     assert doc2["verdict"] in ("x->y", "y->x")
 
 
-def test_word_pair_reads_the_corpus_once(tmp_path, capsys, monkeypatch, corpus_file):
-    """With --corpus and an embedding kind, the index and the embeddings
-    trained on the fly share one read of the corpus; stdout is that of the
-    same run on an index and embeddings the public functions build."""
-    calls = []
-    real = proxy_text._read_corpus
-
-    def counting(path):
-        calls.append(path)
-        return real(path)
-
+def test_word_pair_on_a_corpus_equals_the_run_on_built_artifacts(tmp_path, capsys, corpus_file):
+    """With --corpus and an embedding kind, stdout is that of the same run
+    on an index and embeddings the public functions build."""
     argv = ("word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--n-vocab", "20", "--permutations", "99",
             "--seed", "2")
-    monkeypatch.setattr(proxy_text, "_read_corpus", counting)
     code, out, err = run(capsys, *argv, "--corpus", corpus_file, "--d", "8", "--epochs", "1")
     assert code == 0, err
-    assert calls == [corpus_file]
-    monkeypatch.undo()
     index, vi, vo = (str(tmp_path / name) for name in ("index.json", "vi.txt", "vo.txt"))
     proxy_text.save_index(proxy_text.build_index(corpus_file), index)
     emb = proxy_text.sgns_train(corpus_file, d=8, epochs=1, seed=SeedSpec(2).child("cli.embed"))
@@ -468,6 +457,32 @@ def test_unknown_names_are_rejected_before_any_work(capsys, command, flag, value
     assert code == 1 and out == ""
     bad = value.split(",")[-1]
     assert f"error: unknown {what} {bad!r}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("word-pair", "--x", "cat", "--y", "animal", "--kind", "w2vii"),
+    ("nlp-eval", "--pairs", "/does/not/exist.csv"),
+])
+@pytest.mark.parametrize("given, missing", [("emb-input", "emb-output"), ("emb-output", "emb-input")])
+def test_one_embedding_table_without_the_other_is_rejected_before_any_work(capsys, command, given, missing):
+    # No input exists, so the error about the flags shows that they were
+    # checked before any was read.
+    code, out, err = run(capsys, *command, "--corpus", "/does/not/exist.txt", f"--{given}", "/does/not/exist.txt")
+    assert code == 1 and out == ""
+    assert err == f"error: --{given} needs --{missing}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("model", "inspect", "--model"),
+    ("word-pair", "--x", "cat", "--y", "animal", "--index"),
+    ("model", "train", "--out", "model.json", "--data"),
+])
+def test_json_nested_too_deeply_is_a_data_error(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("error: malformed ") and "Traceback" not in err
 
 
 def test_word_pair_kind_is_rejected_before_any_work(capsys):

@@ -266,6 +266,14 @@ def test_dataset_loads_takes_integer_labels_and_number_points(record):
         dataset_loads(record + "\n")
 
 
+@pytest.mark.parametrize("load, what", [(load_scatter, "scatter"), (load_dataset, "dataset")])
+def test_loaders_refuse_json_nested_too_deeply(tmp_path, load, what):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + "[" * 200_000 + "\n")
+    with pytest.raises(ValueError, match=f"malformed {what} record at line 2: maximum recursion depth"):
+        load(path)
+
+
 def test_loaders_keep_integer_coordinates():
     sample = scatter_loads('{"a": 1, "b": 2}\n{"a": -3, "b": 0.5}\n')
     assert sample.points.tolist() == [[1.0, 2.0], [-3.0, 0.5]]
@@ -352,7 +360,10 @@ def test_parallel_map_inside_a_worker_runs_serially(monkeypatch):
     fake_cpus(monkeypatch, 2)
     got = parallel_map(lambda i: parallel_map(lambda j: (i * j, os.getpid()), range(3), 2), range(4), 2)
     assert [[v for v, _ in row] for row in got] == [[i * j for j in range(3)] for i in range(4)]
-    assert all(len({pid for _, pid in row}) == 1 for row in got[1::2])
+    # Every row runs in one process: the caller's rows in the caller, the others in a worker.
+    assert [len({pid for _, pid in row}) for row in got] == [1, 1, 1, 1]
+    assert {pid for row in got[0::2] for _, pid in row} == {os.getpid()}
+    assert os.getpid() not in {pid for row in got[1::2] for _, pid in row}
 
 
 def fail_on(bad):
@@ -376,6 +387,7 @@ def test_parallel_map_raises_the_lowest_index_failure(monkeypatch, bad, jobs):
     assert serial.value.args == (f"item {bad[0]}",)
     assert type(split.value) is type(serial.value)
     assert split.value.args == serial.value.args
+    assert core._task is None
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2", None])

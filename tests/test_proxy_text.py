@@ -24,7 +24,6 @@ from proxycause.proxy_text import (
     load_embeddings,
     _SGNS_BLOCK,
     _read_table,
-    _sgns_train,
     load_index,
     projection_vector,
     save_embeddings,
@@ -372,6 +371,13 @@ def test_load_index_rejects_malformed_files(tiny_index, tmp_path, corrupt, messa
         load_index(path)
 
 
+def test_load_index_refuses_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match=f"malformed corpus-index file {re.escape(str(path))}: nested too deeply"):
+        load_index(path)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10**20) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -381,8 +387,9 @@ json_values = st.recursive(
 
 @st.composite
 def index_texts(draw):
-    """Index-file text: arbitrary characters, arbitrary JSON, a consistent
-    version-2 index, or a consistent one with exactly one thing broken.
+    """Index-file text: arbitrary characters, JSON nested too deeply to
+    parse, arbitrary JSON, a consistent version-2 index, or a consistent one
+    with exactly one thing broken.
     That is one key (dropped, replaced by arbitrary JSON, or given a value
     of the wrong type or range) or one prec entry (short, long, of the wrong
     type or range, a self-pair, an unknown id, a duplicate, or a count above
@@ -391,7 +398,7 @@ def index_texts(draw):
     # 1,000-draw run reaches every check of load_index.
     kind = draw(st.sampled_from(["text", "json", "consistent", "key", "key", "entry", "entry"]))
     if kind == "text":
-        return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60))
+        return draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=60) | st.just("[" * 100_000))
     if kind == "json":
         return json.dumps(draw(json_values))
     broken = kind != "consistent"
@@ -482,7 +489,7 @@ def test_index_fuzz_reaches_every_load_index_check(fuzz_dir):
                 hits[k] += bool(check.match(str(err)))
 
     run()
-    assert len(templates) == source.count("raise ValueError") == 14
+    assert len(templates) == source.count("raise ValueError") == 15
     assert all(hits), [t for t, n in zip(templates, hits) if not n]
 
 
@@ -744,7 +751,10 @@ the rain made the street wet and the dog ran down the wet street again
         (8, 2, 2, 3, 0.025, 1),
         (5, 3, 5, 5, 0.025, 2),
         (6, 2, 1, 0, 0.025, 3),
+        # Two runs at lr 0.5 that diverge (a largest entry of 2,255 after 2
+        # epochs), and the same run at 0.2, which stays near 1 (1.02).
         (4, 2, 12, 2, 0.5, 4),
+        (4, 2, 12, 2, 0.2, 4),
         (3, 1, 3, 1, 0.1, 5),
     ],
 )
@@ -788,14 +798,6 @@ def test_sgns_refuses_a_diverged_table(tmp_path):
     path.write_text(" ".join(["a", "b"] * 100) + "\n")
     with pytest.raises(ValueError, match=r"diverged at learning rate 0\.05: .* in epoch 1 "):
         sgns_train(path, d=50, epochs=5, learning_rate=0.05, seed=0)
-
-
-def test_sgns_defaults_are_those_of_the_shared_trainer():
-    """sgns_train and the trainer the CLI reaches with a corpus it already
-    read take the same defaults."""
-    public = list(inspect.signature(sgns_train).parameters.values())[1:]
-    shared = list(inspect.signature(_sgns_train).parameters.values())[1:]
-    assert [(p.name, p.default) for p in public] == [(p.name, p.default) for p in shared]
 
 
 def test_sgns_validation(tmp_path):

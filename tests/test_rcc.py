@@ -333,6 +333,13 @@ def test_load_model_accepts_files_with_tree_seeds(tmp_path):
         assert rcc_predict(back, sample) == rcc_predict(model, sample)
 
 
+def test_load_model_refuses_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="malformed rcc-model file .*deep.json: nested too deeply"):
+        load_model(path)
+
+
 def test_load_model_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else", "version": 1}')
