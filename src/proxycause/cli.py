@@ -29,6 +29,7 @@ from . import proxy_text
 from .anm import AnmConfig
 from .core import (
     SeedSpec,
+    _reading,
     load_dataset,
     load_scatter,
     parallel_map,
@@ -67,7 +68,7 @@ def _log(msg: str) -> None:
 def _load_config(path) -> dict:
     """The key=value lines of a config file, each value cast to its option's type."""
     config = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _reading(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -78,9 +79,11 @@ def _load_config(path) -> dict:
             if key not in _OPTIONS:
                 raise ValueError(f"config line {lineno}: {key!r} names no option")
             kind = _OPTIONS[key][0]
-            if kind is bool and text not in ("true", "false"):
-                raise ValueError(f"config key {key} takes true or false, got {text!r}")
-            config[key] = text == "true" if kind is bool else kind(text)
+            try:
+                config[key] = {"true": True, "false": False}[text] if kind is bool else kind(text)
+            except (KeyError, ValueError):
+                want = "true or false" if kind is bool else kind.__name__
+                raise ValueError(f"config line {lineno}: {key} takes {want}, got {text!r}") from None
     return config
 
 
@@ -538,7 +541,11 @@ def _resolve(args, config) -> argparse.Namespace:
         if value is None:
             value = config.get(name)
         if value is None and name == "seed" and "PROXYCAUSE_SEED" in os.environ:
-            value = int(os.environ["PROXYCAUSE_SEED"])
+            text = os.environ["PROXYCAUSE_SEED"]
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValueError(f"PROXYCAUSE_SEED must be an integer, got {text!r}") from None
         values[name] = default if value is None and not need else value
         if need:
             required.append(name)

@@ -182,6 +182,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Report a malformed file once, by name: a parse failure inside the
+    block comes out as ``ValueError("<path>: <reason>")``.  An OSError passes
+    through, as its message already names the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {exc.args[0]}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: nested too deeply to parse") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _standardize(v: np.ndarray) -> np.ndarray:
     """Zero mean, unit standard deviation; a constant variable raises, and so
     do values too large for their standard deviation to be finite."""
@@ -238,7 +253,7 @@ def save_scatter(sample: ScatterSample, path) -> None:
 
 
 def load_scatter(path) -> ScatterSample:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _reading(path):
         return scatter_loads(fh.read())
 
 
@@ -278,7 +293,7 @@ def save_dataset(dataset: LabeledScatterDataset, path) -> None:
 
 
 def load_dataset(path) -> LabeledScatterDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _reading(path):
         return dataset_loads(fh.read())
 
 

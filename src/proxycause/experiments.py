@@ -13,11 +13,10 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _is_integer, _standardize, as_spec
+from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _is_integer, _reading, _standardize, as_spec
 from .proxy_image import Image
 from .proxy_text import projection_vector, word_pair_scatter
 from .rcc import _vote_direction, forest_predict, forest_train, rcc_predict, rcc_train
@@ -95,32 +94,32 @@ _WORD_PAIR_FIELDS = ["x", "y", "votes_xy", "votes_yx", "votes_none"]
 
 def load_word_pairs(path) -> list:
     """CSV with header x,y,votes_xy,votes_yx,votes_none; duplicates rejected."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _reading(path):
         try:
             rows = list(csv.reader(fh))
         except csv.Error as exc:
             raise ValueError(f"malformed CSV: {exc}") from None
-    if not rows or rows[0] != _WORD_PAIR_FIELDS:
-        header = rows[0] if rows else None
-        raise ValueError(f"bad header {header!r}, want {','.join(_WORD_PAIR_FIELDS)}")
-    records = []
-    seen = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
-        x, y = row[0], row[1]
-        if not all(v.isascii() and v.isdigit() for v in row[2:]):
-            raise ValueError(f"line {lineno}: vote counts must be integers written in ASCII digits")
-        votes = [int(v) for v in row[2:]]
-        if (x, y) in seen:
-            raise ValueError(f"line {lineno}: duplicate pair ({x}, {y})")
-        seen.add((x, y))
-        try:
-            records.append(WordPairRecord(x, y, *votes))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        if not rows or rows[0] != _WORD_PAIR_FIELDS:
+            header = rows[0] if rows else None
+            raise ValueError(f"bad header {header!r}, want {','.join(_WORD_PAIR_FIELDS)}")
+        records = []
+        seen = set()
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
+            x, y = row[0], row[1]
+            if not all(v.isascii() and v.isdigit() for v in row[2:]):
+                raise ValueError(f"line {lineno}: vote counts must be integers written in ASCII digits")
+            votes = [int(v) for v in row[2:]]
+            if (x, y) in seen:
+                raise ValueError(f"line {lineno}: duplicate pair ({x}, {y})")
+            seen.add((x, y))
+            try:
+                records.append(WordPairRecord(x, y, *votes))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -565,8 +564,9 @@ def evaluate_feature_method(
 def binomial_significance(accuracy: float, n: int, p0: float = 0.5) -> float:
     """One-sided exact binomial tail P[Bin(n, p0) >= round(accuracy n)].
 
-    Computed in exact rational arithmetic (round half up), then converted
-    to float once at the end.
+    With p0 = a/d exactly (the float's own ratio) and b = d - a, the tail is
+    the integer sum of comb(n, i) a^i b^(n-i) over d^n, rounded to float once
+    at the end; the round of accuracy n is half up.
     """
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must be in [0, 1]")
@@ -576,12 +576,13 @@ def binomial_significance(accuracy: float, n: int, p0: float = 0.5) -> float:
         raise ValueError("p0 must be in (0, 1)")
     k = int(math.floor(accuracy * n + 0.5))
     k = min(max(k, 0), n)
-    p = Fraction(p0)
-    q = 1 - p
-    tail = Fraction(0)
-    for i in range(k, n + 1):
-        tail += math.comb(n, i) * p**i * q ** (n - i)
-    return float(tail)
+    a, d = float(p0).as_integer_ratio()
+    b = d - a
+    total = term = math.comb(n, k) * a**k * b ** (n - k)
+    for i in range(k, n):
+        term = term * (n - i) * a // ((i + 1) * b)  # exact: the quotient is the next integer term
+        total += term
+    return total / d**n  # int / int rounds correctly, once
 
 
 def confidence_curve(records, correct) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 # anm_direction is not called here; the traced benchmark run wraps it by
 # this module's name (perfbench/layers.py).
 from .anm import AnmConfig, anm_direction
-from .core import Direction, ScatterSample, SeedSpec, Verdict, as_spec, parallel_map
+from .core import Direction, ScatterSample, SeedSpec, Verdict, _reading, as_spec, parallel_map
 from .rcc import RCCModel
 
 __all__ = [
@@ -96,35 +96,28 @@ def _read_header_token(data: bytes, pos: int):
 
 def load_image(path) -> Image:
     """Read a binary PGM (P5) or PPM (P6) file; intensities scaled by 1/255."""
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _reading(path):
         data = fh.read()
-    magic, pos = _read_header_token(data, 0)
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise ValueError(f"unsupported magic number {magic!r} (want P5 or P6)")
-    fields = []
-    for _ in range(3):
-        token, pos = _read_header_token(data, pos)
-        if not token.isdigit():
-            raise ValueError(f"bad header field {token!r}")
-        fields.append(int(token))
-    width, height, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"unsupported maxval {maxval} (only 8-bit images)")
-    pos += 1  # single whitespace byte separates header from payload
-    count = width * height * channels
-    payload = data[pos : pos + count]
-    if len(payload) < count:
-        raise ValueError(f"truncated payload: want {count} bytes, have {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        arr = arr.reshape(height, width)
-    else:
-        arr = arr.reshape(height, width, 3)
-    return Image(arr)
+        magic, pos = _read_header_token(data, 0)
+        channels = {b"P5": 1, b"P6": 3}.get(magic)
+        if channels is None:
+            raise ValueError(f"unsupported magic number {magic!r} (want P5 or P6)")
+        fields = []
+        for _ in range(3):
+            token, pos = _read_header_token(data, pos)
+            if not token.isdigit():
+                raise ValueError(f"bad header field {token!r}")
+            fields.append(int(token))
+        width, height, maxval = fields
+        if maxval != 255:
+            raise ValueError(f"unsupported maxval {maxval} (only 8-bit images)")
+        pos += 1  # single whitespace byte separates header from payload
+        count = width * height * channels
+        payload = data[pos : pos + count]
+        if len(payload) < count:
+            raise ValueError(f"truncated payload: want {count} bytes, have {len(payload)}")
+        arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+        return Image(arr.reshape((height, width) if channels == 1 else (height, width, 3)))
 
 
 def save_image(img: Image, path) -> None:

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _is_integer, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _is_integer, _reading, as_spec
 
 __all__ = [
     "CorpusIndex",
@@ -68,14 +68,14 @@ def _read_corpus(corpus_path):
     and one int64 id array per line that has a token."""
     vocabulary = {}
     sentences = []
-    with open(corpus_path, "r", encoding="utf-8") as fh:
+    with open(corpus_path, "r", encoding="utf-8") as fh, _reading(corpus_path):
         for line in fh:
             tokens = tokenize(line)
             if tokens:
                 ids = [vocabulary.setdefault(t, len(vocabulary)) for t in tokens]
                 sentences.append(np.array(ids, dtype=np.int64))
-    if not sentences:
-        raise ValueError(f"empty corpus: {corpus_path}")
+        if not sentences:
+            raise ValueError("empty corpus")
     return vocabulary, sentences
 
 
@@ -197,48 +197,42 @@ def _cooc_pairs(index: CorpusIndex):
 
 def load_index(path) -> CorpusIndex:
     """Read an index file; a malformed or inconsistent one raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"malformed {INDEX_FORMAT} file {path}: nested too deeply to parse") from None
-    if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
-        raise ValueError(f"not a {INDEX_FORMAT} file: {path}")
-    if doc.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version {doc.get('version')!r}: rebuild it with index-corpus")
-    missing = sorted({"vocabulary", "sentence_count", "unigram", "prec"} - doc.keys())
-    if missing:
-        raise ValueError(f"malformed {INDEX_FORMAT} file {path}: missing {', '.join(missing)}")
-    words, unigram, flat = doc["vocabulary"], doc["unigram"], doc["prec"]
-    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
-        raise ValueError(f"vocabulary must be a list of words in {path}")
-    if len(set(words)) != len(words):
-        raise ValueError(f"duplicate vocabulary words in {path}")
-    if not _is_count(doc["sentence_count"]):
-        raise ValueError(f"sentence_count must be a positive integer in {path}")
-    if not (isinstance(unigram, list) and len(unigram) == len(words) and all(map(_is_count, unigram))):
-        raise ValueError(f"unigram must map each word id to a positive count in {path}")
-    if not (isinstance(flat, list) and len(flat) % 3 == 0):
-        raise ValueError(f"prec must be a flat list of (i, j, count) triples in {path}")
-    if not _is_prec_list(flat):
-        bad = next(e for e in (flat[k : k + 3] for k in range(0, len(flat), 3)) if not _is_prec_list(e))
-        raise ValueError(f"malformed prec entry {bad!r} in {path}")
-    size, prec = len(words), np.array(flat, dtype=np.int64).reshape(-1, 3)
-    if np.any(prec[:, :2] >= size):
-        raise ValueError(f"prec entries name words outside the vocabulary in {path}")
-    if np.any(prec[:, 0] == prec[:, 1]):
-        raise ValueError(f"prec pairs a word with itself in {path}")
-    if np.any(np.diff(prec[:, 0] * size + prec[:, 1]) <= 0):
-        raise ValueError(f"prec pairs must be distinct and sorted by (i, j) in {path}")
-    index = CorpusIndex(tuple(words), doc["sentence_count"], np.array(unigram, dtype=np.int64), prec)
-    if np.any(index.unigram > index.sentence_count):
-        raise ValueError(f"a unigram count exceeds sentence_count in {path}")
-    # prec(w, x) + prec(x, w) summed in uint64, where two counts below 2**63 cannot overflow.
-    pairs, where = _cooc_pairs(index)
-    cooc = np.zeros(pairs.size, dtype=np.uint64)
-    np.add.at(cooc, where, index.prec[:, 2].astype(np.uint64))
-    if np.any(cooc > np.minimum(index.unigram[pairs // size], index.unigram[pairs % size]).astype(np.uint64)):
-        raise ValueError(f"a cooc count exceeds a word's unigram count in {path}")
+    with open(path, "r", encoding="utf-8") as fh, _reading(path):
+        doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != INDEX_FORMAT:
+            raise ValueError(f"not a {INDEX_FORMAT} file")
+        if doc.get("version") != INDEX_VERSION:
+            raise ValueError(f"unsupported index version {doc.get('version')!r}: rebuild it with index-corpus")
+        words, count, unigram, flat = doc["vocabulary"], doc["sentence_count"], doc["unigram"], doc["prec"]
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise ValueError("vocabulary must be a list of words")
+        if len(set(words)) != len(words):
+            raise ValueError("duplicate vocabulary words")
+        if not _is_count(count):
+            raise ValueError("sentence_count must be a positive integer")
+        if not (isinstance(unigram, list) and len(unigram) == len(words) and all(map(_is_count, unigram))):
+            raise ValueError("unigram must map each word id to a positive count")
+        if not (isinstance(flat, list) and len(flat) % 3 == 0):
+            raise ValueError("prec must be a flat list of (i, j, count) triples")
+        if not _is_prec_list(flat):
+            bad = next(e for e in (flat[k : k + 3] for k in range(0, len(flat), 3)) if not _is_prec_list(e))
+            raise ValueError(f"malformed prec entry {bad!r}")
+        size, prec = len(words), np.array(flat, dtype=np.int64).reshape(-1, 3)
+        if np.any(prec[:, :2] >= size):
+            raise ValueError("prec entries name words outside the vocabulary")
+        if np.any(prec[:, 0] == prec[:, 1]):
+            raise ValueError("prec pairs a word with itself")
+        if np.any(np.diff(prec[:, 0] * size + prec[:, 1]) <= 0):
+            raise ValueError("prec pairs must be distinct and sorted by (i, j)")
+        index = CorpusIndex(tuple(words), count, np.array(unigram, dtype=np.int64), prec)
+        if np.any(index.unigram > index.sentence_count):
+            raise ValueError("a unigram count exceeds sentence_count")
+        # prec(w, x) + prec(x, w) summed in uint64, where two counts below 2**63 cannot overflow.
+        pairs, where = _cooc_pairs(index)
+        cooc = np.zeros(pairs.size, dtype=np.uint64)
+        np.add.at(cooc, where, index.prec[:, 2].astype(np.uint64))
+        if np.any(cooc > np.minimum(index.unigram[pairs // size], index.unigram[pairs % size]).astype(np.uint64)):
+            raise ValueError("a cooc count exceeds a word's unigram count")
     return index
 
 
@@ -426,23 +420,21 @@ def _write_table(words, matrix, path) -> None:
 
 
 def _read_table(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _reading(path):
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"bad embedding header in {path}")
+        if len(header) != 2 or not all(v.isascii() and v.isdigit() for v in header) or int(header[1]) < 1:
+            raise ValueError("bad embedding header")
         count, dim = int(header[0]), int(header[1])
-        if count < 0 or dim < 1:
-            raise ValueError(f"bad embedding header in {path}")
         words = []
         rows = []
         for i in range(count):
             parts = fh.readline().split()
             if len(parts) != dim + 1:
-                raise ValueError(f"bad embedding row {i + 2} in {path}")
+                raise ValueError(f"bad embedding row {i + 2}")
             words.append(parts[0])
             rows.append([float(v) for v in parts[1:]])
         if fh.read().strip():
-            raise ValueError(f"more rows than the header's {count} in {path}")
+            raise ValueError(f"more rows than the header's {count}")
     return words, np.array(rows, dtype=np.float64).reshape(count, dim)
 
 

@@ -15,7 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _is_integer, _standardize, as_spec
+from .core import (
+    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _is_integer, _reading, _standardize, as_spec,
+)
 from .independence import median_heuristic
 
 __all__ = [
@@ -157,6 +159,8 @@ class Forest:
     num_features: int
 
     def __post_init__(self):
+        if not (_is_integer(self.num_trees) and _is_integer(self.num_features)):
+            raise ValueError(f"num_trees and num_features must be integers: {self.num_trees!r}, {self.num_features!r}")
         if self.num_trees < 1:
             raise ValueError("a forest needs at least one tree")
         if self.num_trees != len(self.trees):
@@ -521,40 +525,22 @@ def _node_array(values, name, dtype) -> np.ndarray:
 
 
 def load_model(path) -> RCCModel:
-    """Read a model file; a malformed one raises ValueError.
+    """Read a model file; a malformed one raises ValueError naming the file.
 
-    Files that still carry the per-tree seeds older versions wrote load
-    unchanged: the seeds were never used for prediction.
+    The file's values go to the RFFSpec and Forest constructors as JSON
+    gave them, so their checks are the only ones on the seed, the counts
+    and the bandwidth.  Files that still carry the per-tree seeds older
+    versions wrote load unchanged: the seeds were never used for prediction.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"malformed {MODEL_FORMAT} file {path}: nested too deeply to parse") from None
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
-    try:
-        counts = (doc["rff"]["seed"], doc["rff"]["num_features"], doc["forest"]["num_trees"], doc["forest"]["num_features"])
-        if any(type(v) is not int or v < 0 for v in counts) or counts[0] >= 2**64:
-            raise TypeError("seed, num_features and num_trees must be JSON integers, the seed in [0, 2**64)")
-        if type(doc["rff"]["bandwidth"]) not in (int, float):
-            raise TypeError("bandwidth must be a JSON number")
-        rff = RFFSpec(
-            seed=doc["rff"]["seed"],
-            num_features=doc["rff"]["num_features"],
-            bandwidth=float(doc["rff"]["bandwidth"]),
-        )
+    with open(path, "r", encoding="utf-8") as fh, _reading(path):
+        doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"not a {MODEL_FORMAT} file")
+        if doc.get("version") != MODEL_VERSION:
+            raise ValueError(f"unsupported model version {doc.get('version')}")
+        rff, forest = doc["rff"], doc["forest"]
+        spec = RFFSpec(seed=rff["seed"], num_features=rff["num_features"], bandwidth=rff["bandwidth"])
         trees = tuple(
-            {name: _node_array(t[name], name, dtype) for name, dtype in TREE_FIELDS.items()}
-            for t in doc["forest"]["trees"]
+            {name: _node_array(t[name], name, dtype) for name, dtype in TREE_FIELDS.items()} for t in forest["trees"]
         )
-        forest = Forest(
-            num_trees=doc["forest"]["num_trees"],
-            trees=trees,
-            num_features=doc["forest"]["num_features"],
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed {MODEL_FORMAT} file {path}: {exc!r}") from None
-    return RCCModel(rff=rff, forest=forest)
+        return RCCModel(spec, Forest(forest["num_trees"], trees, forest["num_features"]))

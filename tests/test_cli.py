@@ -12,6 +12,7 @@ from proxycause.cli import main
 from proxycause.core import LabeledScatterDataset, SeedSpec, load_scatter, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair
 from proxycause.proxy_image import Image, save_image
+from proxycause.rcc import rcc_train, save_model
 
 
 def run(capsys, *argv):
@@ -97,6 +98,12 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
     cfg.write_text("seed = 5\n")
     _, cfg_output = run_json(capsys, "synth", "--what", "scatter", "--n", "50", "--config", str(cfg))
     assert cfg_output == flag_output
+
+
+def test_significance_at_ten_thousand_pairs_and_a_p0_of_0_3(capsys):
+    """p0 = 0.3 is a ratio over 2**54, whose powers a Fraction sum carries in every term."""
+    doc, _ = run_json(capsys, "significance", "--accuracy", "0.3", "--n", "10000", "--p0", "0.3")
+    assert doc["p_value"] == 0.5037723775457691 and doc["significant"] is False
 
 
 def test_config_file_supplies_options(tmp_path, capsys):
@@ -419,7 +426,7 @@ def test_a_version_1_index_is_refused_with_the_rebuild_command(tmp_path, capsys)
                                  "unigram": {"rain": 1}, "cooc": [], "prec": []}))
     code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--index", str(index))
     assert code == 1 and out == ""
-    assert "error: unsupported index version 1: rebuild it with index-corpus" in err
+    assert f"error: {index}: unsupported index version 1: rebuild it with index-corpus" in err
 
 
 def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
@@ -482,7 +489,33 @@ def test_json_nested_too_deeply_is_a_data_error(capsys, tmp_path, argv):
     path.write_text("[" * 200_000)
     code, out, err = run(capsys, *argv, str(path))
     assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith("error: malformed ") and "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """A well-formed model file and image, for commands that read one next to the file under test."""
+    directory = tmp_path_factory.mktemp("good")
+    items = [synth_anm_pair(40, seed=400 + i) for i in range(8)]
+    save_model(rcc_train(LabeledScatterDataset(tuple(items)), num_features=5, num_trees=3), directory / "model.json")
+    save_image(Image(np.full((12, 12), 0.5)), directory / "image.pgm")
+    return {"model": directory / "model.json", "image": directory / "image.pgm"}
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe\x00"], ids=["json syntax", "not utf-8"])
+@pytest.mark.parametrize("argv", [
+    ("model", "inspect", "--model"),
+    ("word-pair", "--x", "cat", "--y", "animal", "--index"),
+    ("model", "predict", "--model", "{model}", "--sample"),
+    ("image-pair", "--y", "{image}", "--x"),
+    ("nlp-eval", "--pairs"),
+], ids=["model", "index", "sample", "image", "pairs"])
+def test_a_malformed_file_is_named_on_the_error_line(capsys, tmp_path, good_files, argv, content):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *(a.format(**good_files) for a in argv), str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_word_pair_kind_is_rejected_before_any_work(capsys):
@@ -555,3 +588,18 @@ def test_config_keys_must_name_an_option(tmp_path, capsys):
     cfg.write_text("p0 = 0.25\ntrees = 9\n")
     doc, _ = run_json(capsys, "significance", "--accuracy", "0.75", "--n", "40", "--config", str(cfg))
     assert doc["p0"] == 0.25
+
+
+def test_a_config_value_that_fails_its_type_names_the_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 40\njobs=x\n")
+    code, out, err = run(capsys, "significance", "--accuracy", "0.75", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {cfg}: config line 2: jobs takes int, got 'x'\n"
+
+
+def test_a_seed_from_the_environment_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("PROXYCAUSE_SEED", "abc")
+    code, out, err = run(capsys, "synth", "--what", "scatter", "--n", "50")
+    assert code == 1 and out == ""
+    assert err == "error: PROXYCAUSE_SEED must be an integer, got 'abc'\n"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxycause import core
+from proxycause import cli, core
 from proxycause.core import (
     Direction,
     LabeledScatterDataset,
@@ -29,6 +29,10 @@ from proxycause.core import (
     scatter_dumps,
     scatter_loads,
 )
+from proxycause.experiments import load_word_pairs
+from proxycause.proxy_image import load_image
+from proxycause.proxy_text import _read_corpus, _read_table, load_index
+from proxycause.rcc import load_model
 
 
 # Frozen against an independent SHA-256 computation:
@@ -266,12 +270,50 @@ def test_dataset_loads_takes_integer_labels_and_number_points(record):
         dataset_loads(record + "\n")
 
 
-@pytest.mark.parametrize("load, what", [(load_scatter, "scatter"), (load_dataset, "dataset")])
-def test_loaders_refuse_json_nested_too_deeply(tmp_path, load, what):
-    path = tmp_path / "deep.jsonl"
-    path.write_text("\n" + "[" * 200_000 + "\n")
-    with pytest.raises(ValueError, match=f"malformed {what} record at line 2: maximum recursion depth"):
-        load(path)
+# Every loader of an input file, each taking the path alone.
+LOADERS = {
+    "load_index": load_index,
+    "_read_table": _read_table,
+    "_read_corpus": _read_corpus,
+    "load_model": load_model,
+    "load_scatter": load_scatter,
+    "load_dataset": load_dataset,
+    "load_image": load_image,
+    "load_word_pairs": load_word_pairs,
+    "_load_config": cli._load_config,
+}
+DEEP = "\n" + "[" * 200_000 + "\n"
+JSON_LOADERS = ("load_index", "load_model", "load_scatter", "load_dataset")
+
+
+def malformed(name, what, content, reason):
+    return pytest.param(name, content.encode("latin-1"), reason, id=f"{name}-{what}")
+
+
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [malformed(name, "not utf-8", "\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff") for name in LOADERS
+     if name != "load_image"]
+    + [
+        malformed("load_image", "bad magic", "\xff\xfe\x00", "unsupported magic number"),
+        malformed("load_image", "truncated", "P5\n3 2\n255\n\x00", "truncated payload: want 6 bytes, have 1"),
+    ]
+    + [malformed(name, "json syntax", "{", "Expecting property name") for name in JSON_LOADERS]
+    + [
+        malformed("load_index", "deep", DEEP, "nested too deeply to parse"),
+        malformed("load_model", "deep", DEEP, "nested too deeply to parse"),
+        malformed("load_scatter", "deep", DEEP, "malformed scatter record at line 2: maximum recursion depth"),
+        malformed("load_dataset", "deep", DEEP, "malformed dataset record at line 2: maximum recursion depth"),
+    ],
+)
+def test_loaders_name_the_malformed_file(tmp_path, name, content, reason):
+    """Each loader reports a file it cannot parse as "<path>: <reason>", one
+    ValueError, whatever the parser raised."""
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        LOADERS[name](path)
+    assert str(err.value).startswith(f"{path}: ") and reason in str(err.value)
 
 
 def test_loaders_keep_integer_coordinates():

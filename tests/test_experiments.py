@@ -428,6 +428,21 @@ def test_binomial_significance_matches_exact_complement():
                 assert binomial_significance(acc, n, p0) == float(1 - head)
 
 
+def fraction_tail(accuracy, n, p0):
+    """The tail as a sum of Fraction terms, rounded once: the reference."""
+    k = min(max(int(np.floor(accuracy * n + 0.5)), 0), n)
+    p = Fraction(p0)
+    return float(sum(comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1)))
+
+
+def test_binomial_significance_equals_the_fraction_sum_on_a_seeded_grid():
+    rng = np.random.default_rng(23)
+    for n in [1, 2, 3, 40, 200, *rng.integers(1, 100, 10).tolist()]:
+        for p0 in [0.5, 0.3, 1e-3, 0.999, *rng.uniform(0, 1, 2).tolist()]:
+            for acc in [0.0, 0.5, 1.0, p0, *rng.uniform(0, 1, 3).tolist()]:
+                assert binomial_significance(acc, n, p0) == fraction_tail(acc, n, p0), (acc, n, p0)
+
+
 def test_binomial_significance_validation():
     with pytest.raises(ValueError):
         binomial_significance(1.2, 10)

@@ -333,13 +333,6 @@ def test_load_model_accepts_files_with_tree_seeds(tmp_path):
         assert rcc_predict(back, sample) == rcc_predict(model, sample)
 
 
-def test_load_model_refuses_json_nested_too_deeply(tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 200_000)
-    with pytest.raises(ValueError, match="malformed rcc-model file .*deep.json: nested too deeply"):
-        load_model(path)
-
-
 def test_load_model_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else", "version": 1}')
@@ -465,8 +458,8 @@ def break_infinite_threshold(doc):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (break_missing_forest_key, "malformed"),
-        (break_missing_tree_key, "malformed"),
+        pytest.param(break_missing_forest_key, "model.json: missing num_features$", id="break_missing_forest_key-malformed"),
+        pytest.param(break_missing_tree_key, "model.json: missing vote$", id="break_missing_tree_key-malformed"),
         (break_unequal_lengths, "equal length"),
         (break_child_out_of_range, "out of range"),
         (break_child_is_itself, "not after its parent"),
@@ -478,7 +471,7 @@ def break_infinite_threshold(doc):
         (break_fractional_right_child, "right entries must be integers"),
         (break_string_feature, "feature entries must be integers"),
         (break_boolean_child, "left entries must be integers"),
-        (break_feature_beyond_int64, "malformed"),
+        pytest.param(break_feature_beyond_int64, "model.json: Python int too large", id="break_feature_beyond_int64-malformed"),
         (break_vote_above_one, r"votes must lie in \[0, 1\]"),
         (break_negative_vote, r"votes must lie in \[0, 1\]"),
         (break_null_threshold, "threshold entries must be numbers"),
@@ -980,3 +973,12 @@ def test_forest_rejects_empty_tree_list():
     for num_trees in (0, -4):
         with pytest.raises(ValueError, match="at least one tree"):
             forest_train(X, y, num_trees=num_trees)
+
+
+@pytest.mark.parametrize("num_trees, num_features", [(True, 3), (1.0, 3), (1, 3.0), (1, "3"), (1, None)])
+def test_forest_counts_must_be_integers(num_trees, num_features):
+    leaf = {"feature": np.array([-1]), "threshold": np.array([0.0]), "left": np.array([-1]),
+            "right": np.array([-1]), "vote": np.array([0.5])}
+    Forest(num_trees=1, trees=(leaf,), num_features=3)
+    with pytest.raises(ValueError, match="num_trees and num_features must be integers: "):
+        Forest(num_trees=num_trees, trees=(leaf,), num_features=num_features)
