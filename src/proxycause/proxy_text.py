@@ -44,6 +44,8 @@ INDEX_FORMAT = "corpus-index"
 INDEX_VERSION = 2
 _CHUNK = 2048  # sentences per pass of build_index: bounds its pair arrays on a large corpus
 _SGNS_BLOCK = 8  # center positions per deferred SGNS update; 16 diverges (ROADMAP dead ends)
+_SGNS_CHUNK = 64  # SGNS blocks per planning pass: its scratch key array holds 64 x vocabulary entries
+_NOISE_BUCKETS = 2**16  # equal buckets over [0, 1) in front of the negatives' CDF search
 # The largest table entry an SGNS epoch may leave.  Healthy runs stay near 1
 # (1.89 on the bundled corpus at d=50); a diverging one grows by orders of
 # magnitude per epoch (2.5e17 after one epoch on a 200-token "a b" line at
@@ -284,6 +286,14 @@ def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec
 # ---------------------------------------------------------------------------
 
 
+def _check_table(words, matrix: np.ndarray) -> None:
+    """The checks one embedding table must pass on its own."""
+    if len(set(words)) != len(words):
+        raise ValueError("embedding table has duplicate words")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("embedding vectors must be finite")
+
+
 @dataclass(frozen=True)
 class EmbeddingModel:
     """Input and output embedding tables over one vocabulary."""
@@ -295,13 +305,11 @@ class EmbeddingModel:
 
     def __post_init__(self):
         object.__setattr__(self, "word_rows", {w: i for i, w in enumerate(self.words)})
-        if len(self.word_rows) != len(self.words):
-            raise ValueError("embedding tables have duplicate words")
         vi, vo = self.input_matrix, self.output_matrix
         if vi.shape != vo.shape or vi.shape[0] != len(self.words):
             raise ValueError("embedding tables must cover the same vocabulary")
-        if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vo))):
-            raise ValueError("embedding vectors must be finite")
+        for matrix in (vi, vo):
+            _check_table(self.words, matrix)
 
     @property
     def dimension(self) -> int:
@@ -317,6 +325,33 @@ class EmbeddingModel:
 
     def output_vector(self, word: str) -> np.ndarray:
         return self.output_matrix[self._row(word)]
+
+
+def _noise_cdf(counts: np.ndarray) -> np.ndarray:
+    """The CDF over word ids of the token counts raised to 0.75."""
+    noise = counts ** 0.75
+    cdf = np.cumsum(noise / noise.sum())
+    cdf[-1] = 1.0  # the sum may round below 1, and a draw above it would name no word
+    return cdf
+
+
+def _noise_lookup(cdf: np.ndarray):
+    """A function giving np.searchsorted(cdf, draws) for draws in [0, 1),
+    read from a table of ``_NOISE_BUCKETS`` equal buckets.  A bucket that
+    holds no entry of cdf maps every draw in it to one id; only draws in
+    the buckets that hold one are searched for."""
+    table = np.searchsorted(cdf, np.arange(_NOISE_BUCKETS) / _NOISE_BUCKETS)
+    stepped = np.zeros(_NOISE_BUCKETS + 1, dtype=bool)  # the last slot takes an entry of exactly 1.0
+    stepped[(cdf * _NOISE_BUCKETS).astype(np.intp)] = True
+
+    def lookup(draws: np.ndarray) -> np.ndarray:
+        bucket = (draws * _NOISE_BUCKETS).astype(np.intp)
+        ids = table[bucket]
+        searched = np.flatnonzero(stepped[bucket])
+        ids[searched] = np.searchsorted(cdf, draws[searched])
+        return ids
+
+    return lookup
 
 
 def sgns_train(
@@ -335,7 +370,10 @@ def sgns_train(
     center positions in corpus order in blocks of 8, which may span two
     sentences: every gradient of a block is computed from the tables as
     they stood at its start, and their sum is applied once, at its end.
-    Negatives are drawn from the unigram token distribution raised to 0.75.
+    Negatives are drawn from the unigram token distribution raised to 0.75,
+    read off a bucket table over its CDF.  The negatives and distinct rows
+    of ``_SGNS_CHUNK`` blocks are planned at once, so the per-block loop
+    holds only the table arithmetic.
     """
     if not all(_is_integer(v) for v in (d, epochs, window, negatives)):
         raise ValueError("d, epochs, window and negatives must be integers")
@@ -353,8 +391,7 @@ def sgns_train(
 
     vocabulary, sentences = _read_corpus(corpus_path)
     num_words, tokens = len(vocabulary), np.concatenate(sentences)
-    noise = np.bincount(tokens) ** 0.75
-    noise_cdf = np.cumsum(noise / noise.sum())
+    noise_ids = _noise_lookup(_noise_cdf(np.bincount(tokens)))
 
     vi = (spec.rng("sgns.init").random((num_words, d)) - 0.5) / d
     vo = np.zeros((num_words, d))
@@ -381,27 +418,44 @@ def sgns_train(
     center_bounds = np.searchsorted(centers, np.arange(len(bounds)) * num_words).tolist()
     centers %= num_words
 
-    # A block's draw consumes the negatives stream as per-position draws
-    # would.  u_out holds its distinct rows, each at the position whose
-    # index stayed in place; m sums the gradients of each (center, row).
-    # The sigmoid takes exp of -|z| only, so it cannot overflow.
-    labels = np.eye(1, negatives + 1)
-    place, slots = np.empty(num_words, dtype=np.intp), np.arange(max(np.diff(bounds), default=0) * (negatives + 1))
+    # Each chunk of blocks is planned in whole-array passes.  One draw gives
+    # its negatives and consumes the stream as per-position draws would.
+    # Writing each entry's position at its (block, word) key of place leaves
+    # each block's distinct rows, u_out, at their last occurrence, in that
+    # order; their ranks then give every entry's flat (center, row) index
+    # into its block's u_in x u_out.  The sigmoid takes exp of -|z| only, so
+    # it cannot overflow.
+    width = negatives + 1
+    labels = np.eye(1, width)
+    num_blocks = len(bounds) - 1
+    place = np.empty(_SGNS_CHUNK * num_words, dtype=np.intp)
+    slots = np.arange(max(np.diff(bounds[::_SGNS_CHUNK] + bounds[-1:]), default=0) * width)
     for epoch in range(epochs):
-        for lo, hi, c_lo, c_hi in zip(bounds, bounds[1:], center_bounds, center_bounds[1:]):
-            negs = np.searchsorted(noise_cdf, rng_neg.random((hi - lo, negatives)))
+        for c0 in range(0, num_blocks, _SGNS_CHUNK):
+            c1 = min(c0 + _SGNS_CHUNK, num_blocks)
+            lo, hi = bounds[c0], bounds[c1]
+            negs = noise_ids(rng_neg.random((hi - lo) * negatives)).reshape(hi - lo, negatives)
             rows = np.concatenate([contexts[lo:hi, None], negs], axis=1)
-            place[rows.ravel()] = slots[: rows.size]
-            u_out = rows.ravel()[place[rows.ravel()] == slots[: rows.size]]
-            place[u_out] = slots[: u_out.size]
-            u_in, oi, ro = centers[c_lo:c_hi], owners[lo:hi, None], place[rows]
-            a, b = vi[u_in], vo[u_out]
-            z = (a @ b.T)[oi, ro]
-            e = np.exp(-np.abs(z))
-            grad = learning_rate * (labels - np.where(z >= 0, 1.0, e) / (1.0 + e))
-            m = np.bincount((oi * u_out.size + ro).ravel(), grad.ravel(), u_in.size * u_out.size).reshape(u_in.size, -1)
-            vi[u_in] = a + m @ b
-            vo[u_out] = b + m.T @ a
+            blocks = np.repeat(np.arange(c1 - c0), np.diff(bounds[c0 : c1 + 1]))  # each context's block in the chunk
+            keys = (blocks[:, None] * num_words + rows).ravel()
+            place[keys] = slots[: keys.size]
+            last = np.flatnonzero(place[keys] == slots[: keys.size])
+            u_outs = rows.ravel()[last]
+            place[keys[last]] = slots[: last.size]
+            row_bounds = np.searchsorted(last, (np.array(bounds[c0 : c1 + 1]) - lo) * width)
+            firsts, sizes = row_bounds[blocks], np.diff(row_bounds)[blocks]
+            flat = (owners[lo:hi] * sizes - firsts)[:, None] + place[keys].reshape(rows.shape)
+            row_bounds = row_bounds.tolist()
+            for k, (r_lo, r_hi) in enumerate(zip(row_bounds, row_bounds[1:]), c0):
+                u_in, u_out = centers[center_bounds[k] : center_bounds[k + 1]], u_outs[r_lo:r_hi]
+                at_z = flat[bounds[k] - lo : bounds[k + 1] - lo]
+                a, b = vi[u_in], vo[u_out]
+                z = (a @ b.T).ravel()[at_z]
+                e = np.exp(-np.abs(z))
+                grad = learning_rate * (labels - np.where(z >= 0, 1.0, e) / (1.0 + e))
+                m = np.bincount(at_z.ravel(), grad.ravel(), u_in.size * u_out.size).reshape(u_in.size, -1)
+                vi[u_in] = a + m @ b
+                vo[u_out] = b + m.T @ a
         peak = max(np.abs(vi).max(), np.abs(vo).max())
         if not peak <= _SGNS_BOUND:
             raise ValueError(
@@ -435,7 +489,9 @@ def _read_table(path):
             rows.append([float(v) for v in parts[1:]])
         if fh.read().strip():
             raise ValueError(f"more rows than the header's {count}")
-    return words, np.array(rows, dtype=np.float64).reshape(count, dim)
+        matrix = np.array(rows, dtype=np.float64).reshape(count, dim)
+        _check_table(words, matrix)
+    return words, matrix
 
 
 def save_embeddings(emb: EmbeddingModel, input_path, output_path) -> None:

@@ -180,6 +180,16 @@ def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
     assert doc2["verdict"] in ("x->y", "y->x")
 
 
+def test_an_embedding_table_with_a_nan_is_named(tmp_path, capsys, corpus_file):
+    vi, vo = tmp_path / "vi.txt", tmp_path / "vo.txt"
+    vi.write_text("2 2\nrain 1.0 2.0\nwet 3.0 4.0\n")
+    vo.write_text("2 2\nrain 1.0 nan\nwet 3.0 4.0\n")
+    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vio", "--corpus", corpus_file,
+                         "--emb-input", str(vi), "--emb-output", str(vo))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {vo}: embedding vectors must be finite" and "Traceback" not in err
+
+
 def test_word_pair_on_a_corpus_equals_the_run_on_built_artifacts(tmp_path, capsys, corpus_file):
     """With --corpus and an embedding kind, stdout is that of the same run
     on an index and embeddings the public functions build."""

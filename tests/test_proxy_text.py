@@ -22,7 +22,11 @@ from proxycause.proxy_text import (
     baseline_scores,
     build_index,
     load_embeddings,
+    _NOISE_BUCKETS,
     _SGNS_BLOCK,
+    _noise_cdf,
+    _noise_lookup,
+    _read_corpus,
     _read_table,
     load_index,
     projection_vector,
@@ -268,13 +272,18 @@ def test_saved_index_bytes_equal_the_dict_writer(fuzz_dir, lines):
     assert again.read_bytes() == saved.read_bytes()
 
 
+def zipf_corpus(size, seed):
+    """size lines of 1-15 words drawn from size words with Zipf weights."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, size + 1)
+    lengths = rng.integers(1, 16, size=size)
+    tokens = np.array([f"w{r}" for r in range(size)])[rng.choice(size, size=lengths.sum(), p=weights / weights.sum())]
+    return "".join(" ".join(line) + "\n" for line in np.split(tokens, np.cumsum(lengths)[:-1]))
+
+
 def test_chunked_index_equals_the_dict_oracle_on_a_zipf_corpus(tmp_path, monkeypatch):
-    rng = np.random.default_rng(11)
-    weights = 1.0 / np.arange(1, 2001)
-    lengths = rng.integers(1, 16, size=2000)
-    tokens = np.array([f"w{r}" for r in range(2000)])[rng.choice(2000, size=lengths.sum(), p=weights / weights.sum())]
     path = tmp_path / "zipf.txt"
-    path.write_text("".join(" ".join(line) + "\n" for line in np.split(tokens, np.cumsum(lengths)[:-1])))
+    path.write_text(zipf_corpus(2000, seed=11))
     whole = build_index(path)
     monkeypatch.setattr("proxycause.proxy_text._CHUNK", 97)  # 21 chunks, merged into one table
     index, oracle = build_index(path), OracleIndex(path)
@@ -738,20 +747,21 @@ the rain made the street wet and the dog ran down the wet street again
 """
 
 
-@pytest.mark.parametrize(
-    "d, epochs, window, negatives, learning_rate, seed",
-    [
-        (8, 2, 2, 3, 0.025, 0),
-        (8, 2, 2, 3, 0.025, 1),
-        (5, 3, 5, 5, 0.025, 2),
-        (6, 2, 1, 0, 0.025, 3),
-        # Two runs at lr 0.5 that diverge (a largest entry of 2,255 after 2
-        # epochs), and the same run at 0.2, which stays near 1 (1.02).
-        (4, 2, 12, 2, 0.5, 4),
-        (4, 2, 12, 2, 0.2, 4),
-        (3, 1, 3, 1, 0.1, 5),
-    ],
-)
+# (d, epochs, window, negatives, learning_rate, seed)
+EQUIVALENCE_RUNS = [
+    (8, 2, 2, 3, 0.025, 0),
+    (8, 2, 2, 3, 0.025, 1),
+    (5, 3, 5, 5, 0.025, 2),
+    (6, 2, 1, 0, 0.025, 3),
+    # Two runs at lr 0.5 that diverge (a largest entry of 2,255 after 2
+    # epochs), and the same run at 0.2, which stays near 1 (1.02).
+    (4, 2, 12, 2, 0.5, 4),
+    (4, 2, 12, 2, 0.2, 4),
+    (3, 1, 3, 1, 0.1, 5),
+]
+
+
+@pytest.mark.parametrize("d, epochs, window, negatives, learning_rate, seed", EQUIVALENCE_RUNS)
 def test_sgns_equals_per_position_loop(tmp_path, d, epochs, window, negatives, learning_rate, seed):
     path = tmp_path / "c.txt"
     path.write_text(EQUIVALENCE_CORPUS)
@@ -763,6 +773,51 @@ def test_sgns_equals_per_position_loop(tmp_path, d, epochs, window, negatives, l
     # to rounding: relative to each table's largest entry, within 1e-12.
     for got, want in ((emb.input_matrix, vi), (emb.output_matrix, vo)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "corpus, run",
+    [(EQUIVALENCE_CORPUS, run) for run in EQUIVALENCE_RUNS]
+    + [(zipf_corpus(2000, seed=11), (8, 2, 5, 5, 0.025, 7)), ("solo\nheat\ndog\nsolo\n", (4, 2, 5, 5, 0.025, 0))],
+    ids=[f"equivalence-{i}" for i in range(len(EQUIVALENCE_RUNS))] + ["zipf-2000", "one-word-lines"],
+)
+def test_sgns_tables_do_not_depend_on_the_planning_chunk(tmp_path, monkeypatch, chunk, corpus, run):
+    """Planning 1 or 3 blocks at a time, so that chunks end inside the
+    corpus and the last one is short, gives the default's tables bit for bit."""
+    path = tmp_path / "c.txt"
+    path.write_text(corpus)
+    d, epochs, window, negatives, learning_rate, seed = run
+    kwargs = dict(d=d, epochs=epochs, window=window, negatives=negatives, learning_rate=learning_rate, seed=seed)
+    whole = sgns_train(path, **kwargs)
+    monkeypatch.setattr("proxycause.proxy_text._SGNS_CHUNK", chunk)
+    chunked = sgns_train(path, **kwargs)
+    for got, want in ((chunked.input_matrix, whole.input_matrix), (chunked.output_matrix, whole.output_matrix)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.bincount(np.concatenate(_read_corpus(bundled_data_path("mini_corpus.txt"))[1])),
+        np.maximum(1, 10**6 // np.arange(1, 10_001)),  # 10,000 words with Zipf counts
+    ],
+    ids=["bundled", "zipf-10000"],
+)
+def test_noise_lookup_equals_searchsorted_on_adversarial_draws(counts):
+    """The bucket table gives np.searchsorted's ids bit for bit at 0, at every
+    bucket edge, just below 1, and at every CDF entry and its two float
+    neighbours: the draws where a bucket or a CDF step begins or ends."""
+    noise = counts ** 0.75
+    assert np.cumsum(noise / noise.sum())[-1] != 1.0  # the rounded end that the CDF replaces with 1.0
+    cdf = _noise_cdf(counts)
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+    edges = np.arange(_NOISE_BUCKETS) / _NOISE_BUCKETS
+    steps = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+    draws = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, steps[steps < 1.0]])
+    ids = _noise_lookup(cdf)(draws)
+    assert np.array_equal(ids, np.searchsorted(cdf, draws))
+    assert ids.max() == counts.size - 1
 
 
 def test_sgns_tables_stay_bounded_at_the_default_learning_rate(tmp_path):
@@ -866,6 +921,24 @@ def test_load_embeddings_rejects_duplicate_words(tmp_path):
     assert emb.input_vector("a").tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("b nan 1.0", "embedding vectors must be finite"),
+        ("b 1.0 -inf", "embedding vectors must be finite"),
+        ("a 1.0 1.0", "embedding table has duplicate words"),
+    ],
+)
+@pytest.mark.parametrize("at_fault", ["vi.txt", "vo.txt"])
+def test_load_embeddings_names_the_table_at_fault(tmp_path, bad_row, message, at_fault):
+    """A table that fails a check of its own is named, whichever of the two it is."""
+    for name in ("vi.txt", "vo.txt"):
+        second = bad_row if name == at_fault else "b 3.0 4.0"
+        (tmp_path / name).write_text(f"2 2\na 1.0 2.0\n{second}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / at_fault))}: {message}$"):
+        load_embeddings(tmp_path / "vi.txt", tmp_path / "vo.txt")
+
+
 @pytest.mark.parametrize("header", ["", "2", "2 2 2", "x y", "2 x", "2 3.0", "-1 3", "2 0", "２ 3"])
 def test_read_table_refuses_a_bad_header(tmp_path, header):
     path = tmp_path / "vi.txt"
@@ -921,21 +994,18 @@ def test_embedding_loaders_give_a_model_or_value_error(fuzz_dir, first, second):
     vi_path, vo_path = fuzz_dir / "vi.txt", fuzz_dir / "vo.txt"
     vi_path.write_text(first, encoding="utf-8")
     vo_path.write_text(second, encoding="utf-8")
-    duplicated = False
     try:
         words, rows = _read_table(vi_path)
     except ValueError:
         pass
     else:
-        # The table reader passes duplicate words on; the EmbeddingModel
-        # constructor rejects them, so load_embeddings must raise below.
-        assert rows.shape[0] == len(words)
-        duplicated = len(set(words)) != len(words)
+        # The table reader refuses duplicate words and non-finite values itself.
+        assert rows.shape[0] == len(words) == len(set(words))
+        assert np.all(np.isfinite(rows))
     try:
         emb = load_embeddings(vi_path, vo_path)
     except ValueError:
         return
-    assert not duplicated
     assert len(set(emb.words)) == len(emb.words) == emb.input_matrix.shape[0]
     assert emb.input_matrix.shape == emb.output_matrix.shape
     assert np.all(np.isfinite(emb.input_matrix)) and np.all(np.isfinite(emb.output_matrix))
