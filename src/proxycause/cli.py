@@ -96,8 +96,8 @@ def _name(text: str, allowed, what: str) -> str:
 
 
 def _names(text: str, allowed, what: str) -> list:
-    """The comma-separated names in ``text``, each checked by :func:`_name`."""
-    return [_name(part, allowed, what) for part in text.split(",")]
+    """The distinct comma-separated names in ``text``, each checked by :func:`_name`."""
+    return list(dict.fromkeys(_name(part, allowed, what) for part in text.split(",")))
 
 
 def _need(o, *names) -> None:
@@ -229,15 +229,16 @@ def cmd_nlp_eval(o):
         "total_votes": o.total,
         "seed": o.seed,
     }
-    # Every evaluation is an independent task with its own seed, so one
-    # pool runs them all and the bytes do not depend on --jobs.  The pool
-    # deals tasks out round-robin, so neighbours in the list should cost
-    # alike: the distribution and curve tasks (0.2-0.4 s each at the bundled
-    # sizes) go first, then the features and baselines (under 0.1 s), each
-    # grouped by kind family (w2v, then counts and pmi, then prec).
+    # Every distinct evaluation is an independent task with its own seed, so
+    # one pool runs them all and the bytes do not depend on --jobs.  The curve
+    # is read off the --curve-kind distribution report, listed only if asked
+    # for.  The pool deals tasks out round-robin, so neighbours should cost
+    # alike: the distribution tasks (0.2-0.4 s each at the bundled sizes) go
+    # first, then the features and baselines (under 0.1 s), each grouped by
+    # kind family (w2v, then counts and pmi, then prec).
     tasks = [(method, kind) for method in ("distribution", "feature") if method in methods for kind in kinds]
-    if "curve" in methods:
-        tasks.append(("curve", curve_kind))
+    if "curve" in methods and ("distribution", curve_kind) not in tasks:
+        tasks.append(("distribution", curve_kind))
     if "baselines" in methods:
         tasks += [("baselines", bkind) for bkind in BASELINE_KINDS]
     tasks.sort(key=lambda t: ({"feature": 1, "baselines": 2}.get(t[0], 0), ("w2v" not in t[1]) + t[1].startswith("prec")))
@@ -252,23 +253,23 @@ def cmd_nlp_eval(o):
                 num_trees=o.trees, split=o.split, repeats=o.repeats,
                 seed=SeedSpec(o.seed).child(f"nlp.feat.{kind}"),
             )
-        tag = "dist" if method == "distribution" else "curve"
         return xp.evaluate_distribution_method(
             pairs, kind, vocab, index, emb,
             split=o.split, repeats=o.repeats, num_features=o.m, num_trees=o.trees,
-            seed=SeedSpec(o.seed).child(f"nlp.{tag}.{kind}"),
+            seed=SeedSpec(o.seed).child(f"nlp.dist.{kind}"),
         )
 
-    for (method, kind), out in zip(tasks, parallel_map(run, tasks, o.jobs)):
+    reports = dict(zip(tasks, parallel_map(run, tasks, o.jobs)))
+    for (method, kind), out in reports.items():
         if method == "baselines":
             block = {key: value for key, value in out.items() if key != "pairs"}
             block["count"] = len(out["pairs"])
             result.setdefault("baselines", {})[kind] = block
-        elif method == "curve":
-            result["confidence_curve"] = _curve_doc(out, pairs)
-            result["curve_kind"] = kind
-        else:
+        elif method in methods and kind in kinds:
             result.setdefault(method, {})[kind] = _report_doc(out)
+    if "curve" in methods:
+        result["confidence_curve"] = _curve_doc(reports["distribution", curve_kind], pairs)
+        result["curve_kind"] = curve_kind
     return result
 
 

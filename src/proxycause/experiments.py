@@ -320,11 +320,9 @@ def synth_stylized_pair(base: Image, mech: LocalMechanism, seed: SeedSpec | int 
 # ---------------------------------------------------------------------------
 
 
-def diffusion_step(field: np.ndarray, lam: float = 0.2) -> np.ndarray:
-    """One explicit 5-point heat step with zero-flux boundaries; conserves
-    the total exactly (up to float roundoff)."""
-    if not 0.0 < lam < 0.25:
-        raise ValueError("stable stencil needs 0 < lam < 0.25")
+def diffusion_step(field: np.ndarray) -> np.ndarray:
+    """One explicit 5-point heat step of size _LAM (stable in (0, 0.25)) with
+    zero-flux boundaries; conserves the total exactly (up to float roundoff)."""
     padded = np.pad(field, 1, mode="edge")
     lap = (
         padded[:-2, 1:-1]
@@ -333,19 +331,19 @@ def diffusion_step(field: np.ndarray, lam: float = 0.2) -> np.ndarray:
         + padded[1:-1, 2:]
         - 4.0 * field
     )
-    return field + lam * lap
+    return field + _LAM * lap
 
 
-def _blur_schedule(r2: float, blur: float, gaps: int, lam: float) -> list:
-    """Stencil step counts that shrink the blob peak by the same factor each
-    gap.  A gaussian of squared radius r2 stepped m times behaves like one of
-    squared radius r2 + 2*lam*m, so constant peak ratio `blur` needs step
-    counts that grow geometrically with the gap index."""
+def _blur_schedule(r2: float, gaps: int) -> list:
+    """Stencil step counts that shrink the blob peak by _BLUR each gap.  A
+    gaussian of squared radius r2 stepped m times behaves like one of squared
+    radius r2 + 2*_LAM*m, so a constant peak ratio needs step counts that
+    grow geometrically with the gap index."""
     steps = []
     for _ in range(gaps):
-        m = max(1, int(round(r2 * (1.0 / blur - 1.0) / (2.0 * lam))))
+        m = max(1, int(round(r2 * (1.0 / _BLUR - 1.0) / (2.0 * _LAM))))
         steps.append(m)
-        r2 = r2 + 2.0 * lam * m
+        r2 = r2 + 2.0 * _LAM * m
     return steps
 
 
@@ -400,10 +398,10 @@ def synth_diffusion_frames(size: int, num_frames: int = 8, seed: SeedSpec | int 
         field += amp_seed * np.exp(-u / (2.0 * r_seed2))
     field = np.clip(field, 0.0, 1.0)
     frames = []
-    schedule = _blur_schedule(r_seed2, _BLUR, _LEAD_IN + num_frames - 1, _LAM)
+    schedule = _blur_schedule(r_seed2, _LEAD_IN + num_frames - 1)
     for gap, m in enumerate(schedule):
         for _ in range(m):
-            field = diffusion_step(field, _LAM)
+            field = diffusion_step(field)
         field = field + rng.normal(0.0, _NOISE, field.shape)
         field = np.clip(field, 0.0, 1.0)
         if gap >= _LEAD_IN - 1:

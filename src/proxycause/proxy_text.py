@@ -410,10 +410,10 @@ def sgns_train(
     contexts = np.arange(count.sum())
     contexts += contexts >= np.repeat(first + left, count)
     contexts += np.repeat(at - left - first, count)
-    contexts = tokens[contexts]
+    contexts = tokens.astype(np.int32)[contexts]
     block = np.arange(at.size) // _SGNS_BLOCK * num_words
     centers, local = np.unique(block + tokens[at], return_inverse=True)
-    owners = np.repeat(local - np.searchsorted(centers, block), count)
+    owners = np.repeat((local - np.searchsorted(centers, block)).astype(np.int32), count)
     bounds = np.append(first[::_SGNS_BLOCK], contexts.size).tolist()
     center_bounds = np.searchsorted(centers, np.arange(len(bounds)) * num_words).tolist()
     centers %= num_words

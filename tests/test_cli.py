@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxycause import proxy_text
+from proxycause import experiments, proxy_text
 from proxycause.cli import main
 from proxycause.core import LabeledScatterDataset, SeedSpec, load_scatter, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair
@@ -347,9 +347,54 @@ def test_nlp_eval_is_job_invariant(capsys):
     for point in doc["confidence_curve"]:
         acc = point["accuracy"]
         assert acc is None or 0.0 <= acc <= 1.0
+    # The curve is read off the reported counts run: at threshold 0 it pools
+    # every test verdict of its repeats.
+    report = doc["distribution"]["counts"]
+    n = report["num_pairs"]
+    assert doc["confidence_curve"][0]["accuracy"] == pytest.approx(np.mean(report["accuracies"]), abs=1e-12)
+    assert doc["confidence_curve"][0]["count"] == 2 * (n - round(0.75 * n))
     for jobs in (2, len(os.sched_getaffinity(0)) + 1):
         _, raw2 = run_json(capsys, *argv, "--jobs", str(jobs))
         assert raw == raw2
+
+
+NLP_SMALL = (
+    "nlp-eval",
+    "--pairs", bundled_data_path("word_pairs.csv"),
+    "--corpus", bundled_data_path("mini_corpus.txt"),
+    "--min-votes", "14", "--trees", "20", "--m", "20", "--repeats", "2", "--n-vocab", "60", "--seed", "7",
+)
+
+
+def test_a_curve_alone_runs_its_distribution_evaluation_unlisted(capsys):
+    """--methods curve evaluates the --curve-kind projection for the curve
+    only; the curve is the one a listed run of that kind gives."""
+    doc, _ = run_json(capsys, *NLP_SMALL, "--methods", "curve", "--kinds", "pmi", "--curve-kind", "counts")
+    assert "distribution" not in doc and "feature" not in doc
+    assert doc["curve_kind"] == "counts"
+    listed, _ = run_json(
+        capsys, *NLP_SMALL, "--methods", "distribution,curve", "--kinds", "counts", "--curve-kind", "counts"
+    )
+    assert set(listed["distribution"]) == {"counts"}
+    assert doc["confidence_curve"] == listed["confidence_curve"]
+    accuracies = listed["distribution"]["counts"]["accuracies"]
+    assert doc["confidence_curve"][0]["accuracy"] == pytest.approx(np.mean(accuracies), abs=1e-12)
+
+
+def test_a_repeated_kind_is_evaluated_once(capsys, monkeypatch):
+    calls = []
+    evaluate = experiments.evaluate_distribution_method
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evaluate_distribution_method", counted)
+    argv = (*NLP_SMALL, "--methods", "distribution", "--jobs", "1")
+    _, raw = run_json(capsys, *argv, "--kinds", "counts,counts")
+    assert calls == ["counts"]
+    _, once = run_json(capsys, *argv, "--kinds", "counts")
+    assert raw == once
 
 
 def test_a_constant_projection_costs_one_pair(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from proxycause.anm import AnmConfig, kernel_ridge_fit, residuals
 from proxycause.core import Direction, SeedSpec, Verdict
 from proxycause.experiments import (
+    _LAM,
     EvalReport,
     LocalMechanism,
     WordPairRecord,
@@ -252,13 +253,11 @@ def test_synth_stylized_pair_default_clip_fraction_is_small():
 
 
 def test_diffusion_step_conserves_total():
+    assert 0.0 < _LAM < 0.25  # the explicit 5-point stencil's stability range
     rng = np.random.default_rng(0)
     field = rng.random((17, 23))
-    stepped = diffusion_step(field, 0.2)
+    stepped = diffusion_step(field)
     assert abs(stepped.sum() - field.sum()) < 1e-9
-    for bad in (0.0, 0.25, -0.1):
-        with pytest.raises(ValueError, match="stencil"):
-            diffusion_step(field, bad)
 
 
 def test_synth_diffusion_frames_variance_decreases():
