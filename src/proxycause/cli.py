@@ -187,7 +187,7 @@ def _corpus_artifacts(o, kinds):
 
     if not any(k in ("w2vii", "w2vio", "w2voi") for k in kinds):
         return index, vocab, None
-    if o.emb_input is not None and o.emb_output is not None:
+    if o.emb_input is not None:
         return index, vocab, load_embeddings(o.emb_input, o.emb_output)
     if o.corpus is None:
         raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
@@ -220,28 +220,24 @@ def cmd_nlp_eval(o):
     xp._check_splits(o.split, o.repeats)
 
     pairs = _filtered_pairs(o)
-    need_emb_kinds = kinds + ([curve_kind] if "curve" in methods else [])
-    index, vocab, emb = _corpus_artifacts(o, need_emb_kinds)
-
     result = {
         "filtered_pairs": len(pairs),
         "min_votes": o.min_votes,
         "total_votes": o.total,
         "seed": o.seed,
     }
+
     # Every distinct evaluation is an independent task with its own seed, so
     # one pool runs them all and the bytes do not depend on --jobs.  The curve
     # is read off the --curve-kind distribution report, listed only if asked
-    # for.  The pool deals tasks out round-robin, so neighbours should cost
-    # alike: the distribution tasks (0.2-0.4 s each at the bundled sizes) go
-    # first, then the features and baselines (under 0.1 s), each grouped by
-    # kind family (w2v, then counts and pmi, then prec).
+    # for.  Embeddings are loaded or trained only when a task projects
+    # through a w2v kind; no baseline name is one.
     tasks = [(method, kind) for method in ("distribution", "feature") if method in methods for kind in kinds]
     if "curve" in methods and ("distribution", curve_kind) not in tasks:
         tasks.append(("distribution", curve_kind))
     if "baselines" in methods:
         tasks += [("baselines", bkind) for bkind in BASELINE_KINDS]
-    tasks.sort(key=lambda t: ({"feature": 1, "baselines": 2}.get(t[0], 0), ("w2v" not in t[1]) + t[1].startswith("prec")))
+    index, vocab, emb = _corpus_artifacts(o, [kind for _, kind in tasks])
 
     def run(task):
         method, kind = task

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxycause import experiments, proxy_text
+from proxycause import cli, experiments, proxy_text
 from proxycause.cli import main
 from proxycause.core import LabeledScatterDataset, SeedSpec, load_scatter, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair
@@ -330,7 +330,7 @@ def test_baselines_command(capsys):
     assert raw == raw2
 
 
-def test_nlp_eval_is_job_invariant(capsys):
+def test_nlp_eval_is_job_invariant(capsys, monkeypatch):
     argv = (
         "nlp-eval",
         "--pairs", bundled_data_path("word_pairs.csv"),
@@ -356,6 +356,17 @@ def test_nlp_eval_is_job_invariant(capsys):
     for jobs in (2, len(os.sched_getaffinity(0)) + 1):
         _, raw2 = run_json(capsys, *argv, "--jobs", str(jobs))
         assert raw == raw2
+    # Nor on the order the tasks run in: here the last task runs first.
+    orders = []
+
+    def reversed_map(fn, items, jobs=1):
+        orders.append(list(items)[::-1])
+        return [fn(item) for item in orders[-1]][::-1]
+
+    monkeypatch.setattr(cli, "parallel_map", reversed_map)
+    _, raw2 = run_json(capsys, *argv, "--jobs", "1")
+    assert len(orders) == 1 and orders[0][0][0] == "baselines"
+    assert raw == raw2
 
 
 NLP_SMALL = (
@@ -379,6 +390,29 @@ def test_a_curve_alone_runs_its_distribution_evaluation_unlisted(capsys):
     assert doc["confidence_curve"] == listed["confidence_curve"]
     accuracies = listed["distribution"]["counts"]["accuracies"]
     assert doc["confidence_curve"][0]["accuracy"] == pytest.approx(np.mean(accuracies), abs=1e-12)
+
+
+@pytest.mark.parametrize("methods", [("baselines",), ("curve", "--curve-kind", "counts")])
+def test_a_run_without_w2v_tasks_needs_no_embeddings(tmp_path, capsys, monkeypatch, methods):
+    """At --kinds all, the baselines alone or a counts curve alone project
+    through no w2v kind: an index alone serves, a corpus trains no
+    embeddings, and the output is that of the --kinds counts run."""
+    corpus = bundled_data_path("mini_corpus.txt")
+    index = str(tmp_path / "index.json")
+    proxy_text.save_index(proxy_text.build_index(corpus), index)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("sgns_train called")
+
+    monkeypatch.setattr(cli, "sgns_train", no_training)
+    argv = (*NLP_SMALL[:3], *NLP_SMALL[5:], "--methods", *methods)  # NLP_SMALL without --corpus
+    _, want = run_json(capsys, *argv, "--corpus", corpus, "--kinds", "counts")
+    _, out = run_json(capsys, *argv, "--index", index)
+    assert out == want
+    code, out, err = run(capsys, *argv, "--corpus", corpus)
+    assert code == 0, err
+    assert "training embeddings on the fly" not in err
+    assert out == want
 
 
 def test_a_repeated_kind_is_evaluated_once(capsys, monkeypatch):
