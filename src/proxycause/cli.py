@@ -29,6 +29,7 @@ from . import proxy_text
 from .anm import AnmConfig
 from .core import (
     SeedSpec,
+    Verdict,
     _reading,
     load_dataset,
     load_scatter,
@@ -44,6 +45,7 @@ from .proxy_image import (
 )
 from .proxy_text import (
     BASELINE_KINDS,
+    W2V_TABLES,
     ProjectionKind,
     baseline_scores,
     build_index,
@@ -173,7 +175,7 @@ def cmd_embed_train(o):
 
 
 def _corpus_artifacts(o, kinds):
-    """(index, vocab, emb) resolved from flags; emb only when needed."""
+    """(index, vocab, emb) resolved from flags; emb only when needed, trained as embed-train trains it."""
     if o.index is not None:
         index = load_index(o.index)
     elif o.corpus is not None:
@@ -185,15 +187,14 @@ def _corpus_artifacts(o, kinds):
         _log(f"vocabulary has {n_vocab} words; clamping sample from {o.n_vocab}")
     vocab = vocab_sample(index, n_vocab, method=o.vocab_method, seed=SeedSpec(o.seed).child("cli.vocab"))
 
-    if not any(k in ("w2vii", "w2vio", "w2voi") for k in kinds):
+    if not any(k in W2V_TABLES for k in kinds):
         return index, vocab, None
     if o.emb_input is not None:
         return index, vocab, load_embeddings(o.emb_input, o.emb_output)
     if o.corpus is None:
         raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
     _log("training embeddings on the fly")
-    emb = sgns_train(o.corpus, d=o.d, epochs=o.epochs, seed=SeedSpec(o.seed).child("cli.embed"))
-    return index, vocab, emb
+    return index, vocab, sgns_train(o.corpus, d=o.d, epochs=o.epochs, seed=o.seed)
 
 
 def cmd_word_pair(o):
@@ -293,10 +294,10 @@ def _score_baseline(bkind, pairs, index, vocab) -> dict:
     correct = 0
     ties = 0
     for scores, label, name in zip(scored, labels, names):
-        predicted = 1 if scores.direction().verdict.value == "x->y" else -1
-        ok = predicted == label
+        direction = scores.direction()
+        ok = (1 if direction.verdict is Verdict.X_TO_Y else -1) == label
         correct += ok
-        ties += scores.tie
+        ties += direction.tie
         per_pair.append({
             "pair": name,
             "s_xy": scores.s_xy,

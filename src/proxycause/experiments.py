@@ -441,11 +441,14 @@ def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> Ev
     Repeat r shuffles the pairs with the ``eval.shuffle.{r}`` stream and
     calls ``judge(train_idx, test_idx, spec)`` with the first `split` share
     for training, the rest for testing and ``spec`` the child seed
-    ``eval.train.{r}``; it returns one Verdict per test index.
+    ``eval.train.{r}``; it returns one Verdict per test index.  Fewer
+    than 8 labeled pairs raise a ValueError that counts the excluded pairs
+    and gives the first one's reason.
     """
     n = len(labels)
     if n < 8:
-        raise ValueError("need at least 8 labeled pairs")
+        why = f" ({len(excluded)} excluded, first {excluded[0][0]}: {excluded[0][1]})" if excluded else ""
+        raise ValueError(f"need at least 8 labeled pairs, got {n}{why}")
     _check_splits(split, repeats)
     spec = as_spec(seed)
     n_train = min(max(int(round(split * n)), 1), n - 1)

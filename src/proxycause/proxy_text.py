@@ -27,6 +27,7 @@ __all__ = [
     "VocabSample",
     "BaselineScores",
     "BASELINE_KINDS",
+    "W2V_TABLES",
     "tokenize",
     "build_index",
     "save_index",
@@ -81,6 +82,14 @@ def _read_corpus(corpus_path):
     return vocabulary, sentences
 
 
+def _lookup(rows: dict, words, vocabulary: str) -> list:
+    """rows[w] for each of words; a ValueError names the vocabulary and the first word it lacks."""
+    try:
+        return [rows[w] for w in words]
+    except KeyError as exc:
+        raise ValueError(f"out of {vocabulary}: {exc.args[0]!r}") from None
+
+
 def _grouped(column: np.ndarray, size: int):
     """Row numbers ordered by one id column, and where each id's run starts."""
     order = np.argsort(column, kind="stable")
@@ -111,11 +120,13 @@ class CorpusIndex:
         object.__setattr__(self, "vocabulary", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_groups", [_grouped(self.prec[:, side], size) for side in (0, 1)])
 
+    def ids(self, words) -> list:
+        """The id of each word; ValueError naming the first one out of vocabulary."""
+        return _lookup(self.vocabulary, words, "vocabulary")
+
     def require(self, word: str) -> int:
         """The id of word; ValueError when it is out of vocabulary."""
-        if word not in self.vocabulary:
-            raise ValueError(f"out of vocabulary: {word!r}")
-        return self.vocabulary[word]
+        return self.ids((word,))[0]
 
     def _rows(self, side: int, wid: int) -> np.ndarray:
         """The prec rows whose word at column side is wid."""
@@ -258,9 +269,6 @@ class VocabSample:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __iter__(self):
-        return iter(self.words)
-
 
 def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec | int = 0) -> VocabSample:
     """Proxy vocabulary: the n most frequent words (ties lexicographic),
@@ -314,17 +322,6 @@ class EmbeddingModel:
     @property
     def dimension(self) -> int:
         return self.input_matrix.shape[1]
-
-    def _row(self, word: str) -> int:
-        if word not in self.word_rows:
-            raise ValueError(f"out of vocabulary: {word!r}")
-        return self.word_rows[word]
-
-    def input_vector(self, word: str) -> np.ndarray:
-        return self.input_matrix[self._row(word)]
-
-    def output_vector(self, word: str) -> np.ndarray:
-        return self.output_matrix[self._row(word)]
 
 
 def _noise_cdf(counts: np.ndarray) -> np.ndarray:
@@ -524,6 +521,14 @@ class ProjectionKind(Enum):
     PREC_PMI = "prec_pmi"
 
 
+# The two embedding tables each w2v kind multiplies: the proxies' rows, then the target's row.
+W2V_TABLES = {
+    "w2vii": ("input_matrix", "input_matrix"),
+    "w2vio": ("input_matrix", "output_matrix"),
+    "w2voi": ("output_matrix", "input_matrix"),
+}
+
+
 def projection_vector(
     kind,
     word: str,
@@ -536,20 +541,18 @@ def projection_vector(
     counts and prec_counts are cooc(w, word) and prec(w, word) over the
     sentence count.  The pmi kinds return the probability ratio
     p(w, word) / (p(w) p(word)) itself, not its logarithm, so
-    never-co-occurring pairs give exactly 0.
+    never-co-occurring pairs give exactly 0.  A w2v kind is the inner
+    product of w's and word's rows of the two tables W2V_TABLES names.
     """
     kind = ProjectionKind(kind)
     target = index.require(word)
-    if kind in (ProjectionKind.W2VII, ProjectionKind.W2VIO, ProjectionKind.W2VOI):
+    if kind.value in W2V_TABLES:
         if emb is None:
             raise ValueError(f"projection {kind.value} needs an embedding model")
-        proxy_rows = np.array([emb._row(w) for w in vocab.words])
-        if kind is ProjectionKind.W2VII:
-            return emb.input_matrix[proxy_rows] @ emb.input_vector(word)
-        if kind is ProjectionKind.W2VIO:
-            return emb.input_matrix[proxy_rows] @ emb.output_vector(word)
-        return emb.output_matrix[proxy_rows] @ emb.input_vector(word)
-    proxies = np.array([index.require(w) for w in vocab.words])
+        proxy_table, target_table = (getattr(emb, name) for name in W2V_TABLES[kind.value])
+        *proxy_rows, target_row = _lookup(emb.word_rows, (*vocab.words, word), "the embedding vocabulary")
+        return proxy_table[proxy_rows] @ target_table[target_row]
+    proxies = np.array(index.ids(vocab.words))
     row = index.cooc_row(word) if kind in (ProjectionKind.COUNTS, ProjectionKind.PMI) else index.prec_row(word)
     joint = row[proxies] / index.sentence_count
     if kind in (ProjectionKind.COUNTS, ProjectionKind.PREC_COUNTS):
@@ -583,18 +586,14 @@ def word_pair_scatter(
 # Baselines
 # ---------------------------------------------------------------------------
 
-BASELINE_KINDS = (
-    "frequency",
-    "precedence",
-    "counts_entropy",
-    "counts_ws",
-    "prec_counts_entropy",
-    "prec_counts_ws",
-    "pmi_entropy",
-    "pmi_ws",
-    "prec_pmi_entropy",
-    "prec_pmi_ws",
-)
+# Each count baseline: the count projection it scores, and how (entropy or Weeds precision).
+_PROJECTION_BASELINES = {
+    f"{kind.value}_{score}": (kind, score)
+    for kind in ProjectionKind
+    if kind.value not in W2V_TABLES
+    for score in ("entropy", "ws")
+}
+BASELINE_KINDS = ("frequency", "precedence", *_PROJECTION_BASELINES)
 
 
 @dataclass(frozen=True)
@@ -603,10 +602,6 @@ class BaselineScores:
 
     s_xy: float
     s_yx: float
-
-    @property
-    def tie(self) -> bool:
-        return self.s_xy == self.s_yx
 
     def direction(self) -> Direction:
         return Direction.compare(self.s_xy, self.s_yx, abs(self.s_xy - self.s_yx))
@@ -644,22 +639,21 @@ def baseline_scores(
 ) -> BaselineScores:
     """Directional scores (S_xy, S_yx); the verdict is x->y iff S_xy > S_yx.
 
-    A kind ``<projection>_entropy`` or ``<projection>_ws`` scores the
-    projection its name starts with."""
+    A kind ``<projection>_entropy`` or ``<projection>_ws`` scores that
+    count projection."""
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
-    x_id = index.require(x_word)
-    y_id = index.require(y_word)
+    x_id, y_id = index.ids((x_word, y_word))
     if kind == "frequency":
         return BaselineScores(float(index.unigram[x_id]), float(index.unigram[y_id]))
     if kind == "precedence":
         return BaselineScores(float(index.prec_row(y_word)[x_id]), float(index.prec_row(x_word)[y_id]))
     if vocab is None:
         raise ValueError(f"baseline {kind} needs a vocabulary sample")
-    proj = ProjectionKind(kind.rpartition("_")[0])
+    proj, score = _PROJECTION_BASELINES[kind]
     px = projection_vector(proj, x_word, vocab, index)
     py = projection_vector(proj, y_word, vocab, index)
-    if kind.endswith("_entropy"):
+    if score == "entropy":
         return BaselineScores(shannon_entropy(px), shannon_entropy(py))
     s_xy = weeds_precision(px, py)
     s_yx = weeds_precision(py, px)

@@ -34,6 +34,8 @@ from proxycause.experiments import (
     _repeated_splits,
     binomial_significance,
     bundled_data_path,
+    filter_consensus,
+    load_word_pairs,
     random_mechanism,
     synth_anm_pair,
     synth_base_image,
@@ -41,7 +43,8 @@ from proxycause.experiments import (
     synth_stylized_pair,
 )
 from proxycause.independence import hsic_pvalue, hsic_statistic
-from proxycause.proxy_image import frames_order, image_pair_direction
+from proxycause.proxy_image import frames_order, image_pair_direction, image_pair_scatter
+from proxycause.proxy_text import load_index
 from proxycause.rcc import RFFSpec, featurize_scatter, rcc_predict, rcc_train
 
 NONLINEAR = ("cubic", "tanh", "piecewise")
@@ -49,6 +52,64 @@ NONLINEAR = ("cubic", "tanh", "piecewise")
 
 def report(criterion, detail):
     print(f"[acceptance] criterion {criterion}: {detail}")
+
+
+# The best known one-object rules.  Criteria 3, 4 and 6 report the count
+# each rule reaches on the criterion's own data next to the engine's count,
+# so a reader can see how much of that count needs the pair.  They are
+# reported, not asserted.
+
+
+def roughness(image):
+    """Mean absolute difference between neighbouring pixels over the pixel std."""
+    p = image.pixels
+    steps = np.concatenate([np.abs(np.diff(p, axis=0)).ravel(), np.abs(np.diff(p, axis=1)).ravel()])
+    return steps.mean() / p.std()
+
+
+def exact_by(stack, shuffle, statistic):
+    """Whether ordering ``stack`` by descending ``statistic`` recovers the generation order."""
+    order = np.argsort([-statistic(frame) for frame in stack], kind="stable")
+    return [int(shuffle[i]) for i in order] == list(range(len(stack)))
+
+
+def contrast_free(frame, seed):
+    """The std of the means of 512 random 10x10 patches over the pixel std."""
+    return image_pair_scatter(frame, frame, n=512, k=10, seed=seed).a.std() / frame.pixels.std()
+
+
+def word_role_correct(pairs):
+    """Leave-one-out word-role rule over (record, label) pairs: among the other
+    pairs a word scores its cause count minus its effect count, and the word
+    with the higher score is named cause.  A pair with an unseen word, or two
+    equal scores, reads as chance and counts one half."""
+    correct = 0.0
+    for i, (record, label) in enumerate(pairs):
+        roles = {}
+        for j, (other, other_label) in enumerate(pairs):
+            if j != i:
+                cause, effect = (other.x, other.y) if other_label == 1 else (other.y, other.x)
+                roles[cause] = roles.get(cause, 0) + 1
+                roles[effect] = roles.get(effect, 0) - 1
+        if record.x not in roles or record.y not in roles or roles[record.x] == roles[record.y]:
+            correct += 0.5
+        else:
+            correct += (1 if roles[record.x] > roles[record.y] else -1) == label
+    return correct
+
+
+def word_lead_correct(pairs, index):
+    """A word's lead is the prec count of the words after it minus that of
+    the words before it, over its sentence count.  The word with the larger
+    lead is named cause, and equal leads count one half."""
+    first = np.bincount(index.prec[:, 0], index.prec[:, 2], len(index.words))
+    second = np.bincount(index.prec[:, 1], index.prec[:, 2], len(index.words))
+    lead = (first - second) / index.unigram
+    correct = 0.0
+    for record, label in pairs:
+        x, y = lead[index.require(record.x)], lead[index.require(record.y)]
+        correct += 0.5 if x == y else (1 if x > y else -1) == label
+    return correct
 
 
 def cli_json(argv):
@@ -125,6 +186,7 @@ def test_criterion_3_stylized_image_pairs():
     start = time.perf_counter()
     correct = 0
     ties = 0
+    smoother = 0
     for i in range(20):
         base = synth_base_image(120, seed=i)
         mech = random_mechanism(k=10, row_constant=True, g="tanh", noise_scale=0.05, seed=i)
@@ -133,8 +195,10 @@ def test_criterion_3_stylized_image_pairs():
         direction = image_pair_direction(base, styled, n=1024, k=10, seed=i)
         ties += direction.tie
         correct += direction.verdict is Verdict.X_TO_Y and not direction.tie
+        smoother += roughness(base) < roughness(styled)
     elapsed = time.perf_counter() - start
-    report(3, f"{correct}/20 correct, {ties} ties, {elapsed:.0f}s")
+    report(3, f"{correct}/20 correct, {ties} ties, {elapsed:.0f}s; one-image rule "
+              f"'the smoother image is the cause': {smoother}/20")
     assert correct >= 16
     assert elapsed < 300.0
 
@@ -153,10 +217,14 @@ def test_criterion_4_frame_ordering():
     start = time.perf_counter()
     engine = AnmConfig(num_permutations=4999, fit_fraction=0.75)
     exact = 0
+    by_std = 0
+    by_ratio = 0
     for s in range(10):
         frames = synth_diffusion_frames(256, num_frames=8, seed=s)
         shuffle = np.random.default_rng(s).permutation(len(frames))
         stack = [frames[int(t)] for t in shuffle]
+        by_std += exact_by(stack, shuffle, lambda frame: frame.pixels.std())
+        by_ratio += exact_by(stack, shuffle, lambda frame: contrast_free(frame, s))
         result = frames_order(stack, n=512, k=10, engine=engine, seed=s, jobs=4)
         recovered = [int(shuffle[i]) for i in result.order]
         exact += recovered == list(range(8))
@@ -165,7 +233,8 @@ def test_criterion_4_frame_ordering():
             for j in range(i + 1, 8):
                 assert int(m[i, j]) + int(m[j, i]) == 1
     elapsed = time.perf_counter() - start
-    report(4, f"{exact}/10 exact shuffled orders, {elapsed:.0f}s")
+    report(4, f"{exact}/10 exact shuffled orders, {elapsed:.0f}s; one-frame rules by descending value: "
+              f"pixel std {by_std}/10, patch-mean std over pixel std {by_ratio}/10")
     assert exact >= 9
 
 
@@ -303,11 +372,15 @@ def test_criterion_6_nlp_pipeline(tmp_path):
 
     oracle_report = harness(oracle)
     coin_report = harness(coin)
+    pairs = filter_consensus(load_word_pairs(bundled_data_path("word_pairs.csv")), 14)
+    role = word_role_correct(pairs)
+    lead = word_lead_correct(pairs, load_index(index_path))
     elapsed = time.perf_counter() - start
     report(
         6,
         f"deterministic across jobs, lowest floored mean {lowest:.2f}, oracle {oracle_report.mean:.2f}, "
-        f"coin {coin_report.mean:.2f}, {elapsed:.0f}s",
+        f"coin {coin_report.mean:.2f}, {elapsed:.0f}s; one-word rules: word role, leave-one-out, "
+        f"{role:g}/{len(pairs)}; the word that comes first in its sentences is the cause, {lead:g}/{len(pairs)}",
     )
     assert oracle_report.mean == 1.0
     assert 0.35 <= coin_report.mean <= 0.65

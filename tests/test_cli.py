@@ -9,9 +9,9 @@ import pytest
 
 from proxycause import cli, experiments, proxy_text
 from proxycause.cli import main
-from proxycause.core import LabeledScatterDataset, SeedSpec, load_scatter, save_dataset, save_scatter
+from proxycause.core import LabeledScatterDataset, load_scatter, save_dataset, save_scatter
 from proxycause.experiments import bundled_data_path, synth_anm_pair
-from proxycause.proxy_image import Image, save_image
+from proxycause.proxy_image import Image, load_image, save_image
 from proxycause.rcc import rcc_train, save_model
 
 
@@ -199,11 +199,61 @@ def test_word_pair_on_a_corpus_equals_the_run_on_built_artifacts(tmp_path, capsy
     assert code == 0, err
     index, vi, vo = (str(tmp_path / name) for name in ("index.json", "vi.txt", "vo.txt"))
     proxy_text.save_index(proxy_text.build_index(corpus_file), index)
-    emb = proxy_text.sgns_train(corpus_file, d=8, epochs=1, seed=SeedSpec(2).child("cli.embed"))
+    emb = proxy_text.sgns_train(corpus_file, d=8, epochs=1, seed=2)
     proxy_text.save_embeddings(emb, vi, vo)
     code, want, err = run(capsys, *argv, "--index", index, "--emb-input", vi, "--emb-output", vo)
     assert code == 0, err
     assert out == want and json.loads(out)["kind"] == "w2vii"
+
+
+def test_word_pair_on_a_corpus_trains_the_embeddings_embed_train_writes(tmp_path, capsys):
+    """--corpus with an embedding kind projects through the tables
+    embed-train writes at the same --d, --epochs and --seed."""
+    corpus = bundled_data_path("mini_corpus.txt")
+    argv = ("word-pair", "--x", "rain", "--y", "flooding", "--kind", "w2vio", "--d", "8", "--epochs", "1",
+            "--seed", "2")
+    _, out = run_json(capsys, *argv, "--corpus", corpus)
+    index, vi, vo = (str(tmp_path / name) for name in ("index.json", "vi.txt", "vo.txt"))
+    run_json(capsys, "index-corpus", "--corpus", corpus, "--out", index)
+    run_json(capsys, "embed-train", "--corpus", corpus, "--d", "8", "--epochs", "1", "--seed", "2",
+             "--out-input", vi, "--out-output", vo)
+    _, want = run_json(capsys, *argv, "--index", index, "--emb-input", vi, "--emb-output", vo)
+    assert out == want
+
+
+def _tables_without(corpus, word, vi, vo):
+    """Embedding files for ``corpus`` that lack ``word`` and hold every other word."""
+    emb = proxy_text.sgns_train(corpus, d=4, epochs=1)
+    keep = [i for i, w in enumerate(emb.words) if w != word]
+    kept = proxy_text.EmbeddingModel(tuple(emb.words[i] for i in keep), emb.input_matrix[keep], emb.output_matrix[keep])
+    proxy_text.save_embeddings(kept, vi, vo)
+
+
+def test_an_embedding_table_without_a_proxy_word_is_named(tmp_path, capsys, corpus_file):
+    vi, vo = str(tmp_path / "vi.txt"), str(tmp_path / "vo.txt")
+    _tables_without(corpus_file, "the", vi, vo)
+    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--corpus", corpus_file,
+                         "--emb-input", vi, "--emb-output", vo)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: out of the embedding vocabulary: 'the'"
+
+
+def test_an_evaluation_left_with_too_few_pairs_says_why(tmp_path, capsys):
+    """Every pair is excluded for one proxy word the tables lack; the error
+    counts the excluded pairs and gives the first one's reason."""
+    corpus, pairs = bundled_data_path("mini_corpus.txt"), bundled_data_path("word_pairs.csv")
+    top = proxy_text.vocab_sample(proxy_text.build_index(corpus), 2).words[0]
+    vi, vo = str(tmp_path / "vi.txt"), str(tmp_path / "vo.txt")
+    _tables_without(corpus, top, vi, vo)
+    filtered = experiments.filter_consensus(experiments.load_word_pairs(pairs), 14)
+    first = f"{filtered[0][0].x},{filtered[0][0].y}"
+    code, out, err = run(capsys, "nlp-eval", "--pairs", pairs, "--corpus", corpus, "--emb-input", vi,
+                         "--emb-output", vo, "--min-votes", "14", "--kinds", "w2vii", "--methods", "distribution")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        f"error: need at least 8 labeled pairs, got 0 ({len(filtered)} excluded, first {first}: "
+        f"out of the embedding vocabulary: {top!r})"
+    )
 
 
 def test_image_pair_command(tmp_path, capsys):
@@ -525,6 +575,35 @@ def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "error: baseline frequency: no pair could be scored (out of vocabulary: 'zzzunknown')" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--corpus", "{corpus}", "--engine", "forest"],
+     "unknown engine 'forest' (want anm or model)"),
+    (["word-pair", "--x", "rain", "--y", "wet"], "need --corpus or --index"),
+    (["word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--index", "{index}"],
+     "embedding projections need --emb-input/--emb-output or --corpus"),
+    (["baselines", "--pairs", "{pairs}", "--corpus", "{corpus}", "--min-votes", "20"],
+     "no pairs pass the consensus filter"),
+    (["frames-order", "--dir", "{dir}"], "found 0 frames matching 'frame_*.pgm' in {dir}"),
+    (["synth", "--what", "sound"], "unknown synth target 'sound'"),
+], ids=["engine", "no corpus", "no embeddings", "no pairs", "no frames", "synth target"])
+def test_each_data_error_exits_one_with_its_line(tmp_path, capsys, corpus_file, argv, line):
+    index, pairs = tmp_path / "index.json", tmp_path / "pairs.csv"
+    proxy_text.save_index(proxy_text.build_index(corpus_file), index)
+    pairs.write_text("x,y,votes_xy,votes_yx,votes_none\nrain,wet,12,8,0\n")
+    paths = {"corpus": corpus_file, "index": str(index), "pairs": str(pairs), "dir": str(tmp_path)}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: " + line.format(**paths)
+
+
+@pytest.mark.parametrize("g", ["cube", "identity"])
+def test_synth_stylized_takes_each_nonlinearity(tmp_path, capsys, g):
+    x, y = str(tmp_path / "x.pgm"), str(tmp_path / "y.pgm")
+    doc, _ = run_json(capsys, "synth", "--what", "stylized", "--size", "40", "--g", g, "--out-x", x, "--out-y", y)
+    assert doc["g"] == g and 0.0 <= doc["clipped_fraction"] < 1.0
+    assert load_image(x).pixels.shape == load_image(y).pixels.shape == (40, 40)
 
 
 @pytest.mark.parametrize("command", ["nlp-eval", "baselines", "frames-order"])

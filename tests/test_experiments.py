@@ -66,6 +66,15 @@ def test_word_pairs_csv_round_trip(tmp_path):
     assert load_word_pairs(path) == records
 
 
+def test_load_word_pairs_skips_a_blank_line(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y,votes_xy,votes_yx,votes_none\nrain,wet,12,8,0\n\nfire,smoke,13,4,3\n")
+    assert [(r.x, r.y) for r in load_word_pairs(path)] == [("rain", "wet"), ("fire", "smoke")]
+    path.write_text("x,y,votes_xy,votes_yx,votes_none\nrain,wet,12,8,0\n\nfire,smoke,13,4\n")
+    with pytest.raises(ValueError, match="line 4: expected 5 fields"):
+        load_word_pairs(path)
+
+
 def test_load_word_pairs_errors(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("a,b,c\n")

@@ -19,6 +19,7 @@ from proxycause.proxy_text import (
     EmbeddingModel,
     ProjectionKind,
     VocabSample,
+    W2V_TABLES,
     baseline_scores,
     build_index,
     load_embeddings,
@@ -541,6 +542,26 @@ def test_w2v_projection_hand_oracles():
         entry("w2vii", "a", "b", idx_stub, None)
 
 
+def test_a_missing_word_is_named_with_the_vocabulary_that_lacks_it():
+    emb = crafted_embedding()
+    idx_stub = build_index_from_lines(["a b c"])
+    with pytest.raises(ValueError, match=r"^out of the embedding vocabulary: 'c'$"):
+        entry("w2vio", "c", "a", idx_stub, emb)
+    with pytest.raises(ValueError, match=r"^out of the embedding vocabulary: 'c'$"):
+        entry("w2voi", "a", "c", idx_stub, emb)
+    with pytest.raises(ValueError, match=r"^out of vocabulary: 'z'$"):
+        entry("w2vii", "a", "z", idx_stub, emb)
+
+
+def test_the_kind_table_leaves_the_count_kinds_to_the_baselines():
+    assert [kind.value for kind in ProjectionKind if kind.value in W2V_TABLES] == ["w2vii", "w2vio", "w2voi"]
+    assert BASELINE_KINDS == (
+        "frequency", "precedence",
+        "counts_entropy", "counts_ws", "prec_counts_entropy", "prec_counts_ws",
+        "pmi_entropy", "pmi_ws", "prec_pmi_entropy", "prec_pmi_ws",
+    )
+
+
 def build_index_from_lines(lines):
     import os
     import tempfile
@@ -662,8 +683,9 @@ def test_sgns_learns_cooccurrence_structure(tmp_path):
         lines.append("alpha beta" if rng.random() < 0.5 else "gamma delta")
     path.write_text("\n".join(lines) + "\n")
     emb = sgns_train(path, d=12, epochs=8, window=2, seed=SeedSpec(9))
-    together = float(emb.input_vector("alpha") @ emb.output_vector("beta"))
-    apart = float(emb.input_vector("alpha") @ emb.output_vector("delta"))
+    alpha, beta, delta = (emb.word_rows[w] for w in ("alpha", "beta", "delta"))
+    together = float(emb.input_matrix[alpha] @ emb.output_matrix[beta])
+    apart = float(emb.input_matrix[alpha] @ emb.output_matrix[delta])
     assert together > apart
 
 
@@ -918,7 +940,7 @@ def test_load_embeddings_rejects_duplicate_words(tmp_path):
         EmbeddingModel(words=("a", "b"), word_rows={"a": 1, "b": 0}, input_matrix=np.eye(2), output_matrix=np.eye(2))
     emb = crafted_embedding()
     assert emb.word_rows == {"a": 0, "b": 1}
-    assert emb.input_vector("a").tolist() == [1.0, 2.0]
+    assert emb.input_matrix[emb.word_rows["a"]].tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize(
@@ -1049,7 +1071,7 @@ def test_baseline_scores_frequency_and_precedence(tiny_index):
     p = baseline_scores("precedence", "rain", "wet", tiny_index)
     assert p.s_xy == 1.0 and p.s_yx == 0.0
     tie = baseline_scores("precedence", "street", "wet", tiny_index)
-    assert tie.tie
+    assert tie.s_xy == tie.s_yx
     assert tie.direction().score == 0.0
 
 

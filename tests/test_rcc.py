@@ -243,6 +243,18 @@ def test_forest_is_deterministic_and_validates():
         forest_train(X, np.r_[1, -np.ones(39, dtype=int)], num_trees=5)
 
 
+def test_forest_checks_the_shape_of_its_features():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 5))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    forest = forest_train(X, y, num_trees=3, seed=SeedSpec(3))
+    with pytest.raises(ValueError, match="expected 5 features, got 4"):
+        forest_predict(forest, X[:, :4])
+    for features, labels in ((X, y[:-1]), (X[:, 0], y)):
+        with pytest.raises(ValueError, match=r"features must be \(n_examples, width\) matching labels"):
+            forest_train(features, labels, num_trees=3)
+
+
 def test_rcc_end_to_end_beats_chance():
     items = make_dataset(40, seed0=1000)
     model = rcc_train(LabeledScatterDataset(tuple(items)), num_features=40, num_trees=80, seed=SeedSpec(5))
