@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _standardize, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _count, _standardize, as_spec
 from .independence import (
     KernelSpec,
-    _check_permutations,
     _gaussian,
     _permutation_pvalue,
     _permutation_schedule,
@@ -37,7 +36,7 @@ class AnmConfig:
     def __post_init__(self):
         if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
             raise ValueError("ridge_lambda must be positive")
-        _check_permutations(self.num_permutations)
+        _count("num_permutations", self.num_permutations, 99)
         if not 0.0 < self.fit_fraction < 1.0:
             raise ValueError("fit_fraction must lie in (0, 1)")
 

@@ -30,6 +30,7 @@ from .anm import AnmConfig
 from .core import (
     SeedSpec,
     Verdict,
+    _count,
     _reading,
     load_dataset,
     load_scatter,
@@ -552,8 +553,7 @@ def _resolve(args, config) -> argparse.Namespace:
     if "emb-input" in values and (o.emb_input is None) != (o.emb_output is None):
         given, missing = ("emb-input", "emb-output") if o.emb_output is None else ("emb-output", "emb-input")
         raise ValueError(f"--{given} needs --{missing}")
-    if o.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {o.jobs}")
+    _count("--jobs", o.jobs, 1)
     _log(f"{args.command} config: " + " ".join(f"{name}={value}" for name, value in values.items()))
     return o
 

@@ -153,9 +153,10 @@ class SeedSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        seed = _count("seed", self.master_seed, 0)
+        if seed >= 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        object.__setattr__(self, "master_seed", seed)
 
     def seed(self, task_id: str) -> int:
         """The 64-bit stream seed of ``task_id``, by the derivation above."""
@@ -177,9 +178,12 @@ def as_spec(seed: SeedSpec | int) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an int or a numpy integer (not a bool)
+    of at least ``least``; anything else raises a ValueError naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @contextlib.contextmanager
@@ -318,10 +322,9 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     the serial loop.
     """
     global _task
-    if not _is_integer(jobs) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    jobs = _count("jobs", jobs, 1)
     items = list(items)
-    workers = min(int(jobs), len(items), _usable_cpus())
+    workers = min(jobs, len(items), _usable_cpus())
     if workers < 2 or _task is not None:
         return [fn(item) for item in items]
     import multiprocessing

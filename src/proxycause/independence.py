@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeedSpec, _is_integer, as_spec
+from .core import SeedSpec, _count, as_spec
 
 __all__ = [
     "KernelSpec",
@@ -150,18 +150,10 @@ def hsic_pvalue(u, v, num_permutations: int = 499, seed: SeedSpec | int = 0) -> 
     recomputed directly, so the count, and with it the p-value, equals the
     one from computing every permuted statistic directly.
     """
-    _check_permutations(num_permutations)
+    _count("num_permutations", num_permutations, 99)
     u, v, ku, kv = _inputs(u, v)
     perms = _permutation_schedule(as_spec(seed).rng("hsic.permutation"), u.size, num_permutations)
     return _permutation_pvalue(u, v, ku, kv, perms)
-
-
-def _check_permutations(num_permutations) -> None:
-    """Reject a permutation count that is not an integer of at least 99."""
-    if not _is_integer(num_permutations):
-        raise ValueError(f"num_permutations must be an integer, got {num_permutations!r}")
-    if num_permutations < 99:
-        raise ValueError("use at least 99 permutations")
 
 
 def _permutation_schedule(rng: np.random.Generator, n: int, count: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 # anm_direction is not called here; the traced benchmark run wraps it by
 # this module's name (perfbench/layers.py).
 from .anm import AnmConfig, anm_direction
-from .core import Direction, ScatterSample, SeedSpec, Verdict, _reading, as_spec, parallel_map
+from .core import Direction, ScatterSample, SeedSpec, Verdict, _count, _reading, as_spec, parallel_map
 from .rcc import RCCModel
 
 __all__ = [
@@ -138,12 +138,9 @@ def save_image(img: Image, path) -> None:
 
 def _anchors(width: int, height: int, k: int, n: int, seed: SeedSpec | int) -> tuple:
     """(tops, lefts) as int lists of n uniform anchors: top in [0, h-k], left in [0, w-k]."""
+    n, k = _count("n", n, 2), _count("k", k, 1)
     if k > min(width, height):
         raise ValueError(f"patch size {k} exceeds image dimensions {width}x{height}")
-    if n < 1:
-        raise ValueError("need at least one mask")
-    if k < 1:
-        raise ValueError("patch size must be positive")
     rng = as_spec(seed).rng("image.masks")
     tops = rng.integers(0, height - k + 1, n)
     lefts = rng.integers(0, width - k + 1, n)

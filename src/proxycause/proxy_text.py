@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _is_integer, _reading, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _count, _reading, as_spec
 
 __all__ = [
     "CorpusIndex",
@@ -273,8 +273,7 @@ class VocabSample:
 def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec | int = 0) -> VocabSample:
     """Proxy vocabulary: the n most frequent words (ties lexicographic),
     or a seeded uniform draw without replacement with method="uniform"."""
-    if not _is_integer(n) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    n = _count("n", n, 2)
     words = sorted(index.vocabulary)
     if n > len(words):
         raise ValueError(f"requested {n} words but vocabulary has {len(words)}")
@@ -372,16 +371,10 @@ def sgns_train(
     of ``_SGNS_CHUNK`` blocks are planned at once, so the per-block loop
     holds only the table arithmetic.
     """
-    if not all(_is_integer(v) for v in (d, epochs, window, negatives)):
-        raise ValueError("d, epochs, window and negatives must be integers")
-    if d < 2:
-        raise ValueError("embedding dimension must be at least 2")
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    if negatives < 0:
-        raise ValueError("negatives must be non-negative")
+    d = _count("d", d, 2)
+    epochs = _count("epochs", epochs, 1)
+    window = _count("window", window, 1)
+    negatives = _count("negatives", negatives, 0)
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError("learning rate must be finite and positive")
     spec = as_spec(seed)

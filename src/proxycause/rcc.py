@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _is_integer, _reading, _standardize, as_spec,
+    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _count, _reading, _standardize, as_spec,
 )
 from .independence import median_heuristic
 
@@ -59,17 +59,13 @@ class RFFSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not _is_integer(self.num_features) or self.num_features < 1:
-            raise ValueError(f"num_features must be a positive integer, got {self.num_features!r}")
+        # Plain Python numbers from here on, as save_model writes them to JSON.
+        object.__setattr__(self, "seed", SeedSpec(self.seed).master_seed)
+        object.__setattr__(self, "num_features", _count("num_features", self.num_features, 1))
         bandwidth = self.bandwidth
         real = isinstance(bandwidth, (int, float, np.integer, np.floating)) and not isinstance(bandwidth, bool)
         if not (real and 0 < bandwidth < np.inf):
             raise ValueError(f"bandwidth must be a finite positive number, got {bandwidth!r}")
-        # Plain Python numbers from here on, as save_model writes them to JSON.
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "num_features", int(self.num_features))
         object.__setattr__(self, "bandwidth", float(bandwidth))
 
     @cached_property
@@ -159,10 +155,8 @@ class Forest:
     num_features: int
 
     def __post_init__(self):
-        if not (_is_integer(self.num_trees) and _is_integer(self.num_features)):
-            raise ValueError(f"num_trees and num_features must be integers: {self.num_trees!r}, {self.num_features!r}")
-        if self.num_trees < 1:
-            raise ValueError("a forest needs at least one tree")
+        _count("num_trees", self.num_trees, 1)
+        _count("num_features", self.num_features, 1)
         if self.num_trees != len(self.trees):
             raise ValueError("num_trees must match the tree list")
         for t, tree in enumerate(self.trees):
@@ -367,13 +361,7 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     Trees grow in blocks of ``_TREE_BLOCK``, in lock step within a block;
     each comes out as depth-first recursion on its own generator grows it.
     """
-    if not (_is_integer(num_trees) and _is_integer(min_leaf)):
-        raise ValueError(f"num_trees and min_leaf must be integers, got {num_trees!r} and {min_leaf!r}")
-    if num_trees < 1:
-        raise ValueError("a forest needs at least one tree")
-    if min_leaf < 1:
-        raise ValueError(f"min_leaf must be at least 1, got {min_leaf}")
-    num_trees, min_leaf = int(num_trees), int(min_leaf)
+    num_trees, min_leaf = _count("num_trees", num_trees, 1), _count("min_leaf", min_leaf, 1)
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] != y.size:

@@ -542,11 +542,11 @@ def test_nlp_eval_needs_at_least_one_repeat(capsys):
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and caught == []
-    assert err.endswith("error: repeats must be an integer of at least 1\n")
+    assert err.endswith("error: repeats must be an integer of at least 1, got 0\n")
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--repeats", "0", "repeats must be an integer of at least 1"),
+    ("--repeats", "0", "repeats must be an integer of at least 1, got 0"),
     ("--split", "1.5", "split must be in (0, 1)"),
 ], ids=["repeats", "split"])
 def test_nlp_eval_checks_repeats_and_split_before_any_work(capsys, flag, value, message):
@@ -615,7 +615,7 @@ def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
     ]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"error: --jobs must be at least 1, got {jobs}" in err
+    assert f"error: --jobs must be an integer of at least 1, got {jobs}" in err
 
 
 @pytest.mark.parametrize("command, flag, value, what", [

@@ -434,7 +434,7 @@ def test_parallel_map_raises_the_lowest_index_failure(monkeypatch, bad, jobs):
 
 @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2", None])
 def test_parallel_map_rejects_bad_jobs(jobs):
-    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+    with pytest.raises(ValueError, match="jobs must be an integer of at least 1, got "):
         parallel_map(abs, [1, 2], jobs)
 
 

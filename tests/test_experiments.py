@@ -175,7 +175,7 @@ def test_synth_anm_pair_seeding_and_standardization():
 
 
 def test_synth_anm_pair_validation():
-    with pytest.raises(ValueError, match="n >= 20"):
+    with pytest.raises(ValueError, match="n must be an integer of at least 20, got 10"):
         synth_anm_pair(10)
     with pytest.raises(ValueError, match="unknown mechanism"):
         synth_anm_pair(50, mechanism="quadratic")
@@ -277,7 +277,7 @@ def test_synth_diffusion_frames_variance_decreases():
     again = synth_diffusion_frames(32, num_frames=6, seed=7)
     for f, g in zip(frames, again):
         assert np.array_equal(f.pixels, g.pixels)
-    with pytest.raises(ValueError, match="two frames"):
+    with pytest.raises(ValueError, match="num_frames must be an integer of at least 2, got 1"):
         synth_diffusion_frames(32, num_frames=1)
 
 

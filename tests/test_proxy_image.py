@@ -177,9 +177,9 @@ def test_projections_equal_the_per_patch_oracle(shape, k):
 
 def test_patch_draws_keep_their_errors():
     x = Image(np.zeros((20, 30)))
-    for k, n, message in ((0, 5, "patch size must be positive"),
+    for k, n, message in ((0, 5, "k must be an integer of at least 1, got 0"),
                           (21, 5, "patch size 21 exceeds image dimensions 30x20"),
-                          (5, 0, "need at least one mask")):
+                          (5, 0, "n must be an integer of at least 2, got 0")):
         with pytest.raises(ValueError, match=message):
             image_pair_scatter(x, x, n=n, k=k)
     with pytest.raises(ValueError, match="images must have identical dimensions"):

@@ -892,10 +892,10 @@ def test_sgns_validation(tmp_path):
         ({"learning_rate": -0.025}, "learning rate"),
         ({"learning_rate": float("nan")}, "learning rate"),
         ({"learning_rate": float("inf")}, "learning rate"),
-        ({"window": 2.5}, "integers"),
-        ({"epochs": 1.0}, "integers"),
-        ({"negatives": True}, "integers"),
-        ({"d": "4"}, "integers"),
+        ({"window": 2.5}, "window must be an integer of at least 1, got 2.5"),
+        ({"epochs": 1.0}, "epochs must be an integer of at least 1, got 1.0"),
+        ({"negatives": True}, "negatives must be an integer of at least 0, got True"),
+        ({"d": "4"}, "d must be an integer of at least 2, got '4'"),
     ]:
         with pytest.raises(ValueError, match=message):
             sgns_train(path, **{"d": 4, **kwargs})

@@ -1,6 +1,7 @@
 """Scatterplot embedding, forest classifier, and the trained engine."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -913,14 +914,14 @@ def test_forest_rejects_non_finite_features():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"min_leaf": 0}, "min_leaf must be at least 1"),
-        ({"min_leaf": -3}, "min_leaf must be at least 1"),
-        ({"min_leaf": True}, "must be integers"),
-        ({"min_leaf": 1.5}, "must be integers"),
-        ({"num_trees": 2.5}, "must be integers"),
-        ({"num_trees": "3"}, "must be integers"),
-        ({"num_trees": False}, "must be integers"),
-        ({"num_trees": np.float64(3.0)}, "must be integers"),
+        ({"min_leaf": 0}, "min_leaf must be an integer of at least 1, got 0"),
+        ({"min_leaf": -3}, "min_leaf must be an integer of at least 1, got -3"),
+        ({"min_leaf": True}, "min_leaf must be an integer of at least 1, got True"),
+        ({"min_leaf": 1.5}, "min_leaf must be an integer of at least 1, got 1.5"),
+        ({"num_trees": 2.5}, "num_trees must be an integer of at least 1, got 2.5"),
+        ({"num_trees": "3"}, "num_trees must be an integer of at least 1, got '3'"),
+        ({"num_trees": False}, "num_trees must be an integer of at least 1, got False"),
+        ({"num_trees": np.float64(3.0)}, r"num_trees must be an integer of at least 1, got np.float64\(3.0\)"),
     ],
     ids=lambda v: repr(v) if isinstance(v, dict) else "",
 )
@@ -978,12 +979,12 @@ def test_packed_prediction_equals_per_tree_walk():
 
 
 def test_forest_rejects_empty_tree_list():
-    with pytest.raises(ValueError, match="at least one tree"):
+    with pytest.raises(ValueError, match="num_trees must be an integer of at least 1, got 0"):
         Forest(num_trees=0, trees=(), num_features=3)
     X = np.random.default_rng(14).normal(size=(20, 3))
     y = np.where(X[:, 0] > 0, 1, -1)
     for num_trees in (0, -4):
-        with pytest.raises(ValueError, match="at least one tree"):
+        with pytest.raises(ValueError, match=f"num_trees must be an integer of at least 1, got {num_trees}"):
             forest_train(X, y, num_trees=num_trees)
 
 
@@ -992,5 +993,6 @@ def test_forest_counts_must_be_integers(num_trees, num_features):
     leaf = {"feature": np.array([-1]), "threshold": np.array([0.0]), "left": np.array([-1]),
             "right": np.array([-1]), "vote": np.array([0.5])}
     Forest(num_trees=1, trees=(leaf,), num_features=3)
-    with pytest.raises(ValueError, match="num_trees and num_features must be integers: "):
+    bad, value = ("num_features", num_features) if type(num_trees) is int else ("num_trees", num_trees)
+    with pytest.raises(ValueError, match=re.escape(f"{bad} must be an integer of at least 1, got {value!r}")):
         Forest(num_trees=num_trees, trees=(leaf,), num_features=num_features)
