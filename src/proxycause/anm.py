@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _count, _standardize, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _count, _real, _standardize, as_spec
 from .independence import (
-    KernelSpec,
     _gaussian,
     _permutation_pvalue,
     _permutation_schedule,
@@ -34,11 +33,9 @@ class AnmConfig:
     fit_fraction: float = 0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
-            raise ValueError("ridge_lambda must be positive")
+        _real("ridge_lambda", self.ridge_lambda, 0.0)
         _count("num_permutations", self.num_permutations, 99)
-        if not 0.0 < self.fit_fraction < 1.0:
-            raise ValueError("fit_fraction must lie in (0, 1)")
+        _real("fit_fraction", self.fit_fraction, 0.0, 1.0)
 
     def judge(self, sample: ScatterSample, spec: SeedSpec | int) -> Direction:
         """This engine's verdict on ``sample``: ``anm_direction`` under ``spec``."""
@@ -47,19 +44,21 @@ class AnmConfig:
 
 @dataclass(frozen=True)
 class Regressor:
-    """Kernel ridge regressor in dual form: F(t) = sum_i alpha_i k(t, x_i)."""
+    """Kernel ridge regressor in dual form: F(t) = sum_i alpha_i k(t, x_i),
+    with k the Gaussian kernel of lengthscale ``bandwidth``."""
 
     x_train: np.ndarray
     alpha: np.ndarray
-    kernel: KernelSpec
+    bandwidth: float
 
     def __post_init__(self):
         if self.x_train.shape != self.alpha.shape:
             raise ValueError("coefficient count must equal training-input count")
+        _real("bandwidth", self.bandwidth, 0.0)
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
-        return _gaussian(x, self.x_train, self.kernel.bandwidth) @ self.alpha
+        return _gaussian(x, self.x_train, self.bandwidth) @ self.alpha
 
 
 def kernel_ridge_fit(x, y, cfg: AnmConfig = AnmConfig()) -> Regressor:
@@ -81,12 +80,11 @@ def kernel_ridge_fit(x, y, cfg: AnmConfig = AnmConfig()) -> Regressor:
         bandwidth = median_heuristic(x)
     except ValueError:
         bandwidth = 1.0
-    kernel = KernelSpec(bandwidth)
-    K = gram_matrix(x, kernel)
+    K = gram_matrix(x, bandwidth)
     # K + lambda I in place: off the diagonal K_ij + 0.0 is exact, as K >= +0.
     K[np.diag_indices(x.size)] += cfg.ridge_lambda
     alpha = np.linalg.solve(K, y)
-    return Regressor(x_train=x, alpha=alpha, kernel=kernel)
+    return Regressor(x_train=x, alpha=alpha, bandwidth=bandwidth)
 
 
 def residuals(reg: Regressor, x, y) -> np.ndarray:
@@ -101,9 +99,7 @@ def residuals(reg: Regressor, x, y) -> np.ndarray:
 def _directional_pvalue(x_fit, y_fit, x_test, y_test, cfg, perms) -> float:
     reg = kernel_ridge_fit(x_fit, y_fit, cfg)
     r = residuals(reg, x_test, y_test)
-    ku = KernelSpec(median_heuristic(x_test))
-    kv = KernelSpec(median_heuristic(r))
-    return _permutation_pvalue(x_test, r, ku, kv, perms)
+    return _permutation_pvalue(x_test, r, median_heuristic(x_test), median_heuristic(r), perms)
 
 
 def anm_direction(sample: ScatterSample, cfg: AnmConfig = AnmConfig(), seed: SeedSpec | int = 0) -> Direction:

@@ -30,6 +30,7 @@ from .anm import AnmConfig
 from .core import (
     SeedSpec,
     Verdict,
+    _choice,
     _count,
     _reading,
     load_dataset,
@@ -46,8 +47,8 @@ from .proxy_image import (
 )
 from .proxy_text import (
     BASELINE_KINDS,
+    PROJECTION_KINDS,
     W2V_TABLES,
-    ProjectionKind,
     baseline_scores,
     build_index,
     load_embeddings,
@@ -60,7 +61,6 @@ from .proxy_text import (
 )
 from .rcc import load_model, rcc_predict, rcc_train, save_model
 
-PROJECTION_NAMES = tuple(k.value for k in ProjectionKind)
 METHODS = ("distribution", "feature", "baselines", "curve")
 
 
@@ -90,12 +90,9 @@ def _load_config(path) -> dict:
     return config
 
 
-def _name(text: str, allowed, what: str) -> str:
-    """``text`` with '-' read as '_'; a name outside ``allowed`` raises."""
-    name = text.replace("-", "_")
-    if name not in allowed:
-        raise ValueError(f"unknown {what} {text!r} (want one of {', '.join(allowed)})")
-    return name
+def _name(text, allowed, what: str) -> str:
+    """``text`` with '-' read as '_', checked by :func:`core._choice`."""
+    return _choice(what, text and text.replace("-", "_"), allowed)
 
 
 def _names(text: str, allowed, what: str) -> list:
@@ -137,10 +134,8 @@ def _pick_engine(o, **anm):
     """AnmConfig (``anm`` overriding its defaults) or a loaded model, per --engine / --model."""
     if o.engine == "anm":
         return AnmConfig(num_permutations=o.permutations, **anm)
-    if o.engine == "model":
-        _need(o, "model")
-        return load_model(o.model)
-    raise ValueError(f"unknown engine {o.engine!r} (want anm or model)")
+    _need(o, "model")
+    return load_model(o.model)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +194,12 @@ def _corpus_artifacts(o, kinds):
 
 
 def cmd_word_pair(o):
-    kind = _name(o.kind, PROJECTION_NAMES, "projection kind")
-    index, vocab, emb = _corpus_artifacts(o, [kind])
-    sample = word_pair_scatter(o.x, o.y, kind, vocab, index, emb)
-    direction = _pick_engine(o).judge(sample, SeedSpec(o.seed).child("cli.anm"))
+    engine = _pick_engine(o)
+    index, vocab, emb = _corpus_artifacts(o, [o.kind])
+    sample = word_pair_scatter(o.x, o.y, o.kind, vocab, index, emb)
+    direction = engine.judge(sample, SeedSpec(o.seed).child("cli.anm"))
     result = _direction_doc(direction)
-    result.update({"x": o.x, "y": o.y, "kind": kind, "n": len(vocab), "seed": o.seed})
+    result.update({"x": o.x, "y": o.y, "kind": o.kind, "n": len(vocab), "seed": o.seed})
     return result
 
 
@@ -216,9 +211,8 @@ def _filtered_pairs(o):
 
 
 def cmd_nlp_eval(o):
-    kinds = list(PROJECTION_NAMES) if o.kinds == "all" else _names(o.kinds, PROJECTION_NAMES, "projection kind")
+    kinds = list(PROJECTION_KINDS) if o.kinds == "all" else _names(o.kinds, PROJECTION_KINDS, "projection kind")
     methods = _names(o.methods, METHODS, "method")
-    curve_kind = _name(o.curve_kind, PROJECTION_NAMES, "curve kind")
     xp._check_splits(o.split, o.repeats)
 
     pairs = _filtered_pairs(o)
@@ -235,8 +229,8 @@ def cmd_nlp_eval(o):
     # for.  Embeddings are loaded or trained only when a task projects
     # through a w2v kind; no baseline name is one.
     tasks = [(method, kind) for method in ("distribution", "feature") if method in methods for kind in kinds]
-    if "curve" in methods and ("distribution", curve_kind) not in tasks:
-        tasks.append(("distribution", curve_kind))
+    if "curve" in methods and ("distribution", o.curve_kind) not in tasks:
+        tasks.append(("distribution", o.curve_kind))
     if "baselines" in methods:
         tasks += [("baselines", bkind) for bkind in BASELINE_KINDS]
     index, vocab, emb = _corpus_artifacts(o, [kind for _, kind in tasks])
@@ -266,8 +260,8 @@ def cmd_nlp_eval(o):
         elif method in methods and kind in kinds:
             result.setdefault(method, {})[kind] = _report_doc(out)
     if "curve" in methods:
-        result["confidence_curve"] = _curve_doc(reports["distribution", curve_kind], pairs)
-        result["curve_kind"] = curve_kind
+        result["confidence_curve"] = _curve_doc(reports["distribution", o.curve_kind], pairs)
+        result["curve_kind"] = o.curve_kind
     return result
 
 
@@ -328,11 +322,11 @@ def cmd_image_pair(o):
 
 
 def cmd_frames_order(o):
+    engine = _pick_engine(o, fit_fraction=IMAGE_FIT_FRACTION)
     paths = sorted(glob.glob(os.path.join(o.dir, o.pattern)))
     if len(paths) < 2:
         raise ValueError(f"found {len(paths)} frames matching {o.pattern!r} in {o.dir}")
     frames = [load_image(p) for p in paths]
-    engine = _pick_engine(o, fit_fraction=IMAGE_FIT_FRACTION)
     order = frames_order(frames, n=o.n, k=o.k, engine=engine, seed=o.seed, jobs=o.jobs)
     return {
         "frames": [os.path.basename(p) for p in paths],
@@ -369,18 +363,16 @@ def cmd_synth(o):
             "row_constant": row_constant, "clipped_fraction": clipped,
             "out_x": o.out_x, "out_y": o.out_y, "seed": o.seed,
         }
-    if o.what == "frames":
-        _need(o, "out-dir")
-        size = 64 if o.size is None else o.size
-        frames = xp.synth_diffusion_frames(size, num_frames=o.frames, seed=o.seed)
-        os.makedirs(o.out_dir, exist_ok=True)
-        paths = []
-        for i, frame in enumerate(frames):
-            path = os.path.join(o.out_dir, f"frame_{i}.pgm")
-            save_image(frame, path)
-            paths.append(path)
-        return {"what": o.what, "size": size, "frames": o.frames, "paths": paths, "seed": o.seed}
-    raise ValueError(f"unknown synth target {o.what!r}")
+    _need(o, "out-dir")
+    size = 64 if o.size is None else o.size
+    frames = xp.synth_diffusion_frames(size, num_frames=o.frames, seed=o.seed)
+    os.makedirs(o.out_dir, exist_ok=True)
+    paths = []
+    for i, frame in enumerate(frames):
+        path = os.path.join(o.out_dir, f"frame_{i}.pgm")
+        save_image(frame, path)
+        paths.append(path)
+    return {"what": o.what, "size": size, "frames": o.frames, "paths": paths, "seed": o.seed}
 
 
 def cmd_significance(o):
@@ -406,19 +398,15 @@ def cmd_model(o):
         result = _direction_doc(direction)
         result.update({"action": action, "model": o.model, "sample": o.sample})
         return result
-    if action == "inspect":
-        _need(o, "model")
-        model = load_model(o.model)
-        return {
-            "action": action,
-            "m": model.rff.num_features,
-            "bandwidth": model.rff.bandwidth,
-            "trees": model.forest.num_trees,
-            "feature_width": model.forest.num_features,
-        }
-    if action is None:
-        raise ValueError("model action is required (want train, predict, or inspect)")
-    raise ValueError(f"unknown model action {action!r} (want train, predict, or inspect)")
+    _need(o, "model")
+    model = load_model(o.model)
+    return {
+        "action": action,
+        "m": model.rff.num_features,
+        "bandwidth": model.rff.bandwidth,
+        "trees": model.forest.num_trees,
+        "feature_width": model.forest.num_features,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +457,19 @@ _OPTIONS = {
     "trees": (int, 500),
     "vocab-method": (str, "top"),
     "window": (int, 5),
+}
+
+# The noun and the names of each named option, checked before any work.  The
+# name lists --kinds and --methods are the first thing their subcommands
+# check; synth's --mechanism, --noise and --g are left to the generators it
+# calls, which check them before anything is written.
+_NAMED = {
+    "action": ("model action", ("train", "predict", "inspect")),
+    "curve-kind": ("curve kind", PROJECTION_KINDS),
+    "engine": ("engine", ("anm", "model")),
+    "kind": ("projection kind", PROJECTION_KINDS),
+    "vocab-method": ("sampling method", proxy_text.VOCAB_METHODS),
+    "what": ("synth target", ("scatter", "stylized", "frames")),
 }
 
 # The options every subcommand takes, after its own, with their help.
@@ -532,8 +533,8 @@ def _resolve(args, config) -> argparse.Namespace:
     """Every option of ``args.command`` resolved: flag, then config file,
     then PROXYCAUSE_SEED (seed only), then the default.  A required option
     left without a value, one of --emb-input and --emb-output without the
-    other, or --jobs below 1, raises ValueError; the resolved values are
-    echoed on one stderr line."""
+    other, --jobs below 1 or an unknown name raises ValueError; the
+    resolved values are echoed on one stderr line."""
     values, required = {}, []
     for name, need, default in _row(args.command):
         value = getattr(args, name.replace("-", "_"))
@@ -554,6 +555,9 @@ def _resolve(args, config) -> argparse.Namespace:
         given, missing = ("emb-input", "emb-output") if o.emb_output is None else ("emb-output", "emb-input")
         raise ValueError(f"--{given} needs --{missing}")
     _count("--jobs", o.jobs, 1)
+    for name, (what, allowed) in _NAMED.items():
+        if name in values:
+            setattr(o, name.replace("-", "_"), _name(values[name], allowed, what))
     _log(f"{args.command} config: " + " ".join(f"{name}={value}" for name, value in values.items()))
     return o
 

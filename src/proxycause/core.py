@@ -54,8 +54,7 @@ class Direction:
     score: float
 
     def __post_init__(self):
-        if not math.isfinite(self.score) or self.score < 0:
-            raise ValueError(f"score must be finite and non-negative, got {self.score}")
+        _real("score", self.score, 0.0, closed=True)
 
     @property
     def tie(self) -> bool:
@@ -184,6 +183,30 @@ def _count(name: str, value, least: int) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
         return int(value)
     raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _real(name: str, value, low: float, high: float = math.inf, closed: bool = False) -> float:
+    """``value`` as a float, if it is a finite int, float or numpy number (not
+    a bool) in (low, high), or in [low, high] when ``closed``; anything else
+    raises a ValueError naming ``name``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        v = float(value) if real else math.nan
+    except OverflowError:  # an int too large for a float
+        v = math.inf
+    if math.isfinite(v) and (low <= v <= high if closed else low < v < high):
+        return v
+    interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+    raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
+def _choice(name: str, value, allowed) -> str:
+    """``value`` if it is one of the names ``allowed``; anything else raises a
+    ValueError naming ``name`` and the choices."""
+    if isinstance(value, str) and value in allowed:
+        return value
+    want = f"(want one of {', '.join(allowed)})"
+    raise ValueError(f"{name} is required {want}" if value is None else f"unknown {name} {value!r} {want}")
 
 
 @contextlib.contextmanager

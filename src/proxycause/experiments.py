@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _count, _reading, _standardize, as_spec
+from .core import (
+    LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _choice, _count, _reading, _real, _standardize, as_spec,
+)
 from .proxy_image import Image
-from .proxy_text import projection_vector, word_pair_scatter
+from .proxy_text import _check_projection, projection_vector, word_pair_scatter
 from .rcc import _vote_direction, forest_predict, forest_train, rcc_predict, rcc_train
 
 __all__ = [
@@ -75,8 +77,8 @@ class WordPairRecord:
     votes_none: int
 
     def __post_init__(self):
-        if min(self.votes_xy, self.votes_yx, self.votes_none) < 0:
-            raise ValueError("vote counts must be non-negative")
+        for name in ("votes_xy", "votes_yx", "votes_none"):
+            _count(name, getattr(self, name), 0)
         if self.total_votes == 0:
             raise ValueError("vote counts sum to zero")
 
@@ -127,6 +129,7 @@ def filter_consensus(records, min_votes: int, total: int = 20) -> list:
     """Keep records whose majority direction got at least min_votes votes;
     returns (record, label) with label +1 when votes_xy > votes_yx.  A tie
     names no direction, so a tied record is dropped."""
+    min_votes, total = _count("min_votes", min_votes, 0), _count("total", total, 1)
     if min_votes > total:
         raise ValueError("min_votes cannot exceed the annotator total")
     kept = []
@@ -155,10 +158,8 @@ def synth_anm_pair(
     coordinate is the cause; label +1 means the first coordinate.
     """
     n = _count("n", n, 20)
-    if mechanism not in ANM_MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    if noise not in ANM_NOISES:
-        raise ValueError(f"unknown noise {noise!r}")
+    _choice("mechanism", mechanism, ANM_MECHANISMS)
+    _choice("noise", noise, ANM_NOISES)
     rng = as_spec(seed).rng("synth.anm")
 
     if mechanism == "linear":
@@ -202,6 +203,17 @@ def synth_anm_pair(
 # Stylized image pairs (local patch mechanism)
 # ---------------------------------------------------------------------------
 
+# random_mechanism's range of the row gain alpha, the gain on the tile
+# mean, for each nonlinearity g.  The [0,1] clip truncates the additive
+# noise, and that truncation is itself a dependence signal.  The tanh and
+# identity ranges keep outputs clear of it (at most 0.1% and 0.5% of pixels
+# clipped at CLI seeds 0-9): tanh(1.5) = 0.905 leaves head room for noise
+# while the slope still varies about fourfold across the input range.  The
+# cube range does not: cubing takes dark tiles near 0, where the noise
+# crosses the lower clip on 3.6-10.7% of pixels at those seeds.
+_GAINS = {"identity": (0.7, 1.0), "tanh": (1.2, 1.5), "cube": (0.6, 1.0)}
+NONLINEARITIES = tuple(_GAINS)
+
 
 @dataclass(frozen=True)
 class LocalMechanism:
@@ -220,10 +232,8 @@ class LocalMechanism:
             raise ValueError(f"beta must be {self.k * self.k}x{self.k * self.k}")
         if self.row_constant and np.any(beta != beta[:, :1]):
             raise ValueError("row_constant mechanism needs constant rows in beta")
-        if self.g not in ("identity", "tanh", "cube"):
-            raise ValueError(f"unknown nonlinearity {self.g!r}")
-        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
-            raise ValueError("noise_scale must be non-negative")
+        _choice("nonlinearity", self.g, NONLINEARITIES)
+        _real("noise_scale", self.noise_scale, 0.0, closed=True)
         beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
@@ -247,21 +257,8 @@ def random_mechanism(
     """Seeded mechanism whose mixing weights keep g's input in a useful
     range for tile intensities in [0,1] (rows of beta sum to O(1))."""
     kk = _count("k", k, 1) ** 2
+    lo, hi = _GAINS[_choice("nonlinearity", g, NONLINEARITIES)]
     rng = as_spec(seed).rng("mechanism.beta")
-    # Row weights sum to alpha, so alpha is the gain on the tile mean.  The
-    # [0,1] clip truncates the additive noise, and that truncation is itself
-    # a dependence signal.  The tanh and identity ranges keep outputs clear
-    # of it (at most 0.1% and 0.5% of pixels clipped at CLI seeds 0-9):
-    # tanh(1.5) = 0.905 leaves head room for noise while the slope still
-    # varies about fourfold across the input range.  The cube range does
-    # not: cubing takes dark tiles near 0, where the noise crosses the lower
-    # clip on 3.6-10.7% of pixels at those seeds.
-    if g == "cube":
-        lo, hi = 0.6, 1.0
-    elif g == "tanh":
-        lo, hi = 1.2, 1.5
-    else:
-        lo, hi = 0.7, 1.0
     if row_constant:
         alpha = rng.uniform(lo, hi, kk)
         beta = np.repeat(alpha[:, None], kk, axis=1) / kk
@@ -428,13 +425,12 @@ class EvalReport:
 
 def _check_splits(split, repeats) -> None:
     """The split share and the repeat count of every evaluation."""
-    if not 0.0 < split < 1.0:
-        raise ValueError("split must be in (0, 1)")
+    _real("split", split, 0.0, 1.0)
     _count("repeats", repeats, 1)
 
 
 def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> EvalReport:
-    """The repeated-split loop of every evaluation.
+    """The repeated-split loop of every evaluation, whose caller has checked split and repeats.
 
     Repeat r shuffles the pairs with the ``eval.shuffle.{r}`` stream and
     calls ``judge(train_idx, test_idx, spec)`` with the first `split` share
@@ -447,7 +443,6 @@ def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> Ev
     if n < 8:
         why = f" ({len(excluded)} excluded, first {excluded[0][0]}: {excluded[0][1]})" if excluded else ""
         raise ValueError(f"need at least 8 labeled pairs, got {n}{why}")
-    _check_splits(split, repeats)
     spec = as_spec(seed)
     n_train = min(max(int(round(split * n)), 1), n - 1)
     accuracies = []
@@ -512,6 +507,8 @@ def evaluate_distribution_method(
     `pairs` is the (record, label) list from filter_consensus; a pair whose
     scatter fails is listed under the report's `excluded`.
     """
+    _check_projection(kind, emb)
+    _check_splits(split, repeats)
     samples, labels, names, excluded = _project_pairs(
         pairs, lambda record: word_pair_scatter(record.x, record.y, kind, vocab, index, emb)
     )
@@ -537,6 +534,8 @@ def evaluate_feature_method(
 ) -> EvalReport:
     """Score one projection with a forest on concatenated (x, y) vectors;
     a pair whose projection fails is listed under the report's `excluded`."""
+    _check_projection(kind, emb)
+    _check_splits(split, repeats)
 
     def project(record):
         px = projection_vector(kind, record.x, vocab, index, emb)
@@ -567,13 +566,10 @@ def binomial_significance(accuracy: float, n: int, p0: float = 0.5) -> float:
     the integer sum of comb(n, i) a^i b^(n-i) over d^n, rounded to float once
     at the end; the round of accuracy n is half up.
     """
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValueError("accuracy must be in [0, 1]")
+    _real("accuracy", accuracy, 0.0, 1.0, closed=True)
     n = _count("n", n, 1)
-    if not 0.0 < p0 < 1.0:
-        raise ValueError("p0 must be in (0, 1)")
-    k = int(math.floor(accuracy * n + 0.5))
-    k = min(max(k, 0), n)
+    _real("p0", p0, 0.0, 1.0)
+    k = int(math.floor(accuracy * n + 0.5))  # in [0, n], as accuracy is in [0, 1]
     a, d = float(p0).as_integer_ratio()
     b = d - a
     total = term = math.comb(n, k) * a**k * b ** (n - k)

@@ -7,14 +7,11 @@ regression residual, in the anti-causal direction it is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SeedSpec, _count, as_spec
+from .core import SeedSpec, _count, _real, as_spec
 
 __all__ = [
-    "KernelSpec",
     "median_heuristic",
     "gram_matrix",
     "hsic_statistic",
@@ -24,17 +21,6 @@ __all__ = [
 _MEDIAN_SUBSAMPLE = 1000
 # Rows of the sorted difference matrix that median_heuristic fills per step.
 _GAP_ROWS = 64
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Gaussian (RBF) kernel with lengthscale ``bandwidth``."""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.bandwidth) or self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 def median_heuristic(values) -> float:
@@ -79,12 +65,13 @@ def median_heuristic(values) -> float:
     return float(np.median(positive))
 
 
-def gram_matrix(values, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix k(u, v) = exp(-(u - v)^2 / (2 bandwidth^2))."""
+def gram_matrix(values, bandwidth: float) -> np.ndarray:
+    """Gaussian (RBF) Gram matrix k(u, v) = exp(-(u - v)^2 / (2 bandwidth^2))."""
+    bandwidth = _real("bandwidth", bandwidth, 0.0)
     v = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    return _gaussian(v, v, kernel.bandwidth)
+    return _gaussian(v, v, bandwidth)
 
 
 def _gaussian(u: np.ndarray, v: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -113,14 +100,14 @@ def _center(K: np.ndarray) -> np.ndarray:
 
 
 def _inputs(u, v):
-    """u, v as float vectors of one length >= 5, with their median-heuristic kernels."""
+    """u, v as float vectors of one length >= 5, with their median-heuristic bandwidths."""
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     if u.size != v.size:
         raise ValueError(f"length mismatch: {u.size} vs {v.size}")
     if u.size < 5:
         raise ValueError("HSIC needs at least 5 points")
-    return u, v, KernelSpec(median_heuristic(u)), KernelSpec(median_heuristic(v))
+    return u, v, median_heuristic(u), median_heuristic(v)
 
 
 def hsic_statistic(u, v) -> float:
@@ -129,9 +116,9 @@ def hsic_statistic(u, v) -> float:
     Kernel bandwidths are the median heuristic on each argument.
     Non-negative up to floating-point round-off.
     """
-    u, v, ku, kv = _inputs(u, v)
-    K = gram_matrix(u, ku)
-    L = gram_matrix(v, kv)
+    u, v, hu, hv = _inputs(u, v)
+    K = gram_matrix(u, hu)
+    L = gram_matrix(v, hv)
     n = u.size
     return float(np.sum(_center(K) * L)) / (n * n)
 
@@ -151,9 +138,9 @@ def hsic_pvalue(u, v, num_permutations: int = 499, seed: SeedSpec | int = 0) -> 
     one from computing every permuted statistic directly.
     """
     _count("num_permutations", num_permutations, 99)
-    u, v, ku, kv = _inputs(u, v)
+    u, v, hu, hv = _inputs(u, v)
     perms = _permutation_schedule(as_spec(seed).rng("hsic.permutation"), u.size, num_permutations)
-    return _permutation_pvalue(u, v, ku, kv, perms)
+    return _permutation_pvalue(u, v, hu, hv, perms)
 
 
 def _permutation_schedule(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -196,8 +183,9 @@ def _factor(C: np.ndarray):
     return Ft[:k].T, float(np.linalg.norm(R))
 
 
-def _permutation_pvalue(u, v, ku: KernelSpec, kv: KernelSpec, perms: np.ndarray) -> float:
-    """HSIC permutation p-value of (u, v) over a drawn schedule of v-permutations.
+def _permutation_pvalue(u, v, hu: float, hv: float, perms: np.ndarray) -> float:
+    """HSIC permutation p-value of (u, v) under Gaussian bandwidths hu and hv,
+    over a drawn schedule of v-permutations.
 
     H commutes with permutation matrices, so centering and permuting v can
     be swapped: the permuted statistic is <Kc, P Lc P^T> / n^2.  With
@@ -209,8 +197,8 @@ def _permutation_pvalue(u, v, ku: KernelSpec, kv: KernelSpec, perms: np.ndarray)
     the rest are recomputed directly.
     """
     n = u.size
-    Kc = _center(gram_matrix(u, ku))
-    Lc = _center(gram_matrix(v, kv))
+    Kc = _center(gram_matrix(u, hu))
+    Lc = _center(gram_matrix(v, hv))
     observed_sum = float(np.sum(Kc * Lc))
     observed = observed_sum / (n * n)
 

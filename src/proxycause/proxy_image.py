@@ -136,15 +136,12 @@ def save_image(img: Image, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _anchors(width: int, height: int, k: int, n: int, seed: SeedSpec | int) -> tuple:
-    """(tops, lefts) as int lists of n uniform anchors: top in [0, h-k], left in [0, w-k]."""
+def _check_patches(width: int, height: int, n: int, k: int) -> tuple:
+    """(n, k) as ints: at least 2 patches of a size from 1 to the smaller image side."""
     n, k = _count("n", n, 2), _count("k", k, 1)
     if k > min(width, height):
         raise ValueError(f"patch size {k} exceeds image dimensions {width}x{height}")
-    rng = as_spec(seed).rng("image.masks")
-    tops = rng.integers(0, height - k + 1, n)
-    lefts = rng.integers(0, width - k + 1, n)
-    return tops.tolist(), lefts.tolist()
+    return n, k
 
 
 def _patch_means(img: Image, tops, lefts, k: int) -> np.ndarray:
@@ -155,10 +152,14 @@ def _patch_means(img: Image, tops, lefts, k: int) -> np.ndarray:
 
 
 def image_pair_scatter(x: Image, y: Image, n: int = 1024, k: int = 10, seed: SeedSpec | int = 0) -> ScatterSample:
-    """Project both images through the same n random patches."""
+    """Project both images through the same n random k-by-k patches, whose
+    uniform anchors have top in [0, h-k] and left in [0, w-k]."""
     if (x.height, x.width) != (y.height, y.width):
         raise ValueError("images must have identical dimensions")
-    tops, lefts = _anchors(x.width, x.height, k, n, seed)
+    n, k = _check_patches(x.width, x.height, n, k)
+    rng = as_spec(seed).rng("image.masks")
+    tops = rng.integers(0, x.height - k + 1, n).tolist()
+    lefts = rng.integers(0, x.width - k + 1, n).tolist()
     return ScatterSample.from_ab(_patch_means(x, tops, lefts, k), _patch_means(y, tops, lefts, k))
 
 
@@ -176,13 +177,18 @@ def image_pair_direction(
     ``judge`` gets the child seed ``image.anm``.  The default config fits
     on ``IMAGE_FIT_FRACTION`` (75%) of the patches rather than 50%.
     """
-    if engine is None:
-        engine = AnmConfig(fit_fraction=IMAGE_FIT_FRACTION)
-    if not isinstance(engine, (AnmConfig, RCCModel)):
-        raise TypeError(f"engine must be AnmConfig or RCCModel, got {type(engine).__name__}")
-    spec = as_spec(seed)
+    engine, spec = _engine(engine), as_spec(seed)
     sample = image_pair_scatter(x, y, n=n, k=k, seed=spec.child("image.scatter"))
     return engine.judge(sample, spec.child("image.anm"))
+
+
+def _engine(engine):
+    """``engine``, an AnmConfig or RCCModel, or the image AnmConfig for None."""
+    if engine is None:
+        return AnmConfig(fit_fraction=IMAGE_FIT_FRACTION)
+    if not isinstance(engine, (AnmConfig, RCCModel)):
+        raise TypeError(f"engine must be AnmConfig or RCCModel, got {type(engine).__name__}")
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +246,8 @@ def frames_order(
     for fr in frames[1:]:
         if (fr.height, fr.width) != shape:
             raise ValueError("frames must share dimensions")
-    spec = as_spec(seed)
+    n, k = _check_patches(shape[1], shape[0], n, k)
+    engine, spec = _engine(engine), as_spec(seed)
     f = len(frames)
     pairs = [(i, j) for i in range(f) for j in range(i + 1, f)]
 

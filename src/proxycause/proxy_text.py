@@ -11,19 +11,17 @@ the direction engines consume.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _count, _reading, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _choice, _count, _reading, _real, as_spec
 
 __all__ = [
     "CorpusIndex",
     "EmbeddingModel",
-    "ProjectionKind",
+    "PROJECTION_KINDS",
     "VocabSample",
     "BaselineScores",
     "BASELINE_KINDS",
@@ -270,10 +268,13 @@ class VocabSample:
         return len(self.words)
 
 
+VOCAB_METHODS = ("top", "uniform")
+
+
 def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec | int = 0) -> VocabSample:
     """Proxy vocabulary: the n most frequent words (ties lexicographic),
     or a seeded uniform draw without replacement with method="uniform"."""
-    n = _count("n", n, 2)
+    n, method = _count("n", n, 2), _choice("sampling method", method, VOCAB_METHODS)
     words = sorted(index.vocabulary)
     if n > len(words):
         raise ValueError(f"requested {n} words but vocabulary has {len(words)}")
@@ -281,11 +282,8 @@ def vocab_sample(index: CorpusIndex, n: int, method: str = "top", seed: SeedSpec
         count = dict(zip(index.words, index.unigram.tolist()))
         ranked = sorted(words, key=lambda w: (-count[w], w))
         return VocabSample(tuple(ranked[:n]))
-    if method == "uniform":
-        rng = as_spec(seed).rng("vocab.uniform")
-        picks = rng.choice(len(words), size=n, replace=False)
-        return VocabSample(tuple(words[i] for i in picks))
-    raise ValueError(f"unknown sampling method {method!r}")
+    picks = as_spec(seed).rng("vocab.uniform").choice(len(words), size=n, replace=False)
+    return VocabSample(tuple(words[i] for i in picks))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +373,7 @@ def sgns_train(
     epochs = _count("epochs", epochs, 1)
     window = _count("window", window, 1)
     negatives = _count("negatives", negatives, 0)
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError("learning rate must be finite and positive")
+    _real("learning_rate", learning_rate, 0.0)
     spec = as_spec(seed)
 
     vocabulary, sentences = _read_corpus(corpus_path)
@@ -504,22 +501,21 @@ def load_embeddings(input_path, output_path) -> EmbeddingModel:
 # ---------------------------------------------------------------------------
 
 
-class ProjectionKind(Enum):
-    W2VII = "w2vii"
-    W2VIO = "w2vio"
-    W2VOI = "w2voi"
-    COUNTS = "counts"
-    PREC_COUNTS = "prec_counts"
-    PMI = "pmi"
-    PREC_PMI = "prec_pmi"
-
-
 # The two embedding tables each w2v kind multiplies: the proxies' rows, then the target's row.
 W2V_TABLES = {
     "w2vii": ("input_matrix", "input_matrix"),
     "w2vio": ("input_matrix", "output_matrix"),
     "w2voi": ("output_matrix", "input_matrix"),
 }
+PROJECTION_KINDS = (*W2V_TABLES, "counts", "prec_counts", "pmi", "prec_pmi")
+
+
+def _check_projection(kind, emb) -> str:
+    """``kind`` if it names a projection, and ``emb`` is given when the kind needs one."""
+    kind = _choice("projection kind", kind, PROJECTION_KINDS)
+    if kind in W2V_TABLES and emb is None:
+        raise ValueError(f"projection {kind} needs an embedding model")
+    return kind
 
 
 def projection_vector(
@@ -537,18 +533,16 @@ def projection_vector(
     never-co-occurring pairs give exactly 0.  A w2v kind is the inner
     product of w's and word's rows of the two tables W2V_TABLES names.
     """
-    kind = ProjectionKind(kind)
+    kind = _check_projection(kind, emb)
     target = index.require(word)
-    if kind.value in W2V_TABLES:
-        if emb is None:
-            raise ValueError(f"projection {kind.value} needs an embedding model")
-        proxy_table, target_table = (getattr(emb, name) for name in W2V_TABLES[kind.value])
+    if kind in W2V_TABLES:
+        proxy_table, target_table = (getattr(emb, name) for name in W2V_TABLES[kind])
         *proxy_rows, target_row = _lookup(emb.word_rows, (*vocab.words, word), "the embedding vocabulary")
         return proxy_table[proxy_rows] @ target_table[target_row]
     proxies = np.array(index.ids(vocab.words))
-    row = index.cooc_row(word) if kind in (ProjectionKind.COUNTS, ProjectionKind.PMI) else index.prec_row(word)
+    row = index.cooc_row(word) if kind in ("counts", "pmi") else index.prec_row(word)
     joint = row[proxies] / index.sentence_count
-    if kind in (ProjectionKind.COUNTS, ProjectionKind.PREC_COUNTS):
+    if kind in ("counts", "prec_counts"):
         return joint
     marginal = index.unigram / index.sentence_count
     return joint / (marginal[proxies] * marginal[target])
@@ -566,12 +560,11 @@ def word_pair_scatter(
 
     A constant vector has no direction to read, so it raises a ValueError
     that names its word and the kind."""
-    kind = ProjectionKind(kind)
     a = projection_vector(kind, x_word, vocab, index, emb)
     b = projection_vector(kind, y_word, vocab, index, emb)
     for word, v in ((x_word, a), (y_word, b)):
         if v.min() == v.max():
-            raise ValueError(f"constant projection of {word!r} ({kind.value})")
+            raise ValueError(f"constant projection of {word!r} ({kind})")
     return ScatterSample.from_ab(a, b)
 
 
@@ -581,9 +574,9 @@ def word_pair_scatter(
 
 # Each count baseline: the count projection it scores, and how (entropy or Weeds precision).
 _PROJECTION_BASELINES = {
-    f"{kind.value}_{score}": (kind, score)
-    for kind in ProjectionKind
-    if kind.value not in W2V_TABLES
+    f"{kind}_{score}": (kind, score)
+    for kind in PROJECTION_KINDS
+    if kind not in W2V_TABLES
     for score in ("entropy", "ws")
 }
 BASELINE_KINDS = ("frequency", "precedence", *_PROJECTION_BASELINES)
@@ -634,8 +627,7 @@ def baseline_scores(
 
     A kind ``<projection>_entropy`` or ``<projection>_ws`` scores that
     count projection."""
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline {kind!r}")
+    _choice("baseline", kind, BASELINE_KINDS)
     x_id, y_id = index.ids((x_word, y_word))
     if kind == "frequency":
         return BaselineScores(float(index.unigram[x_id]), float(index.unigram[y_id]))

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _count, _reading, _standardize, as_spec,
+    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _count, _reading, _real, _standardize, as_spec,
 )
 from .independence import median_heuristic
 
@@ -62,11 +62,7 @@ class RFFSpec:
         # Plain Python numbers from here on, as save_model writes them to JSON.
         object.__setattr__(self, "seed", SeedSpec(self.seed).master_seed)
         object.__setattr__(self, "num_features", _count("num_features", self.num_features, 1))
-        bandwidth = self.bandwidth
-        real = isinstance(bandwidth, (int, float, np.integer, np.floating)) and not isinstance(bandwidth, bool)
-        if not (real and 0 < bandwidth < np.inf):
-            raise ValueError(f"bandwidth must be a finite positive number, got {bandwidth!r}")
-        object.__setattr__(self, "bandwidth", float(bandwidth))
+        object.__setattr__(self, "bandwidth", _real("bandwidth", self.bandwidth, 0.0))
 
     @cached_property
     def blocks(self):
@@ -445,6 +441,7 @@ def rcc_train(
     the flipped label; the embedding bandwidth is the median heuristic over
     the pooled standardized coordinates of the training samples.
     """
+    num_features, num_trees = _count("num_features", num_features, 1), _count("num_trees", num_trees, 1)
     spec = as_spec(seed)
     labels = {label for _, label in data}
     if labels != {-1, 1}:

@@ -70,11 +70,11 @@ def test_kernel_ridge_fit_and_predict_equal_expression_formulas():
             y = np.sin(2 * x) + 0.1 * rng.normal(size=n)
             for lam in (1e-8, 1e-3, 0.7):
                 reg = kernel_ridge_fit(x, y, AnmConfig(ridge_lambda=lam))
-                K = gram_matrix(x, reg.kernel)
+                K = gram_matrix(x, reg.bandwidth)
                 assert np.array_equal(reg.alpha, np.linalg.solve(K + lam * np.eye(n), y))
                 t = rng.normal(size=n + 5)
                 d = t[:, None] - x[None, :]
-                want = np.exp(-(d * d) / (2.0 * reg.kernel.bandwidth**2)) @ reg.alpha
+                want = np.exp(-(d * d) / (2.0 * reg.bandwidth**2)) @ reg.alpha
                 assert np.array_equal(reg.predict(t), want)
 
 

@@ -1,26 +1,48 @@
-"""Argument checks: the one count rule, the one seed rule, and the checks
-of the public constructors."""
+"""Argument checks: the one count rule, the one seed rule, the one real
+rule, the one name rule, the checks of the public constructors, and that
+each entry point checks its arguments before any work."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from proxycause import cli, experiments, proxy_image, rcc
 from proxycause.anm import AnmConfig, Regressor, kernel_ridge_fit, residuals
-from proxycause.core import SeedSpec, parallel_map
+from proxycause.core import Direction, LabeledScatterDataset, SeedSpec, Verdict, parallel_map
 from proxycause.experiments import (
+    ANM_MECHANISMS,
+    ANM_NOISES,
+    NONLINEARITIES,
     LocalMechanism,
+    WordPairRecord,
     _check_splits,
     binomial_significance,
+    bundled_data_path,
+    evaluate_distribution_method,
+    evaluate_feature_method,
+    filter_consensus,
     random_mechanism,
     synth_anm_pair,
     synth_base_image,
     synth_diffusion_frames,
     synth_stylized_pair,
 )
-from proxycause.independence import KernelSpec, hsic_pvalue
-from proxycause.proxy_image import Image, image_pair_scatter
-from proxycause.proxy_text import EmbeddingModel, VocabSample, build_index, sgns_train, vocab_sample
+from proxycause.independence import gram_matrix, hsic_pvalue
+from proxycause.proxy_image import Image, frames_order, image_pair_scatter
+from proxycause.proxy_text import (
+    BASELINE_KINDS,
+    PROJECTION_KINDS,
+    VOCAB_METHODS,
+    EmbeddingModel,
+    VocabSample,
+    baseline_scores,
+    build_index,
+    projection_vector,
+    sgns_train,
+    vocab_sample,
+)
 from proxycause.rcc import Forest, RCCModel, RFFSpec, forest_train
 
 
@@ -65,6 +87,11 @@ COUNTS = {
     "Forest-num_features": ("num_features", 1, lambda v, _: Forest(num_trees=1, trees=(LEAF,), num_features=v)),
     "forest_train-num_trees": ("num_trees", 1, lambda v, _: forest_train(X, Y, num_trees=v)),
     "forest_train-min_leaf": ("min_leaf", 1, lambda v, _: forest_train(X, Y, num_trees=1, min_leaf=v)),
+    "WordPairRecord-votes_xy": ("votes_xy", 0, lambda v, _: WordPairRecord("a", "b", v, 1, 0)),
+    "WordPairRecord-votes_yx": ("votes_yx", 0, lambda v, _: WordPairRecord("a", "b", 1, v, 0)),
+    "WordPairRecord-votes_none": ("votes_none", 0, lambda v, _: WordPairRecord("a", "b", 1, 0, v)),
+    "filter_consensus-min_votes": ("min_votes", 0, lambda v, _: filter_consensus([], v)),
+    "filter_consensus-total": ("total", 1, lambda v, _: filter_consensus([], 0, v)),
 }
 
 
@@ -86,6 +113,153 @@ def test_a_seed_is_a_whole_number_and_never_truncated(seed):
             make(seed)
 
 
+# (argument name, its interval as the message writes it, a value outside
+# it, a value inside it, the call that passes it the value v).
+REALS = {
+    "Direction": ("score", "[0, inf]", -0.5, 0.0, lambda v, _: Direction(Verdict.X_TO_Y, v)),
+    "RFFSpec": ("bandwidth", "(0, inf)", 0.0, 0.5, lambda v, _: RFFSpec(seed=0, bandwidth=v)),
+    "gram_matrix": ("bandwidth", "(0, inf)", -1.0, 0.5, lambda v, _: gram_matrix(U, v)),
+    "Regressor": ("bandwidth", "(0, inf)", 0.0, 0.5, lambda v, _: Regressor(U, U, v)),
+    "AnmConfig-ridge_lambda": ("ridge_lambda", "(0, inf)", 0.0, 1e-3, lambda v, _: AnmConfig(ridge_lambda=v)),
+    "AnmConfig-fit_fraction": ("fit_fraction", "(0, 1)", 1.0, 0.5, lambda v, _: AnmConfig(fit_fraction=v)),
+    "LocalMechanism": ("noise_scale", "[0, inf]", -0.1, 0.0,
+                       lambda v, _: LocalMechanism(1, np.ones((1, 1)), True, "identity", v)),
+    "random_mechanism": ("noise_scale", "[0, inf]", -0.1, 0.0, lambda v, _: random_mechanism(k=2, noise_scale=v)),
+    "split": ("split", "(0, 1)", 1.0, 0.5, lambda v, _: _check_splits(v, 1)),
+    "binomial_significance-accuracy": ("accuracy", "[0, 1]", 1.5, 1.0, lambda v, _: binomial_significance(v, 10)),
+    "binomial_significance-p0": ("p0", "(0, 1)", 1.0, 0.25, lambda v, _: binomial_significance(0.5, 10, v)),
+    "sgns_train": ("learning_rate", "(0, inf)", 0.0, 0.01,
+                   lambda v, corpus: sgns_train(corpus, d=2, epochs=1, learning_rate=v)),
+}
+
+
+@pytest.mark.parametrize("site", REALS)
+def test_every_real_takes_the_one_real_rule(site, corpus):
+    """A bool, a string, nan, inf, an int too large for a float and a value
+    outside the interval each raise the one message naming the argument; a
+    numpy float inside passes."""
+    name, interval, outside, inside, call = REALS[site]
+    for bad in (True, "0.5", math.nan, math.inf, 10**400, outside):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number in {interval}, got {bad!r}")):
+            call(bad, corpus)
+    call(np.float64(inside), corpus)
+
+
+# (the noun of the error, the names it takes, the call that passes it the name v).
+CHOICES = {
+    "synth_anm_pair-mechanism": ("mechanism", ANM_MECHANISMS, lambda v, _: synth_anm_pair(30, mechanism=v)),
+    "synth_anm_pair-noise": ("noise", ANM_NOISES, lambda v, _: synth_anm_pair(30, noise=v)),
+    "LocalMechanism": ("nonlinearity", NONLINEARITIES, lambda v, _: LocalMechanism(1, np.ones((1, 1)), True, v, 0.0)),
+    "random_mechanism": ("nonlinearity", NONLINEARITIES, lambda v, _: random_mechanism(k=2, g=v)),
+    "vocab_sample": ("sampling method", VOCAB_METHODS, lambda v, corpus: vocab_sample(build_index(corpus), 2, v)),
+    "projection_vector": ("projection kind", PROJECTION_KINDS,
+                          lambda v, corpus: projection_vector(v, "a", VocabSample(("a", "b")), build_index(corpus))),
+    "baseline_scores": ("baseline", BASELINE_KINDS,
+                        lambda v, corpus: baseline_scores(v, "a", "b", build_index(corpus), VocabSample(("c", "d")))),
+}
+
+
+@pytest.mark.parametrize("site", CHOICES)
+def test_every_name_takes_the_one_name_rule(site, corpus):
+    """An unknown name and None each raise the one message naming the
+    argument and its choices; the last choice passes."""
+    what, allowed, call = CHOICES[site]
+    want = f"(want one of {', '.join(allowed)})"
+    with pytest.raises(ValueError, match=re.escape(f"unknown {what} 'bad' {want}")):
+        call("bad", corpus)
+    with pytest.raises(ValueError, match=re.escape(f"{what} is required {want}")):
+        call(None, corpus)
+    call(allowed[-1], corpus)
+
+
+# A command line that gives each named option the name 'bad', with the noun
+# and the names of its error; the files it names cannot be read or written,
+# so the error shows the name was checked before any of them.
+NAMED_ARGV = {
+    "action": (["model", "bad", "--model", "/does/not/exist.json"], *cli._NAMED["action"]),
+    "curve-kind": (["nlp-eval", "--pairs", "/does/not/exist.csv", "--curve-kind", "bad"], *cli._NAMED["curve-kind"]),
+    "engine": (["image-pair", "--x", "/does/not/exist.pgm", "--y", "/does/not/exist.pgm", "--engine", "bad"],
+               *cli._NAMED["engine"]),
+    "kind": (["word-pair", "--x", "a", "--y", "b", "--index", "/does/not/exist.json", "--kind", "bad"],
+             *cli._NAMED["kind"]),
+    "vocab-method": (["baselines", "--pairs", "/does/not/exist.csv", "--vocab-method", "bad"],
+                     *cli._NAMED["vocab-method"]),
+    "what": (["synth", "--what", "bad"], *cli._NAMED["what"]),
+    "mechanism": (["synth", "--what", "scatter", "--mechanism", "bad", "--out", "/does/not/exist/s.jsonl"],
+                  "mechanism", ANM_MECHANISMS),
+    "noise": (["synth", "--what", "scatter", "--noise", "bad", "--out", "/does/not/exist/s.jsonl"],
+              "noise", ANM_NOISES),
+    "g": (["synth", "--what", "stylized", "--out-x", "/does/not/exist/x.pgm", "--out-y", "/does/not/exist/y.pgm",
+           "--g", "bad"], "nonlinearity", NONLINEARITIES),
+}
+
+
+@pytest.mark.parametrize("option", NAMED_ARGV)
+def test_every_named_option_takes_the_one_name_rule(capsys, option):
+    assert set(cli._NAMED) < set(NAMED_ARGV)
+    argv, what, allowed = NAMED_ARGV[option]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.endswith(f"error: unknown {what} 'bad' (want one of {', '.join(allowed)})\n")
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_trees": 0}, "num_trees must be an integer of at least 1, got 0"),
+    ({"num_features": 0}, "num_features must be an integer of at least 1, got 0"),
+], ids=["num_trees", "num_features"])
+def test_rcc_train_checks_its_counts_before_any_work(monkeypatch, kwargs, message):
+    monkeypatch.setattr(rcc, "_canonical_standardized", _must_not_run)
+    data = LabeledScatterDataset(tuple(synth_anm_pair(30, seed=s) for s in range(6)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rcc.rcc_train(data, **kwargs)
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_distribution_method, evaluate_feature_method])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "bad"}, "unknown projection kind 'bad'"),
+    ({"kind": "w2vii"}, "projection w2vii needs an embedding model"),
+    ({"split": 1.0}, "split must be a finite number in (0, 1), got 1.0"),
+    ({"repeats": 0}, "repeats must be an integer of at least 1, got 0"),
+], ids=["kind", "embedding", "split", "repeats"])
+def test_evaluations_check_their_arguments_before_projecting_any_pair(monkeypatch, evaluate, kwargs, message):
+    monkeypatch.setattr(experiments, "_project_pairs", _must_not_run)
+    index = build_index(bundled_data_path("mini_corpus.txt"))
+    pairs = filter_consensus(experiments.load_word_pairs(bundled_data_path("word_pairs.csv")), 14)
+    args = {"kind": "counts", "vocab": vocab_sample(index, 20), "index": index, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(pairs, **args)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 1}, "n must be an integer of at least 2, got 1"),
+    ({"k": 0}, "k must be an integer of at least 1, got 0"),
+    ({"k": 7}, "patch size 7 exceeds image dimensions 6x6"),
+], ids=["n", "k", "patch size"])
+def test_frames_order_checks_before_judging_any_pair(monkeypatch, kwargs, message):
+    monkeypatch.setattr(proxy_image, "parallel_map", _must_not_run)
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        frames_order([IMG, IMG, IMG], **{"k": 3, "jobs": 2, **kwargs})
+    assert "frames 0 and 1" not in str(info.value)
+    with pytest.raises(TypeError, match="engine must be AnmConfig or RCCModel"):
+        frames_order([IMG, IMG, IMG], k=3, engine="anm", jobs=2)
+
+
+def test_word_pair_checks_the_engine_before_training_embeddings(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_index", _must_not_run)
+    monkeypatch.setattr(cli, "sgns_train", _must_not_run)
+    code = cli.main(["word-pair", "--corpus", bundled_data_path("mini_corpus.txt"), "--x", "rain", "--y", "flooding",
+                     "--engine", "foo"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: unknown engine 'foo' (want one of anm, model)"
+    assert "training embeddings" not in err
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Image(np.zeros((0, 4))), "image must have at least one pixel"),
     (lambda: VocabSample(("a", "b", "a")), "vocabulary sample has duplicate words"),
@@ -94,7 +268,7 @@ def test_a_seed_is_a_whole_number_and_never_truncated(seed):
      "embedding tables must cover the same vocabulary"),
     (lambda: RCCModel(RFFSpec(seed=0, num_features=2), Forest(num_trees=1, trees=(LEAF,), num_features=5)),
      "forest width must be 3x the embedding block size"),
-    (lambda: Regressor(np.zeros(4), np.zeros(3), KernelSpec(1.0)), "coefficient count must equal training-input count"),
+    (lambda: Regressor(np.zeros(4), np.zeros(3), 1.0), "coefficient count must equal training-input count"),
     (lambda: kernel_ridge_fit(np.arange(12.0), np.arange(11.0)), "length mismatch: 12 vs 11"),
     (lambda: residuals(kernel_ridge_fit(U, U), U, U[:9]), "length mismatch: 10 vs 9"),
     (lambda: synth_stylized_pair(Image(np.zeros((4, 4, 3))), random_mechanism(k=2)),

@@ -547,7 +547,7 @@ def test_nlp_eval_needs_at_least_one_repeat(capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--repeats", "0", "repeats must be an integer of at least 1, got 0"),
-    ("--split", "1.5", "split must be in (0, 1)"),
+    ("--split", "1.5", "split must be a finite number in (0, 1), got 1.5"),
 ], ids=["repeats", "split"])
 def test_nlp_eval_checks_repeats_and_split_before_any_work(capsys, flag, value, message):
     """With the default kinds, the run would train embeddings before the
@@ -579,14 +579,14 @@ def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, line", [
     (["word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--corpus", "{corpus}", "--engine", "forest"],
-     "unknown engine 'forest' (want anm or model)"),
+     "unknown engine 'forest' (want one of anm, model)"),
     (["word-pair", "--x", "rain", "--y", "wet"], "need --corpus or --index"),
     (["word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--index", "{index}"],
      "embedding projections need --emb-input/--emb-output or --corpus"),
     (["baselines", "--pairs", "{pairs}", "--corpus", "{corpus}", "--min-votes", "20"],
      "no pairs pass the consensus filter"),
     (["frames-order", "--dir", "{dir}"], "found 0 frames matching 'frame_*.pgm' in {dir}"),
-    (["synth", "--what", "sound"], "unknown synth target 'sound'"),
+    (["synth", "--what", "sound"], "unknown synth target 'sound' (want one of scatter, stylized, frames)"),
 ], ids=["engine", "no corpus", "no embeddings", "no pairs", "no frames", "synth target"])
 def test_each_data_error_exits_one_with_its_line(tmp_path, capsys, corpus_file, argv, line):
     index, pairs = tmp_path / "index.json", tmp_path / "pairs.csv"

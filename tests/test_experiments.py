@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 import zlib
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,7 @@ from proxycause.experiments import (
     EvalReport,
     LocalMechanism,
     WordPairRecord,
+    _check_splits,
     _repeated_splits,
     binomial_significance,
     bundled_data_path,
@@ -41,7 +43,7 @@ def test_word_pair_record_validation():
     r = WordPairRecord("rain", "wet", 12, 6, 2)
     assert r.total_votes == 20
     assert r.consensus == pytest.approx(0.6)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="votes_xy must be an integer of at least 0, got -1"):
         WordPairRecord("a", "b", -1, 2, 0)
     with pytest.raises(ValueError, match="sum to zero"):
         WordPairRecord("a", "b", 0, 0, 0)
@@ -213,7 +215,7 @@ def test_local_mechanism_validation():
         LocalMechanism(k=2, beta=eye, row_constant=True, g="identity", noise_scale=0.0)
     with pytest.raises(ValueError, match="unknown nonlinearity"):
         LocalMechanism(k=2, beta=eye, row_constant=False, g="relu", noise_scale=0.0)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match=re.escape("noise_scale must be a finite number in [0, inf], got -0.1")):
         LocalMechanism(k=2, beta=eye, row_constant=False, g="identity", noise_scale=-0.1)
     mech = LocalMechanism(k=2, beta=eye, row_constant=False, g="identity", noise_scale=0.0)
     with pytest.raises(ValueError):
@@ -302,7 +304,9 @@ def _oracle_predictor(samples, labels):
 
 def evaluate_scatters(samples, labels, predictor, names=None, split=0.75, repeats=10, seed=0):
     """The repeated-split harness on labelled scatters, with a judge that
-    trains nothing and calls ``predictor`` on each test scatter."""
+    trains nothing and calls ``predictor`` on each test scatter; it checks
+    split and repeats first, as every evaluation does."""
+    _check_splits(split, repeats)
     if names is None:
         names = [str(i) for i in range(len(samples))]
 

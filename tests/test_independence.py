@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from proxycause.core import SeedSpec
 from proxycause.independence import (
     _SLACK,
-    KernelSpec,
     _center,
     _factor,
     _permutation_pvalue,
@@ -59,11 +58,11 @@ def test_hsic_statistic_brute_force_across_sizes():
         assert abs(got - want) < 1e-10
 
 
-def test_kernel_spec_validation():
-    KernelSpec(0.5)
+def test_gram_matrix_bandwidth_validation():
+    gram_matrix([0.0, 1.0], 0.5)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            KernelSpec(bad)
+            gram_matrix([0.0, 1.0], bad)
 
 
 def test_median_heuristic_hand_case():
@@ -153,12 +152,12 @@ def test_median_heuristic_equals_full_matrix_formula(n):
 
 
 def test_gram_matrix_values():
-    g = gram_matrix([0.0, 2.0], KernelSpec(1.0))
+    g = gram_matrix([0.0, 2.0], 1.0)
     assert g[0, 0] == 1.0
     assert abs(g[0, 1] - np.exp(-2.0)) < 1e-15
     assert g[0, 1] == g[1, 0]
     with pytest.raises(ValueError):
-        gram_matrix([0.0, np.inf], KernelSpec(1.0))
+        gram_matrix([0.0, np.inf], 1.0)
 
 
 def kernel_inputs():
@@ -174,12 +173,12 @@ def test_gram_matrix_equals_expression_formula():
     for v, bandwidth in kernel_inputs():
         d = v[:, None] - v[None, :]
         want = np.exp(-(d * d) / (2.0 * bandwidth**2))
-        assert np.array_equal(gram_matrix(v, KernelSpec(bandwidth)), want)
+        assert np.array_equal(gram_matrix(v, bandwidth), want)
 
 
 def test_center_in_place_equals_expression_formula():
     for v, bandwidth in kernel_inputs():
-        K = gram_matrix(v, KernelSpec(bandwidth))
+        K = gram_matrix(v, bandwidth)
         want = K - K.mean(axis=0, keepdims=True) - K.mean(axis=1, keepdims=True) + K.mean()
         got = _center(K)
         assert got is K
@@ -190,7 +189,7 @@ def test_factor_residual_equals_expression_formula():
     for v, bandwidth in kernel_inputs():
         if v.size < 5:
             continue
-        C = _center(gram_matrix(v, KernelSpec(bandwidth)))
+        C = _center(gram_matrix(v, bandwidth))
         before = C.copy()
         F, residual = _factor(C)
         assert np.array_equal(C, before)
@@ -277,8 +276,8 @@ def direct_loop_exceed(u, v, ku, kv, perms):
 
 
 def assert_same_count_as_direct_loop(u, v, perms):
-    ku = KernelSpec(median_heuristic(u))
-    kv = KernelSpec(median_heuristic(v))
+    ku = median_heuristic(u)
+    kv = median_heuristic(v)
     exceed = direct_loop_exceed(u, v, ku, kv, perms)
     assert _permutation_pvalue(u, v, ku, kv, perms) == (1 + exceed) / (1 + len(perms))
     return exceed
@@ -329,7 +328,7 @@ def test_permutation_pvalue_counts_exact_ties(n):
         ties.append(p)
     ties += [np.arange(n)] * 5
     perms = np.concatenate([_permutation_schedule(rng, n, 150), ties, _permutation_schedule(rng, n, 124)])
-    assert np.linalg.matrix_rank(_center(gram_matrix(v, KernelSpec(median_heuristic(v))))) <= 2
+    assert np.linalg.matrix_rank(_center(gram_matrix(v, median_heuristic(v)))) <= 2
     exceed = assert_same_count_as_direct_loop(u, v, perms)
     assert exceed >= len(ties)
 
@@ -376,8 +375,8 @@ def test_permutation_pvalue_equals_eigh_oracle(n, count, strength):
         v = np.digitize(u + rng.normal(size=n), [-0.5, 0.5]).astype(float)
     else:
         v = strength * np.sin(2 * u) + rng.normal(size=n)
-    ku = KernelSpec(median_heuristic(u))
-    kv = KernelSpec(median_heuristic(v))
+    ku = median_heuristic(u)
+    kv = median_heuristic(v)
     perms = _permutation_schedule(rng, n, count)
     assert _permutation_pvalue(u, v, ku, kv, perms) == eigh_permutation_pvalue(u, v, ku, kv, perms)
 
@@ -399,8 +398,8 @@ def test_factored_statistic_lies_within_the_band(data):
     n = data.draw(st.integers(5, 60))
     u = np.array(data.draw(samples(n)))
     v = np.array(data.draw(samples(n)))
-    ku = KernelSpec(data.draw(st.floats(0.05, 5.0)))
-    kv = KernelSpec(data.draw(st.floats(0.05, 5.0)))
+    ku = data.draw(st.floats(0.05, 5.0))
+    kv = data.draw(st.floats(0.05, 5.0))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     perms = _permutation_schedule(rng, n, 20)
     Kc = _center(gram_matrix(u, ku))
@@ -421,9 +420,9 @@ def test_constant_v_under_its_kernel_gives_p_one():
     rng = np.random.default_rng(4)
     u = rng.normal(size=60)
     v = np.full(60, 2.5)
-    Lc = _center(gram_matrix(v, KernelSpec(1.0)))
+    Lc = _center(gram_matrix(v, 1.0))
     assert not Lc.any()
     F, residual = _factor(Lc)
     assert F.shape == (60, 0) and residual == 0.0
     perms = _permutation_schedule(rng, 60, 99)
-    assert _permutation_pvalue(u, v, KernelSpec(1.0), KernelSpec(1.0), perms) == 1.0
+    assert _permutation_pvalue(u, v, 1.0, 1.0, perms) == 1.0

@@ -17,7 +17,7 @@ from proxycause.proxy_text import (
     BASELINE_KINDS,
     BaselineScores,
     EmbeddingModel,
-    ProjectionKind,
+    PROJECTION_KINDS,
     VocabSample,
     W2V_TABLES,
     baseline_scores,
@@ -108,12 +108,11 @@ class OracleIndex:
 def oracle_projection_value(kind, w, x, index):
     """Scalar count projection of target x through proxy w, one dict lookup
     at a time."""
-    kind = ProjectionKind(kind)
-    if kind is ProjectionKind.COUNTS:
+    if kind == "counts":
         return index.cooc(w, x) / index.sentence_count
-    if kind is ProjectionKind.PREC_COUNTS:
+    if kind == "prec_counts":
         return index.prec_cooc(w, x) / index.sentence_count
-    joint = index.cooc(w, x) if kind is ProjectionKind.PMI else index.prec_cooc(w, x)
+    joint = index.cooc(w, x) if kind == "pmi" else index.prec_cooc(w, x)
     marginal_w = index.unigram_count(w) / index.sentence_count
     marginal_x = index.unigram_count(x) / index.sentence_count
     return (joint / index.sentence_count) / (marginal_w * marginal_x)
@@ -554,7 +553,7 @@ def test_a_missing_word_is_named_with_the_vocabulary_that_lacks_it():
 
 
 def test_the_kind_table_leaves_the_count_kinds_to_the_baselines():
-    assert [kind.value for kind in ProjectionKind if kind.value in W2V_TABLES] == ["w2vii", "w2vio", "w2voi"]
+    assert [kind for kind in PROJECTION_KINDS if kind in W2V_TABLES] == ["w2vii", "w2vio", "w2voi"]
     assert BASELINE_KINDS == (
         "frequency", "precedence",
         "counts_entropy", "counts_ws", "prec_counts_entropy", "prec_counts_ws",
@@ -619,7 +618,7 @@ def test_word_pair_scatter_names_a_constant_projection():
     with pytest.raises(ValueError, match=r"constant projection of 'flooding' \(prec_counts\)"):
         word_pair_scatter("flooding", "rain", "prec_counts", vocab, index)
     with pytest.raises(ValueError, match=r"constant projection of 'smoke' \(prec_pmi\)"):
-        word_pair_scatter("fire", "smoke", ProjectionKind.PREC_PMI, vocab, index)
+        word_pair_scatter("fire", "smoke", "prec_pmi", vocab, index)
     # random embedding tables but for a zero input row of 'erosion'
     rng = np.random.default_rng(0)
     vi = rng.standard_normal((len(index.words), 8))
@@ -633,26 +632,20 @@ def test_word_pair_scatter_names_a_constant_projection():
     assert word_pair_scatter("erosion", "overgrazing", "w2vio", top, index, emb).n == 50
 
 
-def test_projection_kind_coercion():
-    assert ProjectionKind("w2vii") is ProjectionKind.W2VII
-    vec_kinds = {k.value for k in ProjectionKind}
-    assert vec_kinds == {"w2vii", "w2vio", "w2voi", "counts", "prec_counts", "pmi", "prec_pmi"}
+def test_projection_kinds_are_one_tuple():
+    assert PROJECTION_KINDS == ("w2vii", "w2vio", "w2voi", "counts", "prec_counts", "pmi", "prec_pmi")
 
 
-def test_kinds_are_taken_as_a_member_or_its_value(tiny_index):
-    """projection_vector takes a ProjectionKind or its value; each
-    projection baseline scores the projection its name starts with.  Only
-    the command line reads '-' as '_'."""
+def test_each_projection_baseline_scores_the_projection_it_names(tiny_index):
+    """Each projection baseline scores the projection its name starts
+    with.  Only the command line reads '-' as '_'."""
     vocab = vocab_sample(tiny_index, 4)
     for kind in COUNT_KINDS:
-        member = ProjectionKind(kind)
-        px = projection_vector(member, "rain", vocab, tiny_index)
+        px = projection_vector(kind, "rain", vocab, tiny_index)
         py = projection_vector(kind, "wet", vocab, tiny_index)
-        assert np.array_equal(px, projection_vector(kind, "rain", vocab, tiny_index))
-        assert np.array_equal(py, projection_vector(member, "wet", vocab, tiny_index))
         entropy = baseline_scores(f"{kind}_entropy", "rain", "wet", tiny_index, vocab)
         assert (entropy.s_xy, entropy.s_yx) == (shannon_entropy(px), shannon_entropy(py))
-        ws = baseline_scores(f"{member.value}_ws", "rain", "wet", tiny_index, vocab)
+        ws = baseline_scores(f"{kind}_ws", "rain", "wet", tiny_index, vocab)
         want = (weeds_precision(px, py), weeds_precision(py, px)) if px.any() and py.any() else (0.0, 0.0)
         assert (ws.s_xy, ws.s_yx) == want
     with pytest.raises(ValueError, match="prec-counts"):
@@ -888,10 +881,10 @@ def test_sgns_validation(tmp_path):
         ({"epochs": 0}, "epochs"),
         ({"epochs": -1}, "epochs"),
         ({"negatives": -1}, "negatives"),
-        ({"learning_rate": 0.0}, "learning rate"),
-        ({"learning_rate": -0.025}, "learning rate"),
-        ({"learning_rate": float("nan")}, "learning rate"),
-        ({"learning_rate": float("inf")}, "learning rate"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+        ({"learning_rate": -0.025}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
         ({"window": 2.5}, "window must be an integer of at least 1, got 2.5"),
         ({"epochs": 1.0}, "epochs must be an integer of at least 1, got 1.0"),
         ({"negatives": True}, "negatives must be an integer of at least 0, got True"),
