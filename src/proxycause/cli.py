@@ -171,7 +171,12 @@ def cmd_embed_train(o):
 
 
 def _corpus_artifacts(o, kinds):
-    """(index, vocab, emb) resolved from flags; emb only when needed, trained as embed-train trains it."""
+    """(index, vocab, emb) from flags, their counts checked first; emb only when needed, trained as embed-train does."""
+    w2v = any(k in W2V_TABLES for k in kinds)
+    _count("--n-vocab", o.n_vocab, 2)
+    if w2v and o.emb_input is None and o.corpus is not None:
+        _count("--d", o.d, 2)
+        _count("--epochs", o.epochs, 1)
     if o.index is not None:
         index = load_index(o.index)
     elif o.corpus is not None:
@@ -183,7 +188,7 @@ def _corpus_artifacts(o, kinds):
         _log(f"vocabulary has {n_vocab} words; clamping sample from {o.n_vocab}")
     vocab = vocab_sample(index, n_vocab, method=o.vocab_method, seed=SeedSpec(o.seed).child("cli.vocab"))
 
-    if not any(k in W2V_TABLES for k in kinds):
+    if not w2v:
         return index, vocab, None
     if o.emb_input is not None:
         return index, vocab, load_embeddings(o.emb_input, o.emb_output)
@@ -203,19 +208,14 @@ def cmd_word_pair(o):
     return result
 
 
-def _filtered_pairs(o):
-    pairs = xp.filter_consensus(xp.load_word_pairs(o.pairs), o.min_votes, o.total)
-    if not pairs:
-        raise ValueError("no pairs pass the consensus filter")
-    return pairs
-
-
 def cmd_nlp_eval(o):
     kinds = list(PROJECTION_KINDS) if o.kinds == "all" else _names(o.kinds, PROJECTION_KINDS, "projection kind")
     methods = _names(o.methods, METHODS, "method")
-    xp._check_splits(o.split, o.repeats)
+    xp._check_evaluation(o.split, o.repeats, o.trees, o.m)
 
-    pairs = _filtered_pairs(o)
+    pairs = xp.filter_consensus(xp.load_word_pairs(o.pairs), o.min_votes, o.total)
+    if not pairs:
+        raise ValueError("no pairs pass the consensus filter")
     result = {
         "filtered_pairs": len(pairs),
         "min_votes": o.min_votes,
@@ -254,9 +254,7 @@ def cmd_nlp_eval(o):
     reports = dict(zip(tasks, parallel_map(run, tasks, o.jobs)))
     for (method, kind), out in reports.items():
         if method == "baselines":
-            block = {key: value for key, value in out.items() if key != "pairs"}
-            block["count"] = len(out["pairs"])
-            result.setdefault("baselines", {})[kind] = block
+            result.setdefault("baselines", {})[kind] = out
         elif method in methods and kind in kinds:
             result.setdefault(method, {})[kind] = _report_doc(out)
     if "curve" in methods:
@@ -278,39 +276,18 @@ def _curve_doc(report, pairs) -> list:
 
 
 def _score_baseline(bkind, pairs, index, vocab) -> dict:
-    """Accuracy, tie count and per-pair scores of one count baseline over the
-    pairs it can score; the others are listed under `excluded`, when any."""
-    scored, labels, names, excluded = xp._project_pairs(
-        pairs, lambda record: baseline_scores(bkind, record.x, record.y, index, vocab)
+    """Accuracy, tie count and count of the pairs one count baseline can
+    score; the others are listed under `excluded`, when any."""
+    directions, labels, _, excluded = xp._project_pairs(
+        pairs, lambda record: baseline_scores(bkind, record.x, record.y, index, vocab).direction()
     )
-    if not scored:
+    if not directions:
         raise ValueError(f"baseline {bkind}: no pair could be scored ({excluded[0][1]})")
-    per_pair = []
-    correct = 0
-    ties = 0
-    for scores, label, name in zip(scored, labels, names):
-        direction = scores.direction()
-        ok = (1 if direction.verdict is Verdict.X_TO_Y else -1) == label
-        correct += ok
-        ties += direction.tie
-        per_pair.append({
-            "pair": name,
-            "s_xy": scores.s_xy,
-            "s_yx": scores.s_yx,
-            "correct": bool(ok),
-        })
-    block = {"accuracy": correct / len(scored), "ties": ties, "pairs": per_pair}
+    correct = sum((1 if d.verdict is Verdict.X_TO_Y else -1) == label for d, label in zip(directions, labels))
+    block = {"accuracy": correct / len(directions), "ties": sum(d.tie for d in directions), "count": len(directions)}
     if excluded:
         block["excluded"] = [list(e) for e in excluded]
     return block
-
-
-def cmd_baselines(o):
-    kinds = list(BASELINE_KINDS) if o.kinds == "all" else _names(o.kinds, BASELINE_KINDS, "baseline")
-    pairs = _filtered_pairs(o)
-    index, vocab, _ = _corpus_artifacts(o, [])
-    blocks = parallel_map(lambda bkind: _score_baseline(bkind, pairs, index, vocab), kinds, o.jobs)
-    return {"filtered_pairs": len(pairs), "baselines": dict(zip(kinds, blocks))}
 
 
 def cmd_image_pair(o):
@@ -499,10 +476,6 @@ _COMMANDS = {
         cmd_nlp_eval, "full evaluation on annotated word pairs",
         "pairs! corpus index min-votes total kinds methods curve-kind n-vocab vocab-method "
         "emb-input emb-output d epochs trees m split repeats",
-    ),
-    "baselines": (
-        cmd_baselines, "score the count-based baselines on word pairs",
-        "pairs! corpus index min-votes total kinds n-vocab vocab-method",
     ),
     "image-pair": (cmd_image_pair, "causal direction between two images", "x! y! n k engine model permutations"),
     "frames-order": (

@@ -423,14 +423,17 @@ class EvalReport:
     significance: float
 
 
-def _check_splits(split, repeats) -> None:
-    """The split share and the repeat count of every evaluation."""
+def _check_evaluation(split, repeats, num_trees, num_features=None) -> None:
+    """The split share, the repeat count and the forest sizes of every evaluation."""
     _real("split", split, 0.0, 1.0)
     _count("repeats", repeats, 1)
+    _count("num_trees", num_trees, 1)
+    if num_features is not None:
+        _count("num_features", num_features, 1)
 
 
 def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> EvalReport:
-    """The repeated-split loop of every evaluation, whose caller has checked split and repeats.
+    """The repeated-split loop of every evaluation, whose caller has checked its arguments.
 
     Repeat r shuffles the pairs with the ``eval.shuffle.{r}`` stream and
     calls ``judge(train_idx, test_idx, spec)`` with the first `split` share
@@ -508,7 +511,7 @@ def evaluate_distribution_method(
     scatter fails is listed under the report's `excluded`.
     """
     _check_projection(kind, emb)
-    _check_splits(split, repeats)
+    _check_evaluation(split, repeats, num_trees, num_features)
     samples, labels, names, excluded = _project_pairs(
         pairs, lambda record: word_pair_scatter(record.x, record.y, kind, vocab, index, emb)
     )
@@ -535,7 +538,7 @@ def evaluate_feature_method(
     """Score one projection with a forest on concatenated (x, y) vectors;
     a pair whose projection fails is listed under the report's `excluded`."""
     _check_projection(kind, emb)
-    _check_splits(split, repeats)
+    _check_evaluation(split, repeats, num_trees)
 
     def project(record):
         px = projection_vector(kind, record.x, vocab, index, emb)

@@ -445,11 +445,6 @@ def test_criterion_8_cli_determinism(tmp_path):
             "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts",
             "--index", index_path, "--n-vocab", "20", "--permutations", "99", "--seed", "3",
         ],
-        "baselines": [
-            "baselines", "--pairs", bundled_data_path("word_pairs.csv"),
-            "--index", bundled_index, "--min-votes", "14",
-            "--kinds", "frequency,precedence", "--n-vocab", "100",
-        ],
         "nlp-eval": [
             "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"),
             "--index", bundled_index, "--min-votes", "14", "--kinds", "counts",

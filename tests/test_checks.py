@@ -17,7 +17,7 @@ from proxycause.experiments import (
     NONLINEARITIES,
     LocalMechanism,
     WordPairRecord,
-    _check_splits,
+    _check_evaluation,
     binomial_significance,
     bundled_data_path,
     evaluate_distribution_method,
@@ -74,7 +74,9 @@ COUNTS = {
     "synth_diffusion_frames-size": ("size", 1, lambda v, _: synth_diffusion_frames(v, num_frames=2)),
     "synth_diffusion_frames-num_frames": ("num_frames", 2, lambda v, _: synth_diffusion_frames(16, num_frames=v)),
     "binomial_significance": ("n", 1, lambda v, _: binomial_significance(0.5, v)),
-    "repeats": ("repeats", 1, lambda v, _: _check_splits(0.75, v)),
+    "repeats": ("repeats", 1, lambda v, _: _check_evaluation(0.75, v, 1)),
+    "evaluation-num_trees": ("num_trees", 1, lambda v, _: _check_evaluation(0.75, 1, v)),
+    "evaluation-num_features": ("num_features", 1, lambda v, _: _check_evaluation(0.75, 1, 1, v)),
     "vocab_sample": ("n", 2, lambda v, corpus: vocab_sample(build_index(corpus), v)),
     "sgns_train-d": ("d", 2, lambda v, corpus: sgns_train(corpus, d=v, epochs=1)),
     "sgns_train-epochs": ("epochs", 1, lambda v, corpus: sgns_train(corpus, d=2, epochs=v)),
@@ -125,7 +127,7 @@ REALS = {
     "LocalMechanism": ("noise_scale", "[0, inf]", -0.1, 0.0,
                        lambda v, _: LocalMechanism(1, np.ones((1, 1)), True, "identity", v)),
     "random_mechanism": ("noise_scale", "[0, inf]", -0.1, 0.0, lambda v, _: random_mechanism(k=2, noise_scale=v)),
-    "split": ("split", "(0, 1)", 1.0, 0.5, lambda v, _: _check_splits(v, 1)),
+    "split": ("split", "(0, 1)", 1.0, 0.5, lambda v, _: _check_evaluation(v, 1, 1)),
     "binomial_significance-accuracy": ("accuracy", "[0, 1]", 1.5, 1.0, lambda v, _: binomial_significance(v, 10)),
     "binomial_significance-p0": ("p0", "(0, 1)", 1.0, 0.25, lambda v, _: binomial_significance(0.5, 10, v)),
     "sgns_train": ("learning_rate", "(0, inf)", 0.0, 0.01,
@@ -182,7 +184,7 @@ NAMED_ARGV = {
                *cli._NAMED["engine"]),
     "kind": (["word-pair", "--x", "a", "--y", "b", "--index", "/does/not/exist.json", "--kind", "bad"],
              *cli._NAMED["kind"]),
-    "vocab-method": (["baselines", "--pairs", "/does/not/exist.csv", "--vocab-method", "bad"],
+    "vocab-method": (["nlp-eval", "--pairs", "/does/not/exist.csv", "--vocab-method", "bad"],
                      *cli._NAMED["vocab-method"]),
     "what": (["synth", "--what", "bad"], *cli._NAMED["what"]),
     "mechanism": (["synth", "--what", "scatter", "--mechanism", "bad", "--out", "/does/not/exist/s.jsonl"],
@@ -225,7 +227,8 @@ def test_rcc_train_checks_its_counts_before_any_work(monkeypatch, kwargs, messag
     ({"kind": "w2vii"}, "projection w2vii needs an embedding model"),
     ({"split": 1.0}, "split must be a finite number in (0, 1), got 1.0"),
     ({"repeats": 0}, "repeats must be an integer of at least 1, got 0"),
-], ids=["kind", "embedding", "split", "repeats"])
+    ({"num_trees": 0}, "num_trees must be an integer of at least 1, got 0"),
+], ids=["kind", "embedding", "split", "repeats", "num_trees"])
 def test_evaluations_check_their_arguments_before_projecting_any_pair(monkeypatch, evaluate, kwargs, message):
     monkeypatch.setattr(experiments, "_project_pairs", _must_not_run)
     index = build_index(bundled_data_path("mini_corpus.txt"))
@@ -233,6 +236,13 @@ def test_evaluations_check_their_arguments_before_projecting_any_pair(monkeypatc
     args = {"kind": "counts", "vocab": vocab_sample(index, 20), "index": index, **kwargs}
     with pytest.raises(ValueError, match=re.escape(message)):
         evaluate(pairs, **args)
+
+
+def test_the_distribution_method_checks_its_rff_width_before_projecting_any_pair(monkeypatch):
+    monkeypatch.setattr(experiments, "_project_pairs", _must_not_run)
+    index = build_index(bundled_data_path("mini_corpus.txt"))
+    with pytest.raises(ValueError, match=re.escape("num_features must be an integer of at least 1, got 0")):
+        evaluate_distribution_method([], "counts", vocab_sample(index, 20), index, num_features=0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -258,6 +268,44 @@ def test_word_pair_checks_the_engine_before_training_embeddings(monkeypatch, cap
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == "error: unknown engine 'foo' (want one of anm, model)"
     assert "training embeddings" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-vocab", "1"], "--n-vocab must be an integer of at least 2, got 1"),
+    (["--d", "1"], "--d must be an integer of at least 2, got 1"),
+    (["--epochs", "0"], "--epochs must be an integer of at least 1, got 0"),
+], ids=["n-vocab", "d", "epochs"])
+def test_word_pair_checks_its_counts_before_reading_the_corpus(monkeypatch, capsys, flags, message):
+    monkeypatch.setattr(cli, "build_index", _must_not_run)
+    code = cli.main(["word-pair", "--corpus", bundled_data_path("mini_corpus.txt"), "--x", "rain", "--y", "flooding",
+                     *flags])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert "training embeddings" not in err
+
+
+def test_sgns_counts_are_checked_only_when_sgns_trains(capsys):
+    """A counts projection trains no embeddings, so --d 1 is never read."""
+    code = cli.main(["word-pair", "--corpus", bundled_data_path("mini_corpus.txt"), "--x", "rain", "--y", "flooding",
+                     "--kind", "counts", "--d", "1", "--epochs", "0", "--n-vocab", "60", "--permutations", "99"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trees", "0"], "num_trees must be an integer of at least 1, got 0"),
+    (["--m", "0"], "num_features must be an integer of at least 1, got 0"),
+], ids=["trees", "m"])
+def test_nlp_eval_checks_the_forest_sizes_before_any_work(monkeypatch, capsys, flags, message):
+    monkeypatch.setattr(cli, "build_index", _must_not_run)
+    monkeypatch.setattr(experiments, "_project_pairs", _must_not_run)
+    code = cli.main(["nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"),
+                     "--corpus", bundled_data_path("mini_corpus.txt"), "--kinds", "counts",
+                     "--methods", "distribution,feature", *flags])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 @pytest.mark.parametrize("build, message", [

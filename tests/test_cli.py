@@ -151,7 +151,7 @@ def test_word_pair_rejects_a_vocab_sample_below_two(capsys, corpus_file, method)
             "--n-vocab", n, "--vocab-method", method,
         )
         assert code == 1 and out == ""
-        assert "n must be an integer of at least 2" in err
+        assert f"error: --n-vocab must be an integer of at least 2, got {n}" in err
 
 
 def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
@@ -364,18 +364,21 @@ def test_word_pair_with_model_engine(tmp_path, capsys, corpus_file):
 
 
 def test_baselines_command(capsys):
+    """The count baselines are scored by nlp-eval --methods baselines, one
+    accuracy, tie count and pair count each; there is no baselines command."""
+    assert main(["baselines", "--pairs", bundled_data_path("word_pairs.csv")]) == 2
     argv = (
-        "baselines",
+        "nlp-eval", "--methods", "baselines",
         "--pairs", bundled_data_path("word_pairs.csv"),
         "--corpus", bundled_data_path("mini_corpus.txt"),
-        "--min-votes", "14", "--kinds", "frequency,precedence", "--n-vocab", "100",
+        "--min-votes", "14", "--n-vocab", "100",
     )
     doc, raw = run_json(capsys, *argv)
     assert doc["filtered_pairs"] == 33
-    for kind in ("frequency", "precedence"):
-        block = doc["baselines"][kind]
-        assert 0.0 <= block["accuracy"] <= 1.0
-        assert len(block["pairs"]) == 33
+    assert list(doc["baselines"]) == sorted(proxy_text.BASELINE_KINDS)
+    for block in doc["baselines"].values():
+        assert set(block) == {"accuracy", "ties", "count"}
+        assert 0.0 <= block["accuracy"] <= 1.0 and 0 <= block["ties"] <= 33 and block["count"] == 33
     _, raw2 = run_json(capsys, *argv)
     assert raw == raw2
 
@@ -527,13 +530,6 @@ def test_an_out_of_vocabulary_pair_costs_one_pair_in_every_method(tmp_path, caps
         assert block.pop("excluded") == excluded
         assert block == clean["baselines"][kind] and block["count"] == 33
 
-    doc, _ = run_json(capsys, "baselines", "--pairs", str(pairs), *data, "--kinds", "frequency,pmi_ws")
-    clean, _ = run_json(capsys, "baselines", "--pairs", bundled_data_path("word_pairs.csv"), *data,
-                        "--kinds", "frequency,pmi_ws")
-    for kind, block in doc["baselines"].items():
-        assert block.pop("excluded") == excluded
-        assert block == clean["baselines"][kind] and len(block["pairs"]) == 33
-
 
 def test_nlp_eval_needs_at_least_one_repeat(capsys):
     argv = ("nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), "--corpus", bundled_data_path("mini_corpus.txt"),
@@ -571,7 +567,8 @@ def test_a_version_1_index_is_refused_with_the_rebuild_command(tmp_path, capsys)
 def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("x,y,votes_xy,votes_yx,votes_none\nzzzunknown,rain,20,0,0\n")
-    argv = ("baselines", "--pairs", str(pairs), "--corpus", bundled_data_path("mini_corpus.txt"), "--kinds", "frequency")
+    argv = ("nlp-eval", "--pairs", str(pairs), "--corpus", bundled_data_path("mini_corpus.txt"),
+            "--methods", "baselines")
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "error: baseline frequency: no pair could be scored (out of vocabulary: 'zzzunknown')" in err
@@ -583,7 +580,7 @@ def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
     (["word-pair", "--x", "rain", "--y", "wet"], "need --corpus or --index"),
     (["word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--index", "{index}"],
      "embedding projections need --emb-input/--emb-output or --corpus"),
-    (["baselines", "--pairs", "{pairs}", "--corpus", "{corpus}", "--min-votes", "20"],
+    (["nlp-eval", "--pairs", "{pairs}", "--corpus", "{corpus}", "--min-votes", "20"],
      "no pairs pass the consensus filter"),
     (["frames-order", "--dir", "{dir}"], "found 0 frames matching 'frame_*.pgm' in {dir}"),
     (["synth", "--what", "sound"], "unknown synth target 'sound' (want one of scatter, stylized, frames)"),
@@ -606,7 +603,7 @@ def test_synth_stylized_takes_each_nonlinearity(tmp_path, capsys, g):
     assert load_image(x).pixels.shape == load_image(y).pixels.shape == (40, 40)
 
 
-@pytest.mark.parametrize("command", ["nlp-eval", "baselines", "frames-order"])
+@pytest.mark.parametrize("command", ["nlp-eval", "frames-order"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
     argv = [command, "--jobs", jobs, "--dir", str(tmp_path)] if command == "frames-order" else [
@@ -622,7 +619,6 @@ def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
     ("nlp-eval", "--methods", "distributon", "method"),
     ("nlp-eval", "--kinds", "count", "projection kind"),
     ("nlp-eval", "--curve-kind", "w2v", "curve kind"),
-    ("baselines", "--kinds", "frequency,zipf", "baseline"),
 ])
 def test_unknown_names_are_rejected_before_any_work(capsys, command, flag, value, what):
     # Neither input exists, so an error about the name shows that it was
@@ -725,7 +721,7 @@ def test_general_beta_follows_flag_then_config(tmp_path, capsys):
     (["word-pair", "--y", "wet", "--corpus", "c.txt"], "x"),
     (["word-pair", "--x", "rain", "--corpus", "c.txt"], "y"),
     (["nlp-eval", "--corpus", "c.txt"], "pairs"),
-    (["baselines", "--corpus", "c.txt"], "pairs"),
+    (["nlp-eval", "--index", "i.json", "--methods", "baselines"], "pairs"),
     (["image-pair", "--x", "a.pgm"], "y"),
     (["frames-order"], "dir"),
     (["synth"], "what"),

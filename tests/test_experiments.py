@@ -19,7 +19,7 @@ from proxycause.experiments import (
     EvalReport,
     LocalMechanism,
     WordPairRecord,
-    _check_splits,
+    _check_evaluation,
     _repeated_splits,
     binomial_significance,
     bundled_data_path,
@@ -306,7 +306,7 @@ def evaluate_scatters(samples, labels, predictor, names=None, split=0.75, repeat
     """The repeated-split harness on labelled scatters, with a judge that
     trains nothing and calls ``predictor`` on each test scatter; it checks
     split and repeats first, as every evaluation does."""
-    _check_splits(split, repeats)
+    _check_evaluation(split, repeats, 1)  # trains no forest
     if names is None:
         names = [str(i) for i in range(len(samples))]
 

@@ -230,7 +230,6 @@ def test_saved_index_bytes_are_pinned(tmp_path):
 # the same bytes: 1, 2, and more jobs than the machine has CPUs.
 CLI_STDOUT = {
     "nlp-eval": "976e1cca0466ea641d78521da7e8b1f5b1014dbcb2584ec4b4e134013f04c811",
-    "baselines": "3dbe5af3a6ba2da8747f0f3b4a02aaf2b2168e04e8bbeeeb07f613540b9e30f0",
     "frames-order": "bd6c0802dcb26f341d9123a19395bbf08a7038270825112448e22b2dab42b896",
 }
 
@@ -272,11 +271,6 @@ def _cli_argv(name, paths):
             "--min-votes", "14", "--kinds", "all",
             "--methods", "distribution,feature,baselines,curve",
             "--trees", "8", "--m", "10", "--repeats", "2", "--n-vocab", "60", "--seed", "3",
-        ]
-    if name == "baselines":
-        return [
-            "baselines", "--pairs", pairs, "--index", paths["index"],
-            "--min-votes", "14", "--kinds", "all", "--n-vocab", "80",
         ]
     return [
         "frames-order", "--dir", paths["frames"], "--n", "150", "--k", "5",
