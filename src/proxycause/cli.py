@@ -171,31 +171,17 @@ def cmd_embed_train(o):
 
 
 def _corpus_artifacts(o, kinds):
-    """(index, vocab, emb) from flags, their counts checked first; emb only when needed, trained as embed-train does."""
+    """(index, vocab, emb) read from --index and --emb-*, emb only for a w2v kind; the flags are checked first."""
     w2v = any(k in W2V_TABLES for k in kinds)
     _count("--n-vocab", o.n_vocab, 2)
-    if w2v and o.emb_input is None and o.corpus is not None:
-        _count("--d", o.d, 2)
-        _count("--epochs", o.epochs, 1)
-    if o.index is not None:
-        index = load_index(o.index)
-    elif o.corpus is not None:
-        index = build_index(o.corpus)
-    else:
-        raise ValueError("need --corpus or --index")
+    if w2v and o.emb_input is None:
+        raise ValueError("embedding projections need --emb-input/--emb-output")
+    index = load_index(o.index)
     n_vocab = min(o.n_vocab, len(index.vocabulary))
     if n_vocab < o.n_vocab:
         _log(f"vocabulary has {n_vocab} words; clamping sample from {o.n_vocab}")
     vocab = vocab_sample(index, n_vocab, method=o.vocab_method, seed=SeedSpec(o.seed).child("cli.vocab"))
-
-    if not w2v:
-        return index, vocab, None
-    if o.emb_input is not None:
-        return index, vocab, load_embeddings(o.emb_input, o.emb_output)
-    if o.corpus is None:
-        raise ValueError("embedding projections need --emb-input/--emb-output or --corpus")
-    _log("training embeddings on the fly")
-    return index, vocab, sgns_train(o.corpus, d=o.d, epochs=o.epochs, seed=o.seed)
+    return index, vocab, load_embeddings(o.emb_input, o.emb_output) if w2v else None
 
 
 def cmd_word_pair(o):
@@ -226,8 +212,8 @@ def cmd_nlp_eval(o):
     # Every distinct evaluation is an independent task with its own seed, so
     # one pool runs them all and the bytes do not depend on --jobs.  The curve
     # is read off the --curve-kind distribution report, listed only if asked
-    # for.  Embeddings are loaded or trained only when a task projects
-    # through a w2v kind; no baseline name is one.
+    # for.  Embeddings are loaded only when a task projects through a w2v
+    # kind; no baseline name is one.
     tasks = [(method, kind) for method in ("distribution", "feature") if method in methods for kind in kinds]
     if "curve" in methods and ("distribution", o.curve_kind) not in tasks:
         tasks.append(("distribution", o.curve_kind))
@@ -470,12 +456,12 @@ _COMMANDS = {
     ),
     "word-pair": (
         cmd_word_pair, "causal direction between two words",
-        "x! y! kind corpus index n-vocab vocab-method emb-input emb-output d epochs engine model permutations",
+        "x! y! kind index! n-vocab vocab-method emb-input emb-output engine model permutations",
     ),
     "nlp-eval": (
         cmd_nlp_eval, "full evaluation on annotated word pairs",
-        "pairs! corpus index min-votes total kinds methods curve-kind n-vocab vocab-method "
-        "emb-input emb-output d epochs trees m split repeats",
+        "pairs! index! min-votes total kinds methods curve-kind n-vocab vocab-method "
+        "emb-input emb-output trees m split repeats",
     ),
     "image-pair": (cmd_image_pair, "causal direction between two images", "x! y! n k engine model permutations"),
     "frames-order": (

@@ -68,7 +68,7 @@ def bundled_data_path(name: str) -> str:
 
 @dataclass(frozen=True)
 class WordPairRecord:
-    """One annotated pair: x, y and the three direction vote counts."""
+    """One annotated pair: two different words x, y and the three direction vote counts."""
 
     x: str
     y: str
@@ -77,6 +77,8 @@ class WordPairRecord:
     votes_none: int
 
     def __post_init__(self):
+        if self.x == self.y:
+            raise ValueError(f"a word pair needs two different words, got {self.x!r} twice")
         for name in ("votes_xy", "votes_yx", "votes_none"):
             _count(name, getattr(self, name), 0)
         if self.total_votes == 0:

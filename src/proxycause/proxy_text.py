@@ -558,8 +558,10 @@ def word_pair_scatter(
 ) -> ScatterSample:
     """Pair the two projection vectors entrywise over the proxy vocabulary.
 
-    A constant vector has no direction to read, so it raises a ValueError
-    that names its word and the kind."""
+    A constant vector (named with its word and kind) and one word given
+    twice have no direction to read, so each raises a ValueError."""
+    if x_word == y_word:
+        raise ValueError(f"a word pair needs two different words, got {x_word!r} twice")
     a = projection_vector(kind, x_word, vocab, index, emb)
     b = projection_vector(kind, y_word, vocab, index, emb)
     for word, v in ((x_word, a), (y_word, b)):

@@ -179,13 +179,14 @@ def test_every_name_takes_the_one_name_rule(site, corpus):
 # so the error shows the name was checked before any of them.
 NAMED_ARGV = {
     "action": (["model", "bad", "--model", "/does/not/exist.json"], *cli._NAMED["action"]),
-    "curve-kind": (["nlp-eval", "--pairs", "/does/not/exist.csv", "--curve-kind", "bad"], *cli._NAMED["curve-kind"]),
+    "curve-kind": (["nlp-eval", "--pairs", "/does/not/exist.csv", "--index", "/does/not/exist.json",
+                    "--curve-kind", "bad"], *cli._NAMED["curve-kind"]),
     "engine": (["image-pair", "--x", "/does/not/exist.pgm", "--y", "/does/not/exist.pgm", "--engine", "bad"],
                *cli._NAMED["engine"]),
     "kind": (["word-pair", "--x", "a", "--y", "b", "--index", "/does/not/exist.json", "--kind", "bad"],
              *cli._NAMED["kind"]),
-    "vocab-method": (["nlp-eval", "--pairs", "/does/not/exist.csv", "--vocab-method", "bad"],
-                     *cli._NAMED["vocab-method"]),
+    "vocab-method": (["nlp-eval", "--pairs", "/does/not/exist.csv", "--index", "/does/not/exist.json",
+                      "--vocab-method", "bad"], *cli._NAMED["vocab-method"]),
     "what": (["synth", "--what", "bad"], *cli._NAMED["what"]),
     "mechanism": (["synth", "--what", "scatter", "--mechanism", "bad", "--out", "/does/not/exist/s.jsonl"],
                   "mechanism", ANM_MECHANISMS),
@@ -260,37 +261,38 @@ def test_frames_order_checks_before_judging_any_pair(monkeypatch, kwargs, messag
 
 
 def test_word_pair_checks_the_engine_before_training_embeddings(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_index", _must_not_run)
-    monkeypatch.setattr(cli, "sgns_train", _must_not_run)
-    code = cli.main(["word-pair", "--corpus", bundled_data_path("mini_corpus.txt"), "--x", "rain", "--y", "flooding",
-                     "--engine", "foo"])
+    """The engine is checked before the index or the embeddings are read."""
+    monkeypatch.setattr(cli, "load_index", _must_not_run)
+    monkeypatch.setattr(cli, "load_embeddings", _must_not_run)
+    code = cli.main(["word-pair", "--index", "index.json", "--emb-input", "vi.txt", "--emb-output", "vo.txt",
+                     "--x", "rain", "--y", "flooding", "--engine", "foo"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == "error: unknown engine 'foo' (want one of anm, model)"
-    assert "training embeddings" not in err
 
 
 @pytest.mark.parametrize("flags, message", [
     (["--n-vocab", "1"], "--n-vocab must be an integer of at least 2, got 1"),
-    (["--d", "1"], "--d must be an integer of at least 2, got 1"),
-    (["--epochs", "0"], "--epochs must be an integer of at least 1, got 0"),
-], ids=["n-vocab", "d", "epochs"])
+], ids=["n-vocab"])
 def test_word_pair_checks_its_counts_before_reading_the_corpus(monkeypatch, capsys, flags, message):
-    monkeypatch.setattr(cli, "build_index", _must_not_run)
-    code = cli.main(["word-pair", "--corpus", bundled_data_path("mini_corpus.txt"), "--x", "rain", "--y", "flooding",
+    monkeypatch.setattr(cli, "load_index", _must_not_run)
+    code = cli.main(["word-pair", "--index", "index.json", "--x", "rain", "--y", "flooding", "--kind", "counts",
                      *flags])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == f"error: {message}"
-    assert "training embeddings" not in err
 
 
-def test_sgns_counts_are_checked_only_when_sgns_trains(capsys):
-    """A counts projection trains no embeddings, so --d 1 is never read."""
-    code = cli.main(["word-pair", "--corpus", bundled_data_path("mini_corpus.txt"), "--x", "rain", "--y", "flooding",
-                     "--kind", "counts", "--d", "1", "--epochs", "0", "--n-vocab", "60", "--permutations", "99"])
+@pytest.mark.parametrize("argv", [
+    ["word-pair", "--x", "rain", "--y", "flooding", "--kind", "w2vii"],
+    ["nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), "--methods", "baselines,curve"],
+], ids=["word-pair", "nlp-eval"])
+def test_a_w2v_kind_without_embedding_files_is_refused_before_the_index_is_read(monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "load_index", _must_not_run)
+    code = cli.main([*argv, "--index", "index.json"])
     out, err = capsys.readouterr()
-    assert code == 0, err
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: embedding projections need --emb-input/--emb-output"
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -298,10 +300,10 @@ def test_sgns_counts_are_checked_only_when_sgns_trains(capsys):
     (["--m", "0"], "num_features must be an integer of at least 1, got 0"),
 ], ids=["trees", "m"])
 def test_nlp_eval_checks_the_forest_sizes_before_any_work(monkeypatch, capsys, flags, message):
-    monkeypatch.setattr(cli, "build_index", _must_not_run)
+    monkeypatch.setattr(cli, "load_index", _must_not_run)
     monkeypatch.setattr(experiments, "_project_pairs", _must_not_run)
     code = cli.main(["nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"),
-                     "--corpus", bundled_data_path("mini_corpus.txt"), "--kinds", "counts",
+                     "--index", "index.json", "--kinds", "counts",
                      "--methods", "distribution,feature", *flags])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""

@@ -48,6 +48,22 @@ def corpus_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def index_file(tmp_path, corpus_file):
+    """The index index-corpus writes for the tiny corpus."""
+    path = str(tmp_path / "index.json")
+    proxy_text.save_index(proxy_text.build_index(corpus_file), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def bundled_index(tmp_path_factory):
+    """The index index-corpus writes for the bundled corpus."""
+    path = str(tmp_path_factory.mktemp("bundled") / "index.json")
+    proxy_text.save_index(proxy_text.build_index(bundled_data_path("mini_corpus.txt")), path)
+    return path
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["significance", "--bogus-flag"]) == 2
@@ -143,18 +159,18 @@ def test_index_corpus_and_word_pair(tmp_path, capsys, corpus_file):
 
 
 @pytest.mark.parametrize("method", ["top", "uniform"])
-def test_word_pair_rejects_a_vocab_sample_below_two(capsys, corpus_file, method):
+def test_word_pair_rejects_a_vocab_sample_below_two(capsys, index_file, method):
     for n in ("-1", "0", "1"):
         code, out, err = run(
             capsys,
-            "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--corpus", corpus_file,
+            "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--index", index_file,
             "--n-vocab", n, "--vocab-method", method,
         )
         assert code == 1 and out == ""
         assert f"error: --n-vocab must be an integer of at least 2, got {n}" in err
 
 
-def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
+def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file, index_file):
     vi = str(tmp_path / "vi.txt")
     vo = str(tmp_path / "vo.txt")
     doc, _ = run_json(
@@ -166,59 +182,20 @@ def test_embed_train_then_word_pair(tmp_path, capsys, corpus_file):
     doc, raw = run_json(
         capsys,
         "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2voi",
-        "--corpus", corpus_file, "--emb-input", vi, "--emb-output", vo,
+        "--index", index_file, "--emb-input", vi, "--emb-output", vo,
         "--permutations", "99", "--n-vocab", "20", "--seed", "2",
     )
     assert doc["verdict"] in ("x->y", "y->x")
-    # same settings, embeddings trained on the fly instead of loaded
-    doc2, _ = run_json(
-        capsys,
-        "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2voi",
-        "--corpus", corpus_file, "--d", "8", "--epochs", "1",
-        "--permutations", "99", "--n-vocab", "20", "--seed", "2",
-    )
-    assert doc2["verdict"] in ("x->y", "y->x")
 
 
-def test_an_embedding_table_with_a_nan_is_named(tmp_path, capsys, corpus_file):
+def test_an_embedding_table_with_a_nan_is_named(tmp_path, capsys, index_file):
     vi, vo = tmp_path / "vi.txt", tmp_path / "vo.txt"
     vi.write_text("2 2\nrain 1.0 2.0\nwet 3.0 4.0\n")
     vo.write_text("2 2\nrain 1.0 nan\nwet 3.0 4.0\n")
-    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vio", "--corpus", corpus_file,
+    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vio", "--index", index_file,
                          "--emb-input", str(vi), "--emb-output", str(vo))
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == f"error: {vo}: embedding vectors must be finite" and "Traceback" not in err
-
-
-def test_word_pair_on_a_corpus_equals_the_run_on_built_artifacts(tmp_path, capsys, corpus_file):
-    """With --corpus and an embedding kind, stdout is that of the same run
-    on an index and embeddings the public functions build."""
-    argv = ("word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--n-vocab", "20", "--permutations", "99",
-            "--seed", "2")
-    code, out, err = run(capsys, *argv, "--corpus", corpus_file, "--d", "8", "--epochs", "1")
-    assert code == 0, err
-    index, vi, vo = (str(tmp_path / name) for name in ("index.json", "vi.txt", "vo.txt"))
-    proxy_text.save_index(proxy_text.build_index(corpus_file), index)
-    emb = proxy_text.sgns_train(corpus_file, d=8, epochs=1, seed=2)
-    proxy_text.save_embeddings(emb, vi, vo)
-    code, want, err = run(capsys, *argv, "--index", index, "--emb-input", vi, "--emb-output", vo)
-    assert code == 0, err
-    assert out == want and json.loads(out)["kind"] == "w2vii"
-
-
-def test_word_pair_on_a_corpus_trains_the_embeddings_embed_train_writes(tmp_path, capsys):
-    """--corpus with an embedding kind projects through the tables
-    embed-train writes at the same --d, --epochs and --seed."""
-    corpus = bundled_data_path("mini_corpus.txt")
-    argv = ("word-pair", "--x", "rain", "--y", "flooding", "--kind", "w2vio", "--d", "8", "--epochs", "1",
-            "--seed", "2")
-    _, out = run_json(capsys, *argv, "--corpus", corpus)
-    index, vi, vo = (str(tmp_path / name) for name in ("index.json", "vi.txt", "vo.txt"))
-    run_json(capsys, "index-corpus", "--corpus", corpus, "--out", index)
-    run_json(capsys, "embed-train", "--corpus", corpus, "--d", "8", "--epochs", "1", "--seed", "2",
-             "--out-input", vi, "--out-output", vo)
-    _, want = run_json(capsys, *argv, "--index", index, "--emb-input", vi, "--emb-output", vo)
-    assert out == want
 
 
 def _tables_without(corpus, word, vi, vo):
@@ -229,25 +206,25 @@ def _tables_without(corpus, word, vi, vo):
     proxy_text.save_embeddings(kept, vi, vo)
 
 
-def test_an_embedding_table_without_a_proxy_word_is_named(tmp_path, capsys, corpus_file):
+def test_an_embedding_table_without_a_proxy_word_is_named(tmp_path, capsys, corpus_file, index_file):
     vi, vo = str(tmp_path / "vi.txt"), str(tmp_path / "vo.txt")
     _tables_without(corpus_file, "the", vi, vo)
-    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--corpus", corpus_file,
+    code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--index", index_file,
                          "--emb-input", vi, "--emb-output", vo)
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == "error: out of the embedding vocabulary: 'the'"
 
 
-def test_an_evaluation_left_with_too_few_pairs_says_why(tmp_path, capsys):
+def test_an_evaluation_left_with_too_few_pairs_says_why(tmp_path, capsys, bundled_index):
     """Every pair is excluded for one proxy word the tables lack; the error
     counts the excluded pairs and gives the first one's reason."""
     corpus, pairs = bundled_data_path("mini_corpus.txt"), bundled_data_path("word_pairs.csv")
-    top = proxy_text.vocab_sample(proxy_text.build_index(corpus), 2).words[0]
+    top = proxy_text.vocab_sample(proxy_text.load_index(bundled_index), 2).words[0]
     vi, vo = str(tmp_path / "vi.txt"), str(tmp_path / "vo.txt")
     _tables_without(corpus, top, vi, vo)
     filtered = experiments.filter_consensus(experiments.load_word_pairs(pairs), 14)
     first = f"{filtered[0][0].x},{filtered[0][0].y}"
-    code, out, err = run(capsys, "nlp-eval", "--pairs", pairs, "--corpus", corpus, "--emb-input", vi,
+    code, out, err = run(capsys, "nlp-eval", "--pairs", pairs, "--index", bundled_index, "--emb-input", vi,
                          "--emb-output", vo, "--min-votes", "14", "--kinds", "w2vii", "--methods", "distribution")
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == (
@@ -337,7 +314,7 @@ def test_model_without_an_action_names_the_choices(capsys, tmp_path):
     assert all(choice in error for choice in ("train", "predict", "inspect"))
 
 
-def test_word_pair_with_model_engine(tmp_path, capsys, corpus_file):
+def test_word_pair_with_model_engine(tmp_path, capsys, index_file):
     items = [synth_anm_pair(40, seed=300 + i) for i in range(10)]
     data_path = str(tmp_path / "train.jsonl")
     save_dataset(LabeledScatterDataset(tuple(items)), data_path)
@@ -350,27 +327,27 @@ def test_word_pair_with_model_engine(tmp_path, capsys, corpus_file):
     doc, raw = run_json(
         capsys,
         "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts",
-        "--corpus", corpus_file, "--engine", "model", "--model", model_path,
+        "--index", index_file, "--engine", "model", "--model", model_path,
         "--n-vocab", "20",
     )
     assert doc["verdict"] in ("x->y", "y->x")
     _, raw2 = run_json(
         capsys,
         "word-pair", "--x", "rain", "--y", "wet", "--kind", "counts",
-        "--corpus", corpus_file, "--engine", "model", "--model", model_path,
+        "--index", index_file, "--engine", "model", "--model", model_path,
         "--n-vocab", "20",
     )
     assert raw == raw2
 
 
-def test_baselines_command(capsys):
+def test_baselines_command(capsys, bundled_index):
     """The count baselines are scored by nlp-eval --methods baselines, one
     accuracy, tie count and pair count each; there is no baselines command."""
     assert main(["baselines", "--pairs", bundled_data_path("word_pairs.csv")]) == 2
     argv = (
         "nlp-eval", "--methods", "baselines",
         "--pairs", bundled_data_path("word_pairs.csv"),
-        "--corpus", bundled_data_path("mini_corpus.txt"),
+        "--index", bundled_index,
         "--min-votes", "14", "--n-vocab", "100",
     )
     doc, raw = run_json(capsys, *argv)
@@ -383,11 +360,11 @@ def test_baselines_command(capsys):
     assert raw == raw2
 
 
-def test_nlp_eval_is_job_invariant(capsys, monkeypatch):
+def test_nlp_eval_is_job_invariant(capsys, monkeypatch, bundled_index):
     argv = (
         "nlp-eval",
         "--pairs", bundled_data_path("word_pairs.csv"),
-        "--corpus", bundled_data_path("mini_corpus.txt"),
+        "--index", bundled_index,
         "--min-votes", "14", "--kinds", "counts,pmi",
         "--methods", "distribution,baselines,curve", "--curve-kind", "counts",
         "--trees", "20", "--m", "20", "--repeats", "2", "--n-vocab", "60", "--seed", "1",
@@ -422,22 +399,25 @@ def test_nlp_eval_is_job_invariant(capsys, monkeypatch):
     assert raw == raw2
 
 
-NLP_SMALL = (
-    "nlp-eval",
-    "--pairs", bundled_data_path("word_pairs.csv"),
-    "--corpus", bundled_data_path("mini_corpus.txt"),
-    "--min-votes", "14", "--trees", "20", "--m", "20", "--repeats", "2", "--n-vocab", "60", "--seed", "7",
-)
+@pytest.fixture()
+def nlp_small(bundled_index):
+    """A small nlp-eval run on the bundled pairs and index."""
+    return (
+        "nlp-eval",
+        "--pairs", bundled_data_path("word_pairs.csv"),
+        "--index", bundled_index,
+        "--min-votes", "14", "--trees", "20", "--m", "20", "--repeats", "2", "--n-vocab", "60", "--seed", "7",
+    )
 
 
-def test_a_curve_alone_runs_its_distribution_evaluation_unlisted(capsys):
+def test_a_curve_alone_runs_its_distribution_evaluation_unlisted(capsys, nlp_small):
     """--methods curve evaluates the --curve-kind projection for the curve
     only; the curve is the one a listed run of that kind gives."""
-    doc, _ = run_json(capsys, *NLP_SMALL, "--methods", "curve", "--kinds", "pmi", "--curve-kind", "counts")
+    doc, _ = run_json(capsys, *nlp_small, "--methods", "curve", "--kinds", "pmi", "--curve-kind", "counts")
     assert "distribution" not in doc and "feature" not in doc
     assert doc["curve_kind"] == "counts"
     listed, _ = run_json(
-        capsys, *NLP_SMALL, "--methods", "distribution,curve", "--kinds", "counts", "--curve-kind", "counts"
+        capsys, *nlp_small, "--methods", "distribution,curve", "--kinds", "counts", "--curve-kind", "counts"
     )
     assert set(listed["distribution"]) == {"counts"}
     assert doc["confidence_curve"] == listed["confidence_curve"]
@@ -446,29 +426,22 @@ def test_a_curve_alone_runs_its_distribution_evaluation_unlisted(capsys):
 
 
 @pytest.mark.parametrize("methods", [("baselines",), ("curve", "--curve-kind", "counts")])
-def test_a_run_without_w2v_tasks_needs_no_embeddings(tmp_path, capsys, monkeypatch, methods):
+def test_a_run_without_w2v_tasks_needs_no_embeddings(capsys, monkeypatch, nlp_small, methods):
     """At --kinds all, the baselines alone or a counts curve alone project
-    through no w2v kind: an index alone serves, a corpus trains no
-    embeddings, and the output is that of the --kinds counts run."""
-    corpus = bundled_data_path("mini_corpus.txt")
-    index = str(tmp_path / "index.json")
-    proxy_text.save_index(proxy_text.build_index(corpus), index)
+    through no w2v kind: the index alone serves, no embedding file is read,
+    and the output is that of the --kinds counts run."""
+    argv = (*nlp_small, "--methods", *methods)
+    _, want = run_json(capsys, *argv, "--kinds", "counts")
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("sgns_train called")
+    def no_tables(*args, **kwargs):
+        raise AssertionError("load_embeddings called")
 
-    monkeypatch.setattr(cli, "sgns_train", no_training)
-    argv = (*NLP_SMALL[:3], *NLP_SMALL[5:], "--methods", *methods)  # NLP_SMALL without --corpus
-    _, want = run_json(capsys, *argv, "--corpus", corpus, "--kinds", "counts")
-    _, out = run_json(capsys, *argv, "--index", index)
-    assert out == want
-    code, out, err = run(capsys, *argv, "--corpus", corpus)
-    assert code == 0, err
-    assert "training embeddings on the fly" not in err
+    monkeypatch.setattr(cli, "load_embeddings", no_tables)
+    _, out = run_json(capsys, *argv)
     assert out == want
 
 
-def test_a_repeated_kind_is_evaluated_once(capsys, monkeypatch):
+def test_a_repeated_kind_is_evaluated_once(capsys, monkeypatch, nlp_small):
     calls = []
     evaluate = experiments.evaluate_distribution_method
 
@@ -477,24 +450,24 @@ def test_a_repeated_kind_is_evaluated_once(capsys, monkeypatch):
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "evaluate_distribution_method", counted)
-    argv = (*NLP_SMALL, "--methods", "distribution", "--jobs", "1")
+    argv = (*nlp_small, "--methods", "distribution", "--jobs", "1")
     _, raw = run_json(capsys, *argv, "--kinds", "counts,counts")
     assert calls == ["counts"]
     _, once = run_json(capsys, *argv, "--kinds", "counts")
     assert raw == once
 
 
-def test_a_constant_projection_costs_one_pair(tmp_path, capsys):
+def test_a_constant_projection_costs_one_pair(tmp_path, capsys, bundled_index):
     """With 'erosion''s input row zeroed, nlp-eval lists its pair as
     excluded and scores the rest; word-pair names the word and the kind."""
-    index = proxy_text.build_index(bundled_data_path("mini_corpus.txt"))
+    index = proxy_text.load_index(bundled_index)
     rng = np.random.default_rng(0)
     vi = rng.standard_normal((len(index.words), 8))
     vi[index.words.index("erosion")] = 0.0
     emb = proxy_text.EmbeddingModel(index.words, vi, rng.standard_normal(vi.shape))
     paths = str(tmp_path / "vi.txt"), str(tmp_path / "vo.txt")
     proxy_text.save_embeddings(emb, *paths)
-    data = ("--corpus", bundled_data_path("mini_corpus.txt"), "--emb-input", paths[0], "--emb-output", paths[1])
+    data = ("--index", bundled_index, "--emb-input", paths[0], "--emb-output", paths[1])
     doc, _ = run_json(
         capsys,
         "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), *data,
@@ -509,12 +482,12 @@ def test_a_constant_projection_costs_one_pair(tmp_path, capsys):
     assert "error: constant projection of 'erosion' (w2vii)" in err
 
 
-def test_an_out_of_vocabulary_pair_costs_one_pair_in_every_method(tmp_path, capsys):
+def test_an_out_of_vocabulary_pair_costs_one_pair_in_every_method(tmp_path, capsys, bundled_index):
     """Each method lists the pair it cannot score under `excluded` and scores
     the rest; a baseline's other figures are those of a run without it."""
     pairs = tmp_path / "pairs.csv"
     pairs.write_text(open(bundled_data_path("word_pairs.csv")).read() + "zzzunknown,rain,20,0,0\n")
-    data = ("--corpus", bundled_data_path("mini_corpus.txt"), "--min-votes", "14", "--n-vocab", "60")
+    data = ("--index", bundled_index, "--min-votes", "14", "--n-vocab", "60")
     methods = ("--kinds", "counts", "--trees", "5", "--m", "10", "--repeats", "1")
     doc, _ = run_json(capsys, "nlp-eval", "--pairs", str(pairs), *data, *methods,
                       "--methods", "distribution,feature,baselines")
@@ -531,8 +504,8 @@ def test_an_out_of_vocabulary_pair_costs_one_pair_in_every_method(tmp_path, caps
         assert block == clean["baselines"][kind] and block["count"] == 33
 
 
-def test_nlp_eval_needs_at_least_one_repeat(capsys):
-    argv = ("nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), "--corpus", bundled_data_path("mini_corpus.txt"),
+def test_nlp_eval_needs_at_least_one_repeat(capsys, bundled_index):
+    argv = ("nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), "--index", bundled_index,
             "--min-votes", "14", "--kinds", "counts", "--methods", "distribution", "--repeats", "0")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -545,14 +518,17 @@ def test_nlp_eval_needs_at_least_one_repeat(capsys):
     ("--repeats", "0", "repeats must be an integer of at least 1, got 0"),
     ("--split", "1.5", "split must be a finite number in (0, 1), got 1.5"),
 ], ids=["repeats", "split"])
-def test_nlp_eval_checks_repeats_and_split_before_any_work(capsys, flag, value, message):
-    """With the default kinds, the run would train embeddings before the
-    first evaluation looked at either value."""
+def test_nlp_eval_checks_repeats_and_split_before_any_work(capsys, monkeypatch, bundled_index, flag, value, message):
+    """Both are checked before the index is read, let alone any pair projected."""
+
+    def no_index(*args, **kwargs):
+        raise AssertionError("load_index called")
+
+    monkeypatch.setattr(cli, "load_index", no_index)
     code, out, err = run(capsys, "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"),
-                         "--corpus", bundled_data_path("mini_corpus.txt"), flag, value)
+                         "--index", bundled_index, flag, value)
     assert code == 1 and out == ""
     assert err.endswith(f"error: {message}\n")
-    assert "training embeddings on the fly" not in err
 
 
 def test_a_version_1_index_is_refused_with_the_rebuild_command(tmp_path, capsys):
@@ -564,10 +540,10 @@ def test_a_version_1_index_is_refused_with_the_rebuild_command(tmp_path, capsys)
     assert f"error: {index}: unsupported index version 1: rebuild it with index-corpus" in err
 
 
-def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
+def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys, bundled_index):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("x,y,votes_xy,votes_yx,votes_none\nzzzunknown,rain,20,0,0\n")
-    argv = ("nlp-eval", "--pairs", str(pairs), "--corpus", bundled_data_path("mini_corpus.txt"),
+    argv = ("nlp-eval", "--pairs", str(pairs), "--index", bundled_index,
             "--methods", "baselines")
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -575,24 +551,41 @@ def test_a_baseline_that_scores_no_pair_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, line", [
-    (["word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--corpus", "{corpus}", "--engine", "forest"],
+    (["word-pair", "--x", "rain", "--y", "wet", "--kind", "counts", "--index", "{index}", "--engine", "forest"],
      "unknown engine 'forest' (want one of anm, model)"),
-    (["word-pair", "--x", "rain", "--y", "wet"], "need --corpus or --index"),
+    (["word-pair", "--x", "rain", "--y", "wet"], "--index is required"),
     (["word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vii", "--index", "{index}"],
-     "embedding projections need --emb-input/--emb-output or --corpus"),
-    (["nlp-eval", "--pairs", "{pairs}", "--corpus", "{corpus}", "--min-votes", "20"],
+     "embedding projections need --emb-input/--emb-output"),
+    (["nlp-eval", "--pairs", "{pairs}", "--index", "{index}", "--min-votes", "20"],
      "no pairs pass the consensus filter"),
+    # A pair of one word twice reads the same with its coordinates swapped,
+    # so it supports no verdict.
+    (["word-pair", "--x", "rain", "--y", "rain", "--kind", "counts", "--index", "{index}"],
+     "a word pair needs two different words, got 'rain' twice"),
+    (["nlp-eval", "--pairs", "{twice}", "--index", "{index}", "--methods", "baselines"],
+     "{twice}: line 3: a word pair needs two different words, got 'rain' twice"),
     (["frames-order", "--dir", "{dir}"], "found 0 frames matching 'frame_*.pgm' in {dir}"),
     (["synth", "--what", "sound"], "unknown synth target 'sound' (want one of scatter, stylized, frames)"),
-], ids=["engine", "no corpus", "no embeddings", "no pairs", "no frames", "synth target"])
-def test_each_data_error_exits_one_with_its_line(tmp_path, capsys, corpus_file, argv, line):
-    index, pairs = tmp_path / "index.json", tmp_path / "pairs.csv"
-    proxy_text.save_index(proxy_text.build_index(corpus_file), index)
+], ids=["engine", "no corpus", "no embeddings", "no pairs", "one word twice", "a pair of one word", "no frames",
+        "synth target"])
+def test_each_data_error_exits_one_with_its_line(tmp_path, capsys, index_file, argv, line):
+    pairs, twice = tmp_path / "pairs.csv", tmp_path / "twice.csv"
     pairs.write_text("x,y,votes_xy,votes_yx,votes_none\nrain,wet,12,8,0\n")
-    paths = {"corpus": corpus_file, "index": str(index), "pairs": str(pairs), "dir": str(tmp_path)}
+    twice.write_text("x,y,votes_xy,votes_yx,votes_none\nrain,wet,12,8,0\nrain,rain,18,2,0\n")
+    paths = {"index": index_file, "pairs": str(pairs), "twice": str(twice), "dir": str(tmp_path)}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == "error: " + line.format(**paths)
+
+
+@pytest.mark.parametrize("command", [("word-pair", "--x", "rain", "--y", "wet"), ("nlp-eval", "--pairs", "p.csv")])
+@pytest.mark.parametrize("flag, value", [("--corpus", "c.txt"), ("--d", "8"), ("--epochs", "1")])
+def test_the_word_pair_commands_take_no_corpus_or_training_option(capsys, command, flag, value):
+    """index-corpus and embed-train alone build an index and embeddings;
+    word-pair and nlp-eval read the files they write."""
+    code, out, err = run(capsys, *command, "--index", "i.json", flag, value)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {flag} {value}")
 
 
 @pytest.mark.parametrize("g", ["cube", "identity"])
@@ -605,10 +598,9 @@ def test_synth_stylized_takes_each_nonlinearity(tmp_path, capsys, g):
 
 @pytest.mark.parametrize("command", ["nlp-eval", "frames-order"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
+def test_jobs_below_one_is_a_data_error(capsys, tmp_path, bundled_index, command, jobs):
     argv = [command, "--jobs", jobs, "--dir", str(tmp_path)] if command == "frames-order" else [
-        command, "--pairs", bundled_data_path("word_pairs.csv"),
-        "--corpus", bundled_data_path("mini_corpus.txt"), "--jobs", jobs,
+        command, "--pairs", bundled_data_path("word_pairs.csv"), "--index", bundled_index, "--jobs", jobs,
     ]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -623,7 +615,7 @@ def test_jobs_below_one_is_a_data_error(capsys, tmp_path, command, jobs):
 def test_unknown_names_are_rejected_before_any_work(capsys, command, flag, value, what):
     # Neither input exists, so an error about the name shows that it was
     # checked before either was read.
-    code, out, err = run(capsys, command, "--pairs", "/does/not/exist.csv", "--corpus", "/does/not/exist.txt",
+    code, out, err = run(capsys, command, "--pairs", "/does/not/exist.csv", "--index", "/does/not/exist.json",
                          flag, value)
     assert code == 1 and out == ""
     bad = value.split(",")[-1]
@@ -638,14 +630,14 @@ def test_unknown_names_are_rejected_before_any_work(capsys, command, flag, value
 def test_one_embedding_table_without_the_other_is_rejected_before_any_work(capsys, command, given, missing):
     # No input exists, so the error about the flags shows that they were
     # checked before any was read.
-    code, out, err = run(capsys, *command, "--corpus", "/does/not/exist.txt", f"--{given}", "/does/not/exist.txt")
+    code, out, err = run(capsys, *command, "--index", "/does/not/exist.json", f"--{given}", "/does/not/exist.txt")
     assert code == 1 and out == ""
     assert err == f"error: --{given} needs --{missing}\n"
 
 
 @pytest.mark.parametrize("argv", [
     ("model", "inspect", "--model"),
-    ("word-pair", "--x", "cat", "--y", "animal", "--index"),
+    ("word-pair", "--x", "cat", "--y", "animal", "--kind", "counts", "--index"),
     ("model", "train", "--out", "model.json", "--data"),
 ])
 def test_json_nested_too_deeply_is_a_data_error(capsys, tmp_path, argv):
@@ -657,22 +649,22 @@ def test_json_nested_too_deeply_is_a_data_error(capsys, tmp_path, argv):
 
 
 @pytest.fixture(scope="module")
-def good_files(tmp_path_factory):
-    """A well-formed model file and image, for commands that read one next to the file under test."""
+def good_files(tmp_path_factory, bundled_index):
+    """A well-formed model file, image and index, for commands that read one next to the file under test."""
     directory = tmp_path_factory.mktemp("good")
     items = [synth_anm_pair(40, seed=400 + i) for i in range(8)]
     save_model(rcc_train(LabeledScatterDataset(tuple(items)), num_features=5, num_trees=3), directory / "model.json")
     save_image(Image(np.full((12, 12), 0.5)), directory / "image.pgm")
-    return {"model": directory / "model.json", "image": directory / "image.pgm"}
+    return {"model": directory / "model.json", "image": directory / "image.pgm", "index": bundled_index}
 
 
 @pytest.mark.parametrize("content", [b"{", b"\xff\xfe\x00"], ids=["json syntax", "not utf-8"])
 @pytest.mark.parametrize("argv", [
     ("model", "inspect", "--model"),
-    ("word-pair", "--x", "cat", "--y", "animal", "--index"),
+    ("word-pair", "--x", "cat", "--y", "animal", "--kind", "counts", "--index"),
     ("model", "predict", "--model", "{model}", "--sample"),
     ("image-pair", "--y", "{image}", "--x"),
-    ("nlp-eval", "--pairs"),
+    ("nlp-eval", "--index", "{index}", "--pairs"),
 ], ids=["model", "index", "sample", "image", "pairs"])
 def test_a_malformed_file_is_named_on_the_error_line(capsys, tmp_path, good_files, argv, content):
     path = tmp_path / "bad"
@@ -683,7 +675,7 @@ def test_a_malformed_file_is_named_on_the_error_line(capsys, tmp_path, good_file
 
 
 def test_word_pair_kind_is_rejected_before_any_work(capsys):
-    code, out, err = run(capsys, "word-pair", "--x", "cat", "--y", "animal", "--corpus", "/does/not/exist.txt",
+    code, out, err = run(capsys, "word-pair", "--x", "cat", "--y", "animal", "--index", "/does/not/exist.json",
                          "--kind", "count")
     assert code == 1 and out == ""
     assert "error: unknown projection kind 'count'" in err
@@ -718,9 +710,9 @@ def test_general_beta_follows_flag_then_config(tmp_path, capsys):
     (["index-corpus"], "corpus"),
     (["embed-train", "--corpus", "c.txt", "--out-output", "vo.txt"], "out-input"),
     (["embed-train", "--corpus", "c.txt", "--out-input", "vi.txt"], "out-output"),
-    (["word-pair", "--y", "wet", "--corpus", "c.txt"], "x"),
-    (["word-pair", "--x", "rain", "--corpus", "c.txt"], "y"),
-    (["nlp-eval", "--corpus", "c.txt"], "pairs"),
+    (["word-pair", "--y", "wet", "--index", "i.json"], "x"),
+    (["word-pair", "--x", "rain", "--index", "i.json"], "y"),
+    (["nlp-eval", "--index", "i.json"], "pairs"),
     (["nlp-eval", "--index", "i.json", "--methods", "baselines"], "pairs"),
     (["image-pair", "--x", "a.pgm"], "y"),
     (["frames-order"], "dir"),
@@ -733,6 +725,8 @@ def test_general_beta_follows_flag_then_config(tmp_path, capsys):
     (["model", "predict", "--model", "m.json"], "sample"),
     (["model", "inspect"], "model"),
     (["image-pair", "--x", "a.pgm", "--y", "b.pgm", "--engine", "model"], "model"),
+    (["word-pair", "--x", "rain", "--y", "wet", "--kind", "counts"], "index"),
+    (["nlp-eval", "--pairs", "p.csv", "--methods", "baselines"], "index"),
 ])
 def test_a_missing_required_option_exits_one_and_is_named(capsys, tmp_path, monkeypatch, argv, option):
     monkeypatch.chdir(tmp_path)

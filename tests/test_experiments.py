@@ -47,6 +47,8 @@ def test_word_pair_record_validation():
         WordPairRecord("a", "b", -1, 2, 0)
     with pytest.raises(ValueError, match="sum to zero"):
         WordPairRecord("a", "b", 0, 0, 0)
+    with pytest.raises(ValueError, match="a word pair needs two different words, got 'a' twice"):
+        WordPairRecord("a", "a", 18, 2, 0)
 
 
 def save_word_pairs(records, path):
@@ -95,6 +97,11 @@ def test_load_word_pairs_errors(tmp_path):
     path.write_text(head + "rain,wet,0,0,0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_word_pairs(path)
+    # Swapping the coordinates of such a pair's scatter changes nothing, so
+    # it supports no verdict.
+    path.write_text(head + "rain,wet,12,8,0\nrain,rain,18,2,0\n")
+    with pytest.raises(ValueError, match="line 3: a word pair needs two different words, got 'rain' twice$"):
+        load_word_pairs(path)
     for votes in ("1_9,0,1", "19, 0,1", "19,+0,1", "19,0,\u0661", "19,-1,1"):
         path.write_text(head + "rain,wet," + votes + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: vote counts must be integers"):
@@ -138,6 +145,7 @@ def test_word_pair_loader_gives_records_or_value_error(fuzz_dir, text):
     except ValueError:
         return
     assert len({(r.x, r.y) for r in records}) == len(records)
+    assert all(r.x != r.y for r in records)
     for r in records:
         votes = (r.votes_xy, r.votes_yx, r.votes_none)
         assert all(type(v) is int and v >= 0 for v in votes) and sum(votes) > 0
