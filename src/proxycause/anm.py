@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _count, _real, _standardize, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _count, _finite, _real, _standardize, as_spec
 from .independence import (
     _gaussian,
     _permutation_pvalue,
@@ -57,7 +57,7 @@ class Regressor:
         _real("bandwidth", self.bandwidth, 0.0)
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
+        x = _finite("x", np.ravel(x), 1)
         return _gaussian(x, self.x_train, self.bandwidth) @ self.alpha
 
 
@@ -68,14 +68,10 @@ def kernel_ridge_fit(x, y, cfg: AnmConfig = AnmConfig()) -> Regressor:
     values equal) falls back to a unit bandwidth, in which case the ridge
     solution is the constant that shrinks toward the mean of y.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x = _finite("x", np.ravel(x), 10)
+    y = _finite("y", np.ravel(y), 10)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 10:
-        raise ValueError("kernel ridge fit needs at least 10 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("inputs must be finite")
     try:
         bandwidth = median_heuristic(x)
     except ValueError:
@@ -89,8 +85,8 @@ def kernel_ridge_fit(x, y, cfg: AnmConfig = AnmConfig()) -> Regressor:
 
 def residuals(reg: Regressor, x, y) -> np.ndarray:
     """r_i = y_i - F(x_i)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x = _finite("x", np.ravel(x), 1)
+    y = _finite("y", np.ravel(y), 1)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     return y - reg.predict(x)

@@ -84,13 +84,9 @@ class ScatterSample:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _finite("points", self.points, 2)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-        if pts.shape[0] < 2:
-            raise ValueError("a scatter sample needs at least 2 points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("all coordinates must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -200,6 +196,19 @@ def _real(name: str, value, low: float, high: float = math.inf, closed: bool = F
     raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
+def _finite(name: str, values, least: int) -> np.ndarray:
+    """``values`` as a float64 array of at least ``least`` entries on its first axis (a 0-d array
+    holds one), all finite; anything else raises a ValueError naming ``name`` and what failed."""
+    arr = np.asarray(values, dtype=np.float64)
+    got = arr.shape[0] if arr.ndim else 1
+    if got >= least and np.isfinite(arr).all():
+        return arr
+    if got >= least:
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(~np.isfinite(arr)), arr.shape))
+        got = f"{float(arr[at])} at index {at[0] if len(at) == 1 else at}"
+    raise ValueError(f"{name} must be an array of at least {least} finite numbers, got {got}")
+
+
 def _choice(name: str, value, allowed) -> str:
     """``value`` if it is one of the names ``allowed``; anything else raises a
     ValueError naming ``name`` and the choices."""
@@ -260,8 +269,6 @@ def scatter_loads(text: str) -> ScatterSample:
             points.append(_json_point(json.loads(line)))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed scatter record at line {lineno}: {exc}") from None
-    if not points:
-        raise ValueError("empty sample")
     return ScatterSample(np.array(points, dtype=np.float64))
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _choice, _count, _reading, _real, _standardize, as_spec,
+    LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _choice, _count, _finite, _reading, _real, _standardize,
+    as_spec,
 )
 from .proxy_image import Image
 from .proxy_text import _check_projection, projection_vector, word_pair_scatter
@@ -97,7 +98,7 @@ _WORD_PAIR_FIELDS = ["x", "y", "votes_xy", "votes_yx", "votes_none"]
 
 
 def load_word_pairs(path) -> list:
-    """CSV with header x,y,votes_xy,votes_yx,votes_none; duplicates rejected."""
+    """CSV with header x,y,votes_xy,votes_yx,votes_none; a pair given twice, in either order, is rejected."""
     with open(path, "r", encoding="utf-8", newline="") as fh, _reading(path):
         try:
             rows = list(csv.reader(fh))
@@ -107,7 +108,7 @@ def load_word_pairs(path) -> list:
             header = rows[0] if rows else None
             raise ValueError(f"bad header {header!r}, want {','.join(_WORD_PAIR_FIELDS)}")
         records = []
-        seen = set()
+        seen = {}
         for lineno, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
@@ -117,9 +118,9 @@ def load_word_pairs(path) -> list:
             if not all(v.isascii() and v.isdigit() for v in row[2:]):
                 raise ValueError(f"line {lineno}: vote counts must be integers written in ASCII digits")
             votes = [int(v) for v in row[2:]]
-            if (x, y) in seen:
-                raise ValueError(f"line {lineno}: duplicate pair ({x}, {y})")
-            seen.add((x, y))
+            line, a, b = seen.setdefault(frozenset((x, y)), (lineno, x, y))
+            if line != lineno:
+                raise ValueError(f"line {lineno}: duplicate pair ({x}, {y}): line {line} gives it as ({a}, {b})")
             try:
                 records.append(WordPairRecord(x, y, *votes))
             except ValueError as exc:
@@ -229,7 +230,7 @@ class LocalMechanism:
 
     def __post_init__(self):
         _count("k", self.k, 1)
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = _finite("beta", self.beta, 1)
         if beta.shape != (self.k * self.k, self.k * self.k):
             raise ValueError(f"beta must be {self.k * self.k}x{self.k * self.k}")
         if self.row_constant and np.any(beta != beta[:, :1]):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SeedSpec, _count, _real, as_spec
+from .core import SeedSpec, _count, _finite, _real, as_spec
 
 __all__ = [
     "median_heuristic",
@@ -32,9 +32,7 @@ def median_heuristic(values) -> float:
     coincide) the median of the strictly positive differences is used
     instead, so the returned bandwidth is always positive.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size < 2:
-        raise ValueError("median heuristic needs at least 2 values")
+    v = _finite("values", np.ravel(values), 2)
     if v.size > _MEDIAN_SUBSAMPLE:
         idx = np.linspace(0, v.size - 1, _MEDIAN_SUBSAMPLE).round().astype(int)
         v = v[idx]
@@ -68,9 +66,7 @@ def median_heuristic(values) -> float:
 def gram_matrix(values, bandwidth: float) -> np.ndarray:
     """Gaussian (RBF) Gram matrix k(u, v) = exp(-(u - v)^2 / (2 bandwidth^2))."""
     bandwidth = _real("bandwidth", bandwidth, 0.0)
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
+    v = _finite("values", np.ravel(values), 1)
     return _gaussian(v, v, bandwidth)
 
 
@@ -101,12 +97,10 @@ def _center(K: np.ndarray) -> np.ndarray:
 
 def _inputs(u, v):
     """u, v as float vectors of one length >= 5, with their median-heuristic bandwidths."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+    u = _finite("u", np.ravel(u), 5)
+    v = _finite("v", np.ravel(v), 5)
     if u.size != v.size:
         raise ValueError(f"length mismatch: {u.size} vs {v.size}")
-    if u.size < 5:
-        raise ValueError("HSIC needs at least 5 points")
     return u, v, median_heuristic(u), median_heuristic(v)
 
 

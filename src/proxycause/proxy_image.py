@@ -16,7 +16,7 @@ import numpy as np
 # anm_direction is not called here; the traced benchmark run wraps it by
 # this module's name (perfbench/layers.py).
 from .anm import AnmConfig, anm_direction
-from .core import Direction, ScatterSample, SeedSpec, Verdict, _count, _reading, as_spec, parallel_map
+from .core import Direction, ScatterSample, SeedSpec, Verdict, _count, _finite, _reading, as_spec, parallel_map
 from .rcc import RCCModel
 
 __all__ = [
@@ -43,13 +43,11 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = _finite("pixels", self.pixels, 1)
         if not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 3)):
             raise ValueError("pixels must be (h, w) or (h, w, 3)")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
+        if arr.shape[1] < 1:
             raise ValueError("image must have at least one pixel")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("pixels must be finite")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("pixels must lie in [0, 1]")
         arr = arr.copy()

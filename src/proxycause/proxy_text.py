@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Direction, ScatterSample, SeedSpec, _choice, _count, _reading, _real, as_spec
+from .core import Direction, ScatterSample, SeedSpec, _choice, _count, _finite, _reading, _real, as_spec
 
 __all__ = [
     "CorpusIndex",
@@ -295,8 +295,7 @@ def _check_table(words, matrix: np.ndarray) -> None:
     """The checks one embedding table must pass on its own."""
     if len(set(words)) != len(words):
         raise ValueError("embedding table has duplicate words")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("embedding vectors must be finite")
+    _finite("embedding vectors", matrix, 0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _count, _reading, _real, _standardize, as_spec,
+    Direction, LabeledScatterDataset, ScatterSample, SeedSpec, _count, _finite, _reading, _real, _standardize, as_spec,
 )
 from .independence import median_heuristic
 
@@ -89,11 +89,10 @@ def rff_embed(points, omega, phase) -> np.ndarray:
     point sets, shape (..., n, d), gives one embedding per set, bit for
     bit those of one call per set.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _finite("points", points, 1)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.shape[-2] == 0:
-        raise ValueError("empty input")
+    _finite("points", pts.swapaxes(0, -2), 1)  # at least one point in each set
     feats = pts @ omega.T
     feats += phase
     np.cos(feats, out=feats)
@@ -358,12 +357,10 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     each comes out as depth-first recursion on its own generator grows it.
     """
     num_trees, min_leaf = _count("num_trees", num_trees, 1), _count("min_leaf", min_leaf, 1)
-    X = np.asarray(features, dtype=np.float64)
+    X = _finite("features", features, 1)
     y = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("features must be (n_examples, width) matching labels")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
     if not set(np.unique(y)) <= {-1, 1}:
         raise ValueError("labels must be +1 or -1")
     if np.unique(y).size < 2:
@@ -377,7 +374,7 @@ def forest_train(features, labels, num_trees: int = 500, seed: SeedSpec | int = 
     trees = []
     for start in range(0, num_trees, _TREE_BLOCK):
         block = range(start, min(start + _TREE_BLOCK, num_trees))
-        rngs = [np.random.default_rng(spec.seed(f"forest.tree.{t}")) for t in block]
+        rngs = [spec.rng(f"forest.tree.{t}") for t in block]
         trees.extend(_grow_block(X, y01, ranks, values, rngs, max_features, min_leaf))
     return Forest(num_trees=num_trees, trees=tuple(trees), num_features=X.shape[1])
 
@@ -388,14 +385,12 @@ def forest_predict(forest: Forest, features) -> np.ndarray:
     Every (row, tree) walk advances one level per step through the packed
     node table, until all of them stand on a leaf.
     """
-    X = np.asarray(features, dtype=np.float64)
+    # A NaN fails every <= test and would walk right at every node.
+    X = _finite("features", features, 0)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != forest.num_features:
         raise ValueError(f"expected {forest.num_features} features, got {X.shape[1]}")
-    # A NaN fails every <= test and would walk right at every node.
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
     roots, feature, threshold, left, right, vote = forest._packed
     node = np.tile(roots, X.shape[0])
     row = np.repeat(np.arange(X.shape[0]), roots.size)

@@ -45,11 +45,11 @@ def test_kernel_ridge_interpolates_near_training_points():
 
 
 def test_kernel_ridge_validation():
-    with pytest.raises(ValueError, match="at least 10"):
+    with pytest.raises(ValueError, match="x must be an array of at least 10 finite numbers, got 5$"):
         kernel_ridge_fit(np.arange(5.0), np.arange(5.0))
-    with pytest.raises(ValueError, match="mismatch"):
-        kernel_ridge_fit(np.arange(10.0), np.arange(9.0))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="length mismatch: 11 vs 10"):
+        kernel_ridge_fit(np.arange(11.0), np.arange(10.0))
+    with pytest.raises(ValueError, match="x must be an array of at least 10 finite numbers, got nan at index 9$"):
         kernel_ridge_fit(np.r_[np.arange(9.0), np.nan], np.arange(10.0))
 
 

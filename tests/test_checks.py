@@ -10,7 +10,7 @@ import pytest
 
 from proxycause import cli, experiments, proxy_image, rcc
 from proxycause.anm import AnmConfig, Regressor, kernel_ridge_fit, residuals
-from proxycause.core import Direction, LabeledScatterDataset, SeedSpec, Verdict, parallel_map
+from proxycause.core import Direction, LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, parallel_map
 from proxycause.experiments import (
     ANM_MECHANISMS,
     ANM_NOISES,
@@ -29,7 +29,7 @@ from proxycause.experiments import (
     synth_diffusion_frames,
     synth_stylized_pair,
 )
-from proxycause.independence import gram_matrix, hsic_pvalue
+from proxycause.independence import gram_matrix, hsic_pvalue, hsic_statistic, median_heuristic
 from proxycause.proxy_image import Image, frames_order, image_pair_scatter
 from proxycause.proxy_text import (
     BASELINE_KINDS,
@@ -43,7 +43,7 @@ from proxycause.proxy_text import (
     sgns_train,
     vocab_sample,
 )
-from proxycause.rcc import Forest, RCCModel, RFFSpec, forest_train
+from proxycause.rcc import Forest, RCCModel, RFFSpec, forest_predict, forest_train, rff_embed
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,96 @@ def test_every_real_takes_the_one_real_rule(site, corpus):
         with pytest.raises(ValueError, match=re.escape(f"{name} must be a finite number in {interval}, got {bad!r}")):
             call(bad, corpus)
     call(np.float64(inside), corpus)
+
+
+REG = kernel_ridge_fit(U, U)
+FOREST = forest_train(X, Y, num_trees=1)
+OMEGA, PHASE = np.ones((3, 2)), np.zeros(3)
+
+
+def _vector(rows):
+    return np.arange(float(rows))
+
+
+def _words(rows):
+    return tuple(f"w{i}" for i in range(rows))
+
+
+# (argument name, its floor, the array of r entries make(r), the call that
+# passes it the array v, and the error a call at the floor stops at after
+# the rule, None when it returns).
+ARRAYS = {
+    "ScatterSample": ("points", 2, lambda r: np.ones((r, 2)), ScatterSample, None),
+    "Image": ("pixels", 1, lambda r: np.zeros((r, 3)), Image, None),
+    "median_heuristic": ("values", 2, _vector, median_heuristic, None),
+    "gram_matrix": ("values", 1, _vector, lambda v: gram_matrix(v, 1.0), None),
+    "hsic_statistic-u": ("u", 5, _vector, lambda v: hsic_statistic(v, U[: len(v)]), None),
+    "hsic_pvalue-v": ("v", 5, _vector, lambda v: hsic_pvalue(U[: max(len(v), 5)], v, num_permutations=99), None),
+    "kernel_ridge_fit-x": ("x", 10, _vector, lambda v: kernel_ridge_fit(v, U[: len(v)]), None),
+    "kernel_ridge_fit-y": ("y", 10, _vector, lambda v: kernel_ridge_fit(U, v), None),
+    "residuals-x": ("x", 1, _vector, lambda v: residuals(REG, v, U[: len(v)]), None),
+    "residuals-y": ("y", 1, _vector, lambda v: residuals(REG, U[: max(len(v), 1)], v), None),
+    "Regressor.predict": ("x", 1, _vector, REG.predict, None),
+    "rff_embed": ("points", 1, lambda r: np.ones((r, 2)), lambda v: rff_embed(v, OMEGA, PHASE), None),
+    # A stack of two sets of r points: each set holds at least one.
+    "rff_embed-stack": ("points", 1, lambda r: np.ones((2, r, 2)), lambda v: rff_embed(v, OMEGA, PHASE), None),
+    "forest_train": ("features", 1, lambda r: X[:r], lambda v: forest_train(v, Y[: len(v)], num_trees=1),
+                     "training needs both classes present"),
+    "forest_predict": ("features", 0, lambda r: X[:r], lambda v: forest_predict(FOREST, v), None),
+    "EmbeddingModel": ("embedding vectors", 0, lambda r: np.ones((r, 2)),
+                       lambda v: EmbeddingModel(_words(len(v)), v, np.ones_like(v)), None),
+    "LocalMechanism": ("beta", 1, lambda r: np.ones((r, r)), lambda v: LocalMechanism(1, v, True, "identity", 0.0),
+                       None),
+    "LocalMechanism-not-row-constant": ("beta", 1, lambda r: np.ones((r, r)),
+                                        lambda v: LocalMechanism(1, v, False, "identity", 0.0), None),
+}
+
+
+@pytest.mark.parametrize("site", ARRAYS)
+def test_every_numeric_array_takes_the_one_array_rule(site):
+    """NaN, inf and an array one entry below the floor each raise the one
+    message naming the argument, with the first entry not finite and its
+    index, or the entry count; an array at the floor passes the rule."""
+    name, least, make, call, after = ARRAYS[site]
+    rule = f"{name} must be an array of at least {least} finite numbers, got "
+    if least:
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}{least - 1}$"):
+            call(make(least - 1))
+    for bad in (math.nan, math.inf):
+        v = make(max(least, 1)).copy()
+        v[-1] = bad  # the whole last row: its first entry is the first one not finite
+        at = len(v) - 1 if v.ndim == 1 else (len(v) - 1, *[0] * (v.ndim - 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{rule}{bad} at index {at}')}$"):
+            call(v)
+    if after is None:
+        call(make(least))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(after)}$"):
+            call(make(least))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: median_heuristic([math.nan, 1, 2, 3]),
+     "values must be an array of at least 2 finite numbers, got nan at index 0"),
+    (lambda: median_heuristic([math.inf, 1, 2, 3]),
+     "values must be an array of at least 2 finite numbers, got inf at index 0"),
+    (lambda: residuals(REG, [0.0, math.nan], [0.0, 1.0]),
+     "x must be an array of at least 1 finite numbers, got nan at index 1"),
+    (lambda: REG.predict([math.nan]), "x must be an array of at least 1 finite numbers, got nan at index 0"),
+    (lambda: rff_embed([[0.0, math.nan]], OMEGA, PHASE),
+     "points must be an array of at least 1 finite numbers, got nan at index (0, 1)"),
+    (lambda: LocalMechanism(2, np.full((4, 4), math.nan), True, "identity", 0.0),
+     "beta must be an array of at least 1 finite numbers, got nan at index (0, 0)"),
+    (lambda: LocalMechanism(2, np.full((4, 4), math.nan), False, "identity", 0.0),
+     "beta must be an array of at least 1 finite numbers, got nan at index (0, 0)"),
+], ids=["median_heuristic-nan", "median_heuristic-inf", "residuals-nan", "predict-nan", "rff_embed-nan",
+        "beta-row-constant", "beta-not-row-constant"])
+def test_what_passed_the_array_checks_before_is_refused(call, message):
+    """NaN or inf reaching a bandwidth, a regression, an embedding or a
+    mechanism raises the rule's message instead of coming out as a number
+    or as another check's message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # (the noun of the error, the names it takes, the call that passes it the name v).
@@ -311,7 +401,8 @@ def test_nlp_eval_checks_the_forest_sizes_before_any_work(monkeypatch, capsys, f
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Image(np.zeros((0, 4))), "image must have at least one pixel"),
+    (lambda: Image(np.zeros((0, 4))), "pixels must be an array of at least 1 finite numbers, got 0"),
+    (lambda: Image(np.zeros((4, 0))), "image must have at least one pixel"),
     (lambda: VocabSample(("a", "b", "a")), "vocabulary sample has duplicate words"),
     (lambda: VocabSample(("a",)), "vocabulary sample needs at least 2 words"),
     (lambda: EmbeddingModel(("a", "b"), np.zeros((2, 3)), np.zeros((2, 4))),
@@ -323,7 +414,7 @@ def test_nlp_eval_checks_the_forest_sizes_before_any_work(monkeypatch, capsys, f
     (lambda: residuals(kernel_ridge_fit(U, U), U, U[:9]), "length mismatch: 10 vs 9"),
     (lambda: synth_stylized_pair(Image(np.zeros((4, 4, 3))), random_mechanism(k=2)),
      "stylization expects a grayscale image"),
-], ids=["image-no-rows", "vocab-duplicate", "vocab-one-word", "embedding-shapes", "rcc-width",
+], ids=["image-no-rows", "image-no-columns", "vocab-duplicate", "vocab-one-word", "embedding-shapes", "rcc-width",
         "regressor-coefficients", "kernel-ridge-lengths", "residuals-lengths", "stylize-color"])
 def test_public_constructors_reject_inconsistent_parts(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

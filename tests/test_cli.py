@@ -195,7 +195,8 @@ def test_an_embedding_table_with_a_nan_is_named(tmp_path, capsys, index_file):
     code, out, err = run(capsys, "word-pair", "--x", "rain", "--y", "wet", "--kind", "w2vio", "--index", index_file,
                          "--emb-input", str(vi), "--emb-output", str(vo))
     assert code == 1 and out == ""
-    assert err.splitlines()[-1] == f"error: {vo}: embedding vectors must be finite" and "Traceback" not in err
+    assert err.splitlines()[-1] == (f"error: {vo}: embedding vectors must be an array of at least 0 finite numbers, "
+                                    "got nan at index (0, 1)") and "Traceback" not in err
 
 
 def _tables_without(corpus, word, vi, vo):

@@ -194,7 +194,7 @@ def test_scatter_loads_reports_line_numbers():
         scatter_loads(good + "\n{broken\n")
     with pytest.raises(ValueError, match="line 3"):
         scatter_loads(good + "\n" + good + '\n{"a": 1.0}\n')
-    with pytest.raises(ValueError, match="empty sample"):
+    with pytest.raises(ValueError, match="^points must be an array of at least 2 finite numbers, got 0$"):
         scatter_loads("\n\n")
 
 

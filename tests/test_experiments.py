@@ -89,7 +89,12 @@ def test_load_word_pairs_errors(tmp_path):
     with pytest.raises(ValueError, match="line 2: vote counts must be integers"):
         load_word_pairs(path)
     path.write_text(head + "rain,wet,19,0,1\nrain,wet,1,18,1\n")
-    with pytest.raises(ValueError, match="line 3: duplicate pair"):
+    with pytest.raises(ValueError, match=re.escape("line 3: duplicate pair (rain, wet): line 2 gives it as (rain, wet)")):
+        load_word_pairs(path)
+    # The reverse order is the same pair: RCC trains on each scatter and its
+    # swapped copy, so it would land in the training and the test split.
+    path.write_text(head + "rain,wet,19,0,1\nsun,heat,18,1,1\nwet,rain,1,18,1\n")
+    with pytest.raises(ValueError, match=re.escape("line 4: duplicate pair (wet, rain): line 2 gives it as (rain, wet)")):
         load_word_pairs(path)
     path.write_text(head + "rain,wet,19,0\n")
     with pytest.raises(ValueError, match="expected 5 fields"):
@@ -144,7 +149,7 @@ def test_word_pair_loader_gives_records_or_value_error(fuzz_dir, text):
         records = load_word_pairs(path)
     except ValueError:
         return
-    assert len({(r.x, r.y) for r in records}) == len(records)
+    assert len({frozenset((r.x, r.y)) for r in records}) == len(records)
     assert all(r.x != r.y for r in records)
     for r in records:
         votes = (r.votes_xy, r.votes_yx, r.votes_none)

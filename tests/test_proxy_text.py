@@ -939,8 +939,8 @@ def test_load_embeddings_rejects_duplicate_words(tmp_path):
 @pytest.mark.parametrize(
     "bad_row, message",
     [
-        ("b nan 1.0", "embedding vectors must be finite"),
-        ("b 1.0 -inf", "embedding vectors must be finite"),
+        ("b nan 1.0", "embedding vectors must be an array of at least 0 finite numbers, got nan at index (1, 0)"),
+        ("b 1.0 -inf", "embedding vectors must be an array of at least 0 finite numbers, got -inf at index (1, 1)"),
         ("a 1.0 1.0", "embedding table has duplicate words"),
     ],
 )
@@ -950,7 +950,7 @@ def test_load_embeddings_names_the_table_at_fault(tmp_path, bad_row, message, at
     for name in ("vi.txt", "vo.txt"):
         second = bad_row if name == at_fault else "b 3.0 4.0"
         (tmp_path / name).write_text(f"2 2\na 1.0 2.0\n{second}\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / at_fault))}: {message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{tmp_path / at_fault}: {message}')}$"):
         load_embeddings(tmp_path / "vi.txt", tmp_path / "vo.txt")
 
 
