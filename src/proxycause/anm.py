@@ -52,6 +52,8 @@ class Regressor:
     bandwidth: float
 
     def __post_init__(self):
+        object.__setattr__(self, "x_train", _finite("x_train", self.x_train, 1))
+        object.__setattr__(self, "alpha", _finite("alpha", self.alpha, 1))
         if self.x_train.shape != self.alpha.shape:
             raise ValueError("coefficient count must equal training-input count")
         _real("bandwidth", self.bandwidth, 0.0)

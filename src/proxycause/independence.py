@@ -125,11 +125,11 @@ def hsic_pvalue(u, v, num_permutations: int = 499, seed: SeedSpec | int = 0) -> 
     does not depend on evaluation order.
 
     The permuted statistics are scored in blocks on pivoted Cholesky factors
-    of the two centered Gram matrices.  A permutation whose factored
-    statistic lies within a guard band of the observed one (the error bound
-    from the Frobenius norms of the factor residuals, plus slack) is
-    recomputed directly, so the count, and with it the p-value, equals the
-    one from computing every permuted statistic directly.
+    of the two centered Gram matrices: float32 copies of their leading
+    columns first, then the float64 factors, then directly.  Each factored
+    level passes on only the permutations within its proven error band of
+    the observed statistic, so the count, and with it the p-value, equals
+    the one from computing every permuted statistic directly.
     """
     _count("num_permutations", num_permutations, 99)
     u, v, hu, hv = _inputs(u, v)
@@ -145,17 +145,19 @@ def _permutation_schedule(rng: np.random.Generator, n: int, count: int) -> np.nd
     return rng.permuted(perms, axis=1, out=perms)
 
 
-# Permutations scored per batched product.  Larger blocks were no faster at
-# the test-half sizes in use and raise peak memory through the gathered
-# (block, n, rank) array.
-_BLOCK = 32
+# Permutations scored per batched product on the float64 factors and by the
+# float32 screen.  Larger float64 blocks were no faster at the test-half sizes
+# in use and raise peak memory through the gathered (block, n, rank) array.
+_BLOCK, _SCREEN_BLOCK = 32, 128
 # The pivoted Cholesky factors stop once the residual diagonal sums to at
-# most this fraction of the trace; the guard band accounts for the rest.
-_STOP = 1e-6
+# most this fraction of the trace; the guard band accounts for the rest.  The
+# float32 screen keeps their leading columns, down to the larger fraction.
+_STOP, _SCREEN_STOP = 1e-6, 1e-4
 # Floating-point slack of the guard band, relative to ||Kc||_F ||Lc||_F: it
 # covers the round-off of the factors, of their residuals, of the factored
 # products and of the direct sums, all far smaller at any practical n.
 _SLACK = 1e-9
+_U = 2.0**-24  # unit round-off of float32
 
 
 def _factor(C: np.ndarray):
@@ -177,6 +179,40 @@ def _factor(C: np.ndarray):
     return Ft[:k].T, float(np.linalg.norm(R))
 
 
+def _lead(C: np.ndarray, F: np.ndarray, residual: float):
+    """The fewest leading columns of C's factor F leaving at most ``_SCREEN_STOP`` of
+    the trace, and their residual norm bound: dropping columns Y adds ||Y^T Y||_F."""
+    trace = np.trace(C)
+    k = 1 + int(np.count_nonzero(trace - np.cumsum(np.einsum("ij,ij->j", F, F)) > _SCREEN_STOP * trace))
+    return F[:, :k], residual + float(np.linalg.norm(F[:, k:].T @ F[:, k:]))
+
+
+def _levels(Kc: np.ndarray, Lc: np.ndarray):
+    """(G, F, block, band) of the float32 screen, then of the float64 factors:
+    the computed ||G^T F[p]||_F^2 is within ``band`` of <Kc, P Lc P^T>."""
+    norm_k, norm_l = float(np.linalg.norm(Kc)), float(np.linalg.norm(Lc))
+    (G, res_k), (F, res_l) = _factor(Kc), _factor(Lc)
+    (Gs, res_ks), (Fs, res_ls) = _lead(Kc, G, res_k), _lead(Lc, F, res_l)
+    bands = [rk * norm_l + (norm_k + rk) * rl + _SLACK * norm_k * norm_l for rk, rl in ((res_ks, res_ls), (res_k, res_l))]
+    n, r = G.shape[0], Gs.shape[1] * Fs.shape[1]
+    g, f = (float(np.linalg.norm(X)) + 2.0**-126 * np.sqrt(X.size) for X in (Gs, Fs))
+    gamma_n, gamma_r = (k * _U / (1 - k * _U) if k * _U < 1 else np.inf for k in (n, r + 1))
+    e = (gamma_n * (1 + _U) ** 2 + 2 * _U + _U**2) * g * f + n * np.sqrt(r) * 2.0**-149
+    bands[0] += (2 * g * f + e) * e + gamma_r * (g * f + e) ** 2 + r * 2.0**-149
+    return [(Gs.astype(np.float32), Fs.astype(np.float32), _SCREEN_BLOCK, bands[0]), (G, F, _BLOCK, bands[1])]
+
+
+def _level(G: np.ndarray, F: np.ndarray, perms: np.ndarray, block: int, target: float, band: float):
+    """Score ||G^T F[p]||_F^2 for each row p of ``perms``, ``block`` rows per
+    batched product in the dtype of G and F, and compare the scores with
+    ``target`` in float64: (#scores above target + band, rows within band)."""
+    sums = np.empty(len(perms))
+    for start in range(0, len(perms), block):
+        M = G.T @ np.take(F, perms[start : start + block], axis=0)
+        sums[start : start + block] = np.einsum("bij,bij->b", M, M)
+    return int(np.count_nonzero(sums > target + band)), perms[np.abs(sums - target) <= band]
+
+
 def _permutation_pvalue(u, v, hu: float, hv: float, perms: np.ndarray) -> float:
     """HSIC permutation p-value of (u, v) under Gaussian bandwidths hu and hv,
     over a drawn schedule of v-permutations.
@@ -186,9 +222,22 @@ def _permutation_pvalue(u, v, hu: float, hv: float, perms: np.ndarray) -> float:
     Kc = G G^T + Rk and Lc = F F^T + Rl, the factored sum ||G^T F[p]||_F^2
     is off by <Rk, P Lc P^T> + <Kc - Rk, P Rl P^T>, which by Cauchy-Schwarz,
     as permuting keeps the Frobenius norm, is at most
-    ||Rk|| ||Lc|| + (||Kc|| + ||Rk||) ||Rl||.  A factored statistic further
-    than that (plus slack) from the observed one decides its permutation;
-    the rest are recomputed directly.
+    ||Rk|| ||Lc|| + (||Kc|| + ||Rk||) ||Rl||, plus slack.
+
+    Three levels decide the permutations, each passing on only those within
+    its band of the observed sum:
+
+    1. The screen: float32 copies of the leading columns of G and F
+       (``_lead``).  With u = 2^-24 and gamma_k = k u / (1 - k u) (Higham
+       2002, 3.1: any summation order), rounding moves each copy by at most
+       u of its norm and the product by gamma_n |G|^T |F[p]|, so the
+       computed M is within e = (gamma_n (1 + u)^2 + 2u + u^2) ||G|| ||F||
+       of G^T F[p]; its squared norm moves by at most (2 ||G|| ||F|| + e) e,
+       and the float32 sum of its r = r_k r_l squares by
+       gamma_{r+1} (||G|| ||F|| + e)^2.  Underflow adds at most 2^-150 to a
+       rounding: 2^-126 sqrt(size) on each norm, and the 2^-149 terms.
+    2. The float64 factors (``_STOP``), with the residual band alone.
+    3. The direct sum.
     """
     n = u.size
     Kc = _center(gram_matrix(u, hu))
@@ -196,17 +245,10 @@ def _permutation_pvalue(u, v, hu: float, hv: float, perms: np.ndarray) -> float:
     observed_sum = float(np.sum(Kc * Lc))
     observed = observed_sum / (n * n)
 
-    G, res_k = _factor(Kc)
-    F, res_l = _factor(Lc)
-    norm_k, norm_l = float(np.linalg.norm(Kc)), float(np.linalg.norm(Lc))
-    tol = res_k * norm_l + (norm_k + res_k) * res_l + _SLACK * norm_k * norm_l
-
-    exceed = 0
-    for start in range(0, len(perms), _BLOCK):
-        block = perms[start : start + _BLOCK]
-        M = G.T @ np.take(F, block, axis=0)
-        approx = np.einsum("bij,bij->b", M, M)
-        exceed += int(np.count_nonzero(approx > observed_sum + tol))
-        for p in block[np.abs(approx - observed_sum) <= tol]:
-            exceed += int(float(np.sum(Kc * Lc[np.ix_(p, p)])) / (n * n) >= observed)
-    return (1 + exceed) / (1 + len(perms))
+    exceed, total = 0, len(perms)
+    for G, F, block, band in _levels(Kc, Lc):
+        count, perms = _level(G, F, perms, block, observed_sum, band)
+        exceed += count
+    for p in perms:
+        exceed += int(float(np.sum(Kc * Lc[np.ix_(p, p)])) / (n * n) >= observed)
+    return (1 + exceed) / (1 + total)

@@ -175,6 +175,8 @@ ARRAYS = {
     "residuals-x": ("x", 1, _vector, lambda v: residuals(REG, v, U[: len(v)]), None),
     "residuals-y": ("y", 1, _vector, lambda v: residuals(REG, U[: max(len(v), 1)], v), None),
     "Regressor.predict": ("x", 1, _vector, REG.predict, None),
+    "Regressor-x_train": ("x_train", 1, _vector, lambda v: Regressor(v, U[: len(v)], 1.0), None),
+    "Regressor-alpha": ("alpha", 1, _vector, lambda v: Regressor(U[: max(len(v), 1)], v, 1.0), None),
     "rff_embed": ("points", 1, lambda r: np.ones((r, 2)), lambda v: rff_embed(v, OMEGA, PHASE), None),
     # A stack of two sets of r points: each set holds at least one.
     "rff_embed-stack": ("points", 1, lambda r: np.ones((2, r, 2)), lambda v: rff_embed(v, OMEGA, PHASE), None),
@@ -221,13 +223,15 @@ def test_every_numeric_array_takes_the_one_array_rule(site):
     (lambda: residuals(REG, [0.0, math.nan], [0.0, 1.0]),
      "x must be an array of at least 1 finite numbers, got nan at index 1"),
     (lambda: REG.predict([math.nan]), "x must be an array of at least 1 finite numbers, got nan at index 0"),
+    (lambda: Regressor(np.array([math.nan, 1.0]), np.array([1.0, 1.0]), 1.0).predict([0.0]),
+     "x_train must be an array of at least 1 finite numbers, got nan at index 0"),
     (lambda: rff_embed([[0.0, math.nan]], OMEGA, PHASE),
      "points must be an array of at least 1 finite numbers, got nan at index (0, 1)"),
     (lambda: LocalMechanism(2, np.full((4, 4), math.nan), True, "identity", 0.0),
      "beta must be an array of at least 1 finite numbers, got nan at index (0, 0)"),
     (lambda: LocalMechanism(2, np.full((4, 4), math.nan), False, "identity", 0.0),
      "beta must be an array of at least 1 finite numbers, got nan at index (0, 0)"),
-], ids=["median_heuristic-nan", "median_heuristic-inf", "residuals-nan", "predict-nan", "rff_embed-nan",
+], ids=["median_heuristic-nan", "median_heuristic-inf", "residuals-nan", "predict-nan", "regressor-nan", "rff_embed-nan",
         "beta-row-constant", "beta-not-row-constant"])
 def test_what_passed_the_array_checks_before_is_refused(call, message):
     """NaN or inf reaching a bandwidth, a regression, an embedding or a
@@ -235,6 +239,15 @@ def test_what_passed_the_array_checks_before_is_refused(call, message):
     or as another check's message."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_regressor_takes_lists_as_float_arrays():
+    """List fields are stored as the float64 arrays the rule converts them
+    to, and predict as those arrays do."""
+    listed = Regressor([0.0, 1.0], [1.0, 1.0], 1.0)
+    arrays = Regressor(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1.0)
+    assert listed.x_train.dtype == listed.alpha.dtype == np.float64
+    assert np.array_equal(listed.predict([0.0, 0.5]), arrays.predict([0.0, 0.5]))
 
 
 # (the noun of the error, the names it takes, the call that passes it the name v).

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxycause import independence
 from proxycause.core import SeedSpec
 from proxycause.independence import (
+    _SCREEN_STOP,
     _SLACK,
     _center,
     _factor,
+    _lead,
+    _level,
+    _levels,
     _permutation_pvalue,
     _permutation_schedule,
     gram_matrix,
@@ -311,11 +316,30 @@ def test_permutation_pvalue_equals_direct_loop(n, strength):
     assert_same_count_as_direct_loop(u, v, perms)
 
 
+@pytest.mark.parametrize("strength", [0.0, 0.3, 1.0])
+def test_permutation_pvalue_equals_direct_loop_at_frames_depth(strength):
+    """The frames test half (n=128) at the frames permutation count (4999)."""
+    rng = np.random.default_rng(1500)
+    u = rng.normal(size=128)
+    v = strength * np.sin(2 * u) + rng.normal(size=128)
+    assert_same_count_as_direct_loop(u, v, _permutation_schedule(rng, 128, 4999))
+
+
 @pytest.mark.parametrize("n", [20, 50, 128, 250])
-def test_permutation_pvalue_counts_exact_ties(n):
+def test_permutation_pvalue_counts_exact_ties(n, monkeypatch):
     """v on 3 levels makes Lc exactly rank-deficient; identity and
     level-preserving permutations then reproduce the observed statistic bit
-    for bit, and each such tie counts as an exceedance."""
+    for bit, and each such tie counts as an exceedance.  The ties lie within
+    every band, so they pass the float32 screen and the float64 factors and
+    reach the direct sum."""
+    reached = []
+
+    def spy(G, F, perms, block, target, band):
+        count, rest = _level(G, F, perms, block, target, band)
+        reached.append((G.dtype, len(perms), len(rest)))
+        return count, rest
+
+    monkeypatch.setattr(independence, "_level", spy)
     rng = np.random.default_rng(2000 + n)
     u = rng.normal(size=n)
     v = np.digitize(u + rng.normal(size=n), [-0.5, 0.5]).astype(float)
@@ -331,6 +355,9 @@ def test_permutation_pvalue_counts_exact_ties(n):
     assert np.linalg.matrix_rank(_center(gram_matrix(v, median_heuristic(v)))) <= 2
     exceed = assert_same_count_as_direct_loop(u, v, perms)
     assert exceed >= len(ties)
+    (screen, screened, to_float64), (factors, factored, to_direct) = reached
+    assert (screen, factors, screened) == (np.float32, np.float64, len(perms))
+    assert factored == to_float64 >= 1 and to_direct >= len(ties)
 
 
 def eigh_factor(C):
@@ -363,7 +390,7 @@ def eigh_permutation_pvalue(u, v, ku, kv, perms):
     return (1 + exceed) / (1 + len(perms))
 
 
-@pytest.mark.parametrize("n, count", [(128, 999), (250, 199)])
+@pytest.mark.parametrize("n, count", [(128, 999), (250, 199), (128, 4999)])
 @pytest.mark.parametrize("strength", [0.0, 0.3, 1.0, "ties"])
 def test_permutation_pvalue_equals_eigh_oracle(n, count, strength):
     """Frames-shaped (n=128) and scatter-shaped (n=250) inputs give the same
@@ -412,6 +439,76 @@ def test_factored_statistic_lies_within_the_band(data):
         direct = float(np.sum(Kc * Lc[np.ix_(p, p)]))
         M = G.T @ F[p]
         assert abs(float(np.sum(M * M)) - direct) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_screened_statistic_lies_within_the_band(data):
+    """For any u, v and permutation, the float32 screen's computed sum is
+    within its documented band of the direct sum <Kc, P Lc P^T>."""
+    n = data.draw(st.integers(5, 400))
+    u = np.array(data.draw(samples(n)))
+    v = np.array(data.draw(samples(n)))
+    ku = data.draw(st.floats(0.05, 5.0))
+    kv = data.draw(st.floats(0.05, 5.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perms = _permutation_schedule(rng, n, 20)
+    Kc = _center(gram_matrix(u, ku))
+    Lc = _center(gram_matrix(v, kv))
+    (G, F, block, band), _ = _levels(Kc, Lc)
+    assert G.dtype == F.dtype == np.float32
+    for p in perms:
+        direct = float(np.sum(Kc * Lc[np.ix_(p, p)]))
+        # Centred on the direct sum, the screen passes p on: its sum is within the band.
+        count, rest = _level(G, F, p[None], block, direct, band)
+        assert count == 0 and np.array_equal(rest, p[None])
+        M = G.T @ F[p]
+        assert abs(float(np.sum(M * M)) - direct) <= band
+
+
+def test_screen_keeps_the_leading_columns_of_the_factor():
+    """The screen's factor is the float32 copy of the float64 factor's first
+    columns, the fewest that leave at most _SCREEN_STOP of the trace, and its
+    residual bound holds the explicit residual norm."""
+    for v, bandwidth in kernel_inputs():
+        if v.size < 5:
+            continue
+        C = _center(gram_matrix(v, bandwidth))
+        full, residual = _factor(C)
+        lead, bound = _lead(C, full, residual)
+        k = lead.shape[1]
+        (G, F, _, _), (G64, F64, _, _) = _levels(C, C)
+        assert np.array_equal(lead, full[:, :k]) and np.array_equal(G, lead.astype(np.float32))
+        assert np.array_equal(F, G) and np.array_equal(F64, full) and np.array_equal(G64, full)
+        trace = np.trace(C)
+        assert trace - np.sum(lead * lead) <= _SCREEN_STOP * trace or k == full.shape[1]
+        assert k == 0 or trace - np.sum(full[:, : k - 1] ** 2) > _SCREEN_STOP * trace
+        assert float(np.linalg.norm(C - lead @ lead.T)) <= bound + _SLACK * np.linalg.norm(C) ** 2
+
+
+def test_screen_compares_its_float32_scores_in_float64():
+    """A float32 score of 9 lies above a target strictly between 9 and the
+    float32 value below it.  Compared in float32, the target would round to
+    9, and the score would tie it instead of exceeding it."""
+    target = 9.0 - 2.0**-30
+    assert np.nextafter(np.float32(9.0), np.float32(0.0)) < target < 9.0 == np.float32(target)
+    G, F = np.ones((1, 1), np.float32), np.full((1, 1), 3.0, np.float32)
+    count, rest = _level(G, F, np.zeros((1, 1), dtype=int), 128, target, 0.0)
+    assert count == 1 and rest.size == 0
+
+
+def test_constant_u_under_its_kernel_gives_p_one():
+    """Constant u makes Kc exactly zero: both of its factors have rank 0,
+    every permuted statistic ties the observed 0, and p = 1."""
+    rng = np.random.default_rng(5)
+    u = np.full(60, -1.5)
+    v = rng.normal(size=60)
+    Kc = _center(gram_matrix(u, 1.0))
+    assert not Kc.any()
+    (Gs, _, _, _), (G, _, _, _) = _levels(Kc, _center(gram_matrix(v, 1.0)))
+    assert Gs.shape == G.shape == (60, 0)
+    perms = _permutation_schedule(rng, 60, 99)
+    assert _permutation_pvalue(u, v, 1.0, 1.0, perms) == 1.0
 
 
 def test_constant_v_under_its_kernel_gives_p_one():
