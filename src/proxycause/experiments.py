@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    LabeledScatterDataset, ScatterSample, SeedSpec, Verdict, _choice, _count, _finite, _reading, _real, _standardize,
-    as_spec,
+    ScatterSample, SeedSpec, Verdict, _choice, _count, _finite, _reading, _real, _standardize, as_spec,
 )
 from .proxy_image import Image
 from .proxy_text import _check_projection, projection_vector, word_pair_scatter
-from .rcc import _vote_direction, forest_predict, forest_train, rcc_predict, rcc_train
+# rcc_train is not called here; WRAPS row ("proxycause.experiments", "rcc_train") of perfbench/layers.py names it.
+from .rcc import _augmented_features, _augmented_labels, _vote_direction, forest_predict, forest_train, rcc_train
 
 __all__ = [
     "WordPairRecord",
@@ -435,6 +435,15 @@ def _check_evaluation(split, repeats, num_trees, num_features=None) -> None:
         _count("num_features", num_features, 1)
 
 
+def _check_pair_count(labels, excluded) -> int:
+    """The number of labeled pairs, which must be at least 8."""
+    n = len(labels)
+    if n < 8:
+        why = f" ({len(excluded)} excluded, first {excluded[0][0]}: {excluded[0][1]})" if excluded else ""
+        raise ValueError(f"need at least 8 labeled pairs, got {n}{why}")
+    return n
+
+
 def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> EvalReport:
     """The repeated-split loop of every evaluation, whose caller has checked its arguments.
 
@@ -445,10 +454,7 @@ def _repeated_splits(labels, names, excluded, judge, split, repeats, seed) -> Ev
     than 8 labeled pairs raise a ValueError that counts the excluded pairs
     and gives the first one's reason.
     """
-    n = len(labels)
-    if n < 8:
-        why = f" ({len(excluded)} excluded, first {excluded[0][0]}: {excluded[0][1]})" if excluded else ""
-        raise ValueError(f"need at least 8 labeled pairs, got {n}{why}")
+    n = _check_pair_count(labels, excluded)
     spec = as_spec(seed)
     n_train = min(max(int(round(split * n)), 1), n - 1)
     accuracies = []
@@ -512,17 +518,24 @@ def evaluate_distribution_method(
 
     `pairs` is the (record, label) list from filter_consensus; a pair whose
     scatter fails is listed under the report's `excluded`.
+
+    One RFF draw per study: ``rcc_train``'s on all usable pairs at ``seed``,
+    its bandwidth from their standardized scatters (test inputs, never
+    labels).  A repeat varies the split and the forest, not the RFF draw.
     """
     _check_projection(kind, emb)
     _check_evaluation(split, repeats, num_trees, num_features)
     samples, labels, names, excluded = _project_pairs(
         pairs, lambda record: word_pair_scatter(record.x, record.y, kind, vocab, index, emb)
     )
+    _check_pair_count(labels, excluded)
+    _, X = _augmented_features(samples, num_features, seed)
 
     def judge(train_idx, test_idx, spec):
-        data = LabeledScatterDataset(tuple((samples[i], labels[i]) for i in train_idx))
-        model = rcc_train(data, num_features=num_features, num_trees=num_trees, seed=spec)
-        return [rcc_predict(model, samples[i]).verdict for i in test_idx]
+        y = _augmented_labels([labels[i] for i in train_idx])
+        rows = np.stack([2 * train_idx, 2 * train_idx + 1], axis=1).ravel()
+        forest = forest_train(X[rows], y, num_trees=num_trees, seed=spec.child("rcc.forest"))
+        return [_vote_direction(frac).verdict for frac in forest_predict(forest, X[2 * test_idx])]
 
     return _repeated_splits(labels, names, excluded, judge, split, repeats, seed)
 

@@ -438,25 +438,27 @@ def rcc_train(
     """
     num_features, num_trees = _count("num_features", num_features, 1), _count("num_trees", num_trees, 1)
     spec = as_spec(seed)
-    labels = {label for _, label in data}
-    if labels != {-1, 1}:
+    y = _augmented_labels([label for _, label in data])
+    rff, X = _augmented_features([sample for sample, _ in data], num_features, spec)
+    return RCCModel(rff=rff, forest=forest_train(X, y, num_trees=num_trees, seed=spec.child("rcc.forest")))
+
+
+def _augmented_labels(labels) -> np.ndarray:
+    """The labels of ``_augmented_features``' rows: each label, then its flip."""
+    if set(labels) != {-1, 1}:
         raise ValueError("training data must contain both labels")
+    return np.outer(labels, [1, -1]).ravel()
 
-    augmented = []
-    for sample, label in data:
-        augmented.append((sample, label))
-        augmented.append((sample.swapped(), -label))
 
-    # One canonicalization per sample serves the bandwidth and its features.
-    pooled = np.concatenate([_canonical_standardized(s) for s, _ in augmented])
-    bandwidth = median_heuristic(pooled.ravel())
-    rff = RFFSpec(seed=spec.seed("rcc.rff"), num_features=num_features, bandwidth=bandwidth)
-
-    ends = np.cumsum([s.n for s, _ in augmented]).tolist()
-    X = np.stack([_embed(pooled[lo:hi], rff) for lo, hi in zip([0] + ends, ends)])
-    y = np.array([label for _, label in augmented], dtype=np.int64)
-    forest = forest_train(X, y, num_trees=num_trees, seed=spec.child("rcc.forest"))
-    return RCCModel(rff=rff, forest=forest)
+def _augmented_features(samples, num_features: int, seed: SeedSpec | int):
+    """(spec, rows): row 2i features ``samples[i]`` and row 2i + 1 its swapped
+    copy, each canonicalized once.  The spec is drawn with ``seed``'s
+    ``rcc.rff`` stream, its bandwidth the median heuristic over the pooled
+    standardized coordinates of all rows; no label enters."""
+    canonical = [_canonical_standardized(s) for sample in samples for s in (sample, sample.swapped())]
+    bandwidth = median_heuristic(np.concatenate(canonical).ravel())
+    rff = RFFSpec(seed=as_spec(seed).seed("rcc.rff"), num_features=num_features, bandwidth=bandwidth)
+    return rff, np.stack([_embed(pts, rff) for pts in canonical])
 
 
 def rcc_predict(model: RCCModel, sample: ScatterSample) -> Direction:

@@ -216,6 +216,14 @@ def test_an_embedding_table_without_a_proxy_word_is_named(tmp_path, capsys, corp
     assert err.splitlines()[-1] == "error: out of the embedding vocabulary: 'the'"
 
 
+def test_a_training_split_of_one_label_says_so(capsys, bundled_index):
+    """At split 0.03 one of the 33 bundled pairs trains each repeat."""
+    code, out, err = run(capsys, "nlp-eval", "--pairs", bundled_data_path("word_pairs.csv"), "--index", bundled_index,
+                         "--kinds", "counts", "--methods", "distribution", "--split", "0.03")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: training data must contain both labels"
+
+
 def test_an_evaluation_left_with_too_few_pairs_says_why(tmp_path, capsys, bundled_index):
     """Every pair is excluded for one proxy word the tables lack; the error
     counts the excluded pairs and gives the first one's reason."""

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxycause import experiments, rcc
 from proxycause.anm import AnmConfig, kernel_ridge_fit, residuals
-from proxycause.core import Direction, SeedSpec, Verdict
+from proxycause.core import Direction, LabeledScatterDataset, SeedSpec, Verdict
 from proxycause.experiments import (
     _LAM,
     EvalReport,
@@ -36,7 +37,8 @@ from proxycause.experiments import (
     synth_stylized_pair,
 )
 from proxycause.independence import hsic_pvalue
-from proxycause.proxy_text import build_index, vocab_sample
+from proxycause.proxy_text import build_index, vocab_sample, word_pair_scatter
+from proxycause.rcc import featurize_scatter, rcc_train
 
 
 def test_word_pair_record_validation():
@@ -431,6 +433,84 @@ def test_evaluate_distribution_method_reports_exclusions(tmp_path):
     name, reason = report.excluded[0]
     assert name == "zzz,y0"
     assert "out of vocabulary" in reason
+
+
+@pytest.mark.parametrize("repeats", [1, 5])
+def test_the_distribution_method_featurizes_each_pair_and_its_swap_once(tmp_path, monkeypatch, repeats):
+    """One featurization per usable scatter and per swapped copy, however
+    many repeats reuse them; the excluded pair is never featurized."""
+    pairs, vocab, index = _separable_nlp_fixture(tmp_path)
+    pairs = pairs + [(WordPairRecord("zzz", "y0", 20, 0, 0), 1)]
+    calls = []
+    real = rcc._embed
+
+    def counting(pts, spec):
+        calls.append(pts)
+        return real(pts, spec)
+
+    monkeypatch.setattr(rcc, "_embed", counting)
+    report = evaluate_distribution_method(
+        pairs, "counts", vocab, index, repeats=repeats, num_features=10, num_trees=5, seed=0
+    )
+    assert len(report.accuracies) == repeats
+    assert len(calls) == 2 * 16
+
+
+def _study_features(monkeypatch, pairs, vocab, index, seed):
+    """The (spec, rows) the distribution method draws on ``pairs``."""
+    drawn = []
+    real = experiments._augmented_features
+
+    def recording(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiments, "_augmented_features", recording)
+    evaluate_distribution_method(pairs, "counts", vocab, index, repeats=3, num_features=10, num_trees=5, seed=seed)
+    monkeypatch.undo()
+    (features,) = drawn
+    return features
+
+
+def test_the_distribution_method_draws_rcc_trains_spec_on_inputs_alone(tmp_path, monkeypatch):
+    """The study's spec is rcc_train's on all usable pairs at the study
+    seed, its rows are featurize_scatter of each scatter and its swapped
+    copy, and relabelling the pairs moves neither, bit for bit."""
+    pairs, vocab, index = _separable_nlp_fixture(tmp_path)
+    seed = SeedSpec(4).child("nlp.dist.counts")
+    spec, X = _study_features(monkeypatch, pairs, vocab, index, seed)
+    samples = [word_pair_scatter(record.x, record.y, "counts", vocab, index) for record, _ in pairs]
+    want = rcc_train(LabeledScatterDataset(tuple(zip(samples, (label for _, label in pairs)))),
+                     num_features=10, num_trees=1, seed=seed).rff
+    assert (spec.seed, spec.num_features, spec.bandwidth) == (want.seed, want.num_features, want.bandwidth)
+    rows = [featurize_scatter(t, spec) for s in samples for t in (s, s.swapped())]
+    assert X.tobytes() == np.stack(rows).tobytes()
+    flipped = [(record, -label) for record, label in pairs]
+    halves = [(record, 1 if i < 8 else -1) for i, (record, _) in enumerate(pairs)]
+    for relabelled in (flipped, halves):
+        again, X_again = _study_features(monkeypatch, relabelled, vocab, index, seed)
+        assert (again.seed, again.bandwidth) == (spec.seed, spec.bandwidth)
+        assert X_again.tobytes() == X.tobytes()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("featurized before the pair count was checked")
+
+
+@pytest.mark.parametrize("usable", [0, 5])
+def test_too_few_pairs_are_refused_before_any_featurization(tmp_path, monkeypatch, usable):
+    pairs, vocab, index = _separable_nlp_fixture(tmp_path)
+    pairs = pairs[:usable] + [(WordPairRecord("zzz", f"y{i}", 20, 0, 0), 1) for i in range(3)]
+    monkeypatch.setattr(rcc, "_canonical_standardized", _must_not_run)
+    message = f"need at least 8 labeled pairs, got {usable} (3 excluded, first zzz,y0: "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_distribution_method(pairs, "counts", vocab, index, num_features=10, num_trees=5)
+
+
+def test_a_one_label_training_split_is_refused(tmp_path):
+    pairs, vocab, index = _separable_nlp_fixture(tmp_path)
+    with pytest.raises(ValueError, match="^training data must contain both labels$"):
+        evaluate_distribution_method(pairs, "counts", vocab, index, split=0.03, num_features=10, num_trees=5)
 
 
 def test_binomial_significance_oracles():

@@ -13,6 +13,9 @@ re-recorded when the CLI took the image fit fraction (0.75) in place of
 the generic 0.5.  The nlp-eval output was re-recorded when its confidence
 curve came to be read off the reported --curve-kind distribution run in
 place of a second, separately seeded run; every other key kept its bytes.
+It was re-recorded again when the distribution method came to draw one
+RFF spec per study, its bandwidth from all usable scatters, in place of
+one draw per repeat from that repeat's training split.
 The word-pair-defaults output was re-recorded when word-pair --corpus came
 to train its embeddings at --seed itself, as embed-train does, in place of
 the child seed "cli.embed"; word-pair has since lost --corpus, and the same
@@ -231,7 +234,7 @@ def test_saved_index_bytes_are_pinned(tmp_path):
 # subcommand, recorded with the serial loop.  Every --jobs value must give
 # the same bytes: 1, 2, and more jobs than the machine has CPUs.
 CLI_STDOUT = {
-    "nlp-eval": "976e1cca0466ea641d78521da7e8b1f5b1014dbcb2584ec4b4e134013f04c811",
+    "nlp-eval": "c980c564403b66e1c37c4fd2e198f1d299406bf386cb737f8a0b3ae81861433b",
     "frames-order": "bd6c0802dcb26f341d9123a19395bbf08a7038270825112448e22b2dab42b896",
 }
 
